@@ -13,6 +13,7 @@ from .enumeration import (
     BoundsReport,
     GuardExceeded,
     bounds_report,
+    canonical_class_rep,
     class_representatives,
     count_classes,
     count_Lg,
@@ -28,15 +29,12 @@ from .filling import (
     Direction,
     FillingPermutation,
     GenusContext,
-    OrbitClass,
     SurfaceReport,
     SymbolInfo,
-    canonical_class_rep,
     canonical_perms,
     is_filling,
     reconstruct,
     symbol_info,
-    twisting_group,
 )
 from .gluing import (
     GluingPattern,
@@ -77,7 +75,6 @@ __all__ = [
     "GuardExceeded",
     "HyperbolicReport",
     "LSequence",
-    "OrbitClass",
     "ParseError",
     "Permutation",
     "PermutationError",
@@ -113,7 +110,6 @@ __all__ = [
     "square_roots",
     "symbol_info",
     "t1",
-    "twisting_group",
     "upper_bound",
     "validate",
 ]

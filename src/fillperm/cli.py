@@ -16,6 +16,7 @@ import time
 from . import __version__
 from .enumeration import (
     GuardExceeded,
+    GuardSettingError,
     bounds_report,
     classify_solutions,
     enumerate_filling,
@@ -45,9 +46,26 @@ SCHEMA = 1
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line; `--help` prints the usage
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return convert
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _emit(payload: dict, started: float) -> None:
@@ -88,12 +106,8 @@ def _perm_payload(p: Permutation) -> dict:
 def cmd_enumerate(args) -> int:
     started = time.time()
     ctx = GenusContext(args.genus)
-    try:
-        sols = enumerate_filling(ctx, jobs=args.jobs, force=args.force)
-        reps = classify_solutions(ctx, sols)
-    except GuardExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_GUARD
+    sols = enumerate_filling(ctx, jobs=args.jobs, force=args.force)
+    reps = classify_solutions(ctx, sols)
     payload = {
         "command": "enumerate",
         "genus": args.genus,
@@ -201,9 +215,6 @@ def cmd_bounds(args) -> int:
     try:
         rep = bounds_report(args.genus, exact=args.exact, jobs=args.jobs,
                             force=args.force)
-    except GuardExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_GUARD
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EX_USAGE
@@ -278,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_genus(p, required=True):
-        p.add_argument("--genus", type=int, required=required)
+    def add_genus(p):
+        p.add_argument("--genus", type=_positive_int, required=True)
 
     p = sub.add_parser("enumerate", help="enumerate filling permutations")
     add_genus(p)
@@ -287,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report counts without the representative listing")
     p.add_argument("--classes", action="store_true",
                    help="annotate each representative with its orbit size")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--limit", type=_non_negative_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--force", action="store_true",
                    help="override the genus guard")
     p.set_defaults(func=cmd_enumerate)
@@ -321,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_genus(p)
     p.add_argument("--exact", action="store_true",
                    help="also run the enumeration for the exact count")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
@@ -345,6 +356,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except GuardExceeded as exc:
+        print(exc, file=sys.stderr)
+        return EX_GUARD
+    except GuardSettingError as exc:
+        print(exc, file=sys.stderr)
+        return EX_USAGE
     except BrokenPipeError:
         return 0
 

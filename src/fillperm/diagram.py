@@ -26,6 +26,7 @@ from .filling import (
     Direction,
     FillingPermutation,
     GenusContext,
+    _corner_orbits,
     symbol_info,
 )
 from .perms import Permutation
@@ -180,28 +181,9 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
     is read off the quarter-turn corner map of the glued polygon.
     """
     ctx = fp.ctx
-    n = ctx.n
     m = ctx.i_min
-    half = 4 * ctx.g - 2
     word = fp.boundary_word()
-    pos_of = [0] * (n + 1)
-    for p, s in enumerate(word):
-        pos_of[s] = p
-    inv = lambda s: s - half if s > half else s + half
-
-    # corner orbits of the quarter-turn map
-    class_of_pos = [-1] * n
-    orbit_lists: list[list[int]] = []
-    for start in range(n):
-        if class_of_pos[start] >= 0:
-            continue
-        orbit = []
-        p = start
-        while class_of_pos[p] < 0:
-            class_of_pos[p] = len(orbit_lists)
-            orbit.append(p)
-            p = pos_of[inv(word[(p + 1) % n])]
-        orbit_lists.append(orbit)
+    pos_of, class_of_pos, orbit_lists = _corner_orbits(ctx, word)
     if len(orbit_lists) != m or any(len(o) != 4 for o in orbit_lists):
         raise ValueError("corner structure is not 4-valent")
 

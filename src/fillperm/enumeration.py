@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial
 from typing import Iterator, Sequence
@@ -23,6 +24,7 @@ from .filling import (
     FillingPermutation,
     GenusContext,
     canonical_perms,
+    is_filling,
     twisting_closure,
 )
 from .perms import Permutation
@@ -34,9 +36,21 @@ class GuardExceeded(RuntimeError):
     """Requested genus is above the enumeration guard."""
 
 
+class GuardSettingError(ValueError):
+    """FILLPERM_GUARD is set to something other than an integer."""
+
+
 def guard_limit() -> int:
     """Genus guard; override with the FILLPERM_GUARD environment variable."""
-    return int(os.environ.get("FILLPERM_GUARD", DEFAULT_GUARD))
+    raw = os.environ.get("FILLPERM_GUARD")
+    if raw is None:
+        return DEFAULT_GUARD
+    try:
+        return int(raw)
+    except ValueError:
+        raise GuardSettingError(
+            f"FILLPERM_GUARD must be an integer, got {raw!r}"
+        ) from None
 
 
 def check_guard(g: int, force: bool = False) -> None:
@@ -51,7 +65,7 @@ def check_guard(g: int, force: bool = False) -> None:
 
 
 # ----------------------------------------------------------------------
-# The base involution and its transpositions
+# The base involution and its square roots
 # ----------------------------------------------------------------------
 
 
@@ -91,94 +105,31 @@ def base_involution(ctx: GenusContext) -> BaseInvolution:
     return BaseInvolution(invol, tuple(odd), tuple(even))
 
 
-@dataclass(frozen=True)
-class TranspositionPairing:
-    """A matching of odd with even transpositions plus interleaving bits.
-
-    pairs[i] = (odd transposition, even transposition); bit 0 interleaves
-    (a,b),(c,d) into the 4-cycle (a,c,b,d) and bit 1 into (a,d,b,c); either
-    way the square is (a,b)(c,d).
-    """
-
-    ctx: GenusContext
-    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    interleave_bits: tuple[int, ...]
-
-    def realize(self) -> Permutation:
-        images = list(range(1, self.ctx.n + 1))
-        for ((a, b), (c, d)), bit in zip(self.pairs, self.interleave_bits):
-            if bit:
-                c, d = d, c
-            images[a - 1] = c
-            images[c - 1] = b
-            images[b - 1] = d
-            images[d - 1] = a
-        return Permutation(images)
-
-
 def root_count(g: int) -> int:
     """Number of admissible square roots: 2^(2g-1) * (2g-1)!."""
     return 2 ** (2 * g - 1) * factorial(2 * g - 1)
 
 
-def iter_pairings(ctx: GenusContext) -> Iterator[TranspositionPairing]:
-    """All pairings, lexicographic in the matching then in the bits."""
-    base = base_involution(ctx)
-    m = ctx.i_min
-    for match in permutations(range(m)):
-        paired = tuple((base.odd[i], base.even[match[i]]) for i in range(m))
-        for bits in range(1 << m):
-            bit_tuple = tuple((bits >> (m - 1 - i)) & 1 for i in range(m))
-            yield TranspositionPairing(ctx, paired, bit_tuple)
+def _roots(
+    ctx: GenusContext, start_rank: int = 0, stop_rank: int | None = None
+) -> Iterator[list[int]]:
+    """Every admissible square root C of iota o tau, as an image list.
 
-
-def square_roots(ctx: GenusContext) -> Iterator[Permutation]:
-    """Stream of the admissible square roots C of iota o tau."""
-    for pairing in iter_pairings(ctx):
-        yield pairing.realize()
-
-
-# ----------------------------------------------------------------------
-# Fast raw-array generation (the hot path for g = 4, 5)
-# ----------------------------------------------------------------------
-
-
-def _raw_tables(ctx: GenusContext):
-    base = base_involution(ctx)
-    half = 4 * ctx.g - 2
-    n = ctx.n
-    iota = [0] * (n + 1)
-    for j in range(1, n + 1):
-        iota[j] = j - half if j > half else j + half
-    return base.odd, base.even, iota
-
-
-def _iter_solution_images(
-    ctx: GenusContext,
-    start_rank: int = 0,
-    stop_rank: int | None = None,
-    check_roots: bool = False,
-) -> Iterator[bytes]:
-    """Yield image arrays (as bytes, symbols 1..n) of filling permutations.
-
-    Ranks index matchings in lexicographic order; a worker owning the rank
-    range [start, stop) reproduces exactly that slice of the deterministic
-    stream.  With check_roots the square identity C*C = iota o tau is
-    asserted for every candidate.
+    C[j] is the image of j (index 0 is unused).  One list is rewritten
+    in place between yields, so a caller that keeps a root copies it.
+    The i-th odd transposition (a,b) is matched with the i-th even
+    transposition (c,d) of the current matching; bit i (most significant
+    first) chooses the 4-cycle (a,c,b,d) or (a,d,b,c), whose square is
+    (a,b)(c,d) either way.  Ranks index matchings in lexicographic
+    order, so a worker owning the rank range [start, stop) reproduces
+    exactly that slice of the deterministic stream.
     """
-    odd, even, iota = _raw_tables(ctx)
+    base = base_involution(ctx)
+    odd = base.odd
     m = ctx.i_min
-    n = ctx.n
-    C = [0] * (n + 1)
-    invol = [0] * (n + 1)
-    if check_roots:
-        for a, b in odd + even:
-            invol[a] = b
-            invol[b] = a
-    nbits = 1 << m
-    for match in islice(permutations(range(m)), start_rank, stop_rank):
-        evens = [even[match[i]] for i in range(m)]
-        for bits in range(nbits):
+    C = [0] * (ctx.n + 1)
+    for evens in islice(permutations(base.even), start_rank, stop_rank):
+        for bits in range(1 << m):
             for i in range(m):
                 a, b = odd[i]
                 c, d = evens[i]
@@ -188,18 +139,36 @@ def _iter_solution_images(
                 C[c] = b
                 C[b] = d
                 C[d] = a
-            if check_roots:
-                for j in range(1, n + 1):
-                    if C[C[j]] != invol[j]:
-                        raise AssertionError("square root identity violated")
-            # sigma = iota o C; walk the cycle through 1 with early exit
-            steps = 1
-            x = iota[C[1]]
-            while x != 1:
-                steps += 1
-                x = iota[C[x]]
-            if steps == n:
-                yield bytes(iota[C[j]] for j in range(1, n + 1))
+            yield C
+
+
+def square_roots(ctx: GenusContext) -> Iterator[Permutation]:
+    """Stream of the admissible square roots C of iota o tau."""
+    for C in _roots(ctx):
+        yield Permutation(C[1:])
+
+
+def _iota_table(ctx: GenusContext) -> list[int]:
+    half = 4 * ctx.g - 2
+    return [0] + [j - half if j > half else j + half for j in range(1, ctx.n + 1)]
+
+
+def _iter_solution_images(
+    ctx: GenusContext, start_rank: int = 0, stop_rank: int | None = None
+) -> Iterator[bytes]:
+    """Yield image arrays (as bytes, symbols 1..n) of filling permutations,
+    for the roots of the matchings ranked in [start_rank, stop_rank)."""
+    iota = _iota_table(ctx)
+    n = ctx.n
+    for C in _roots(ctx, start_rank, stop_rank):
+        # sigma = iota o C; walk the cycle through 1 with early exit
+        steps = 1
+        x = iota[C[1]]
+        while x != 1:
+            steps += 1
+            x = iota[C[x]]
+        if steps == n:
+            yield bytes(iota[C[j]] for j in range(1, n + 1))
 
 
 def _worker_solutions(args) -> list[bytes]:
@@ -227,32 +196,14 @@ def _solution_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
 
 def count_roots_verified(ctx: GenusContext) -> int:
     """Generate every admissible root, assert C*C = iota o tau, and count."""
-    odd, even, iota = _raw_tables(ctx)
-    m = ctx.i_min
-    n = ctx.n
-    invol = [0] * (n + 1)
-    for a, b in odd + even:
-        invol[a] = b
-        invol[b] = a
-    C = [0] * (n + 1)
+    invol = (0,) + base_involution(ctx).perm.images
+    symbols = range(1, ctx.n + 1)
     count = 0
-    nbits = 1 << m
-    for match in permutations(range(m)):
-        evens = [even[match[i]] for i in range(m)]
-        for bits in range(nbits):
-            for i in range(m):
-                a, b = odd[i]
-                c, d = evens[i]
-                if (bits >> (m - 1 - i)) & 1:
-                    c, d = d, c
-                C[a] = c
-                C[c] = b
-                C[b] = d
-                C[d] = a
-            for j in range(1, n + 1):
-                if C[C[j]] != invol[j]:
-                    raise AssertionError("square root identity violated")
-            count += 1
+    for C in _roots(ctx):
+        for j in symbols:
+            if C[C[j]] != invol[j]:
+                raise AssertionError("square root identity violated")
+        count += 1
     return count
 
 
@@ -272,15 +223,34 @@ def enumerate_filling(
     ]
 
 
-def _closure_tables(ctx: GenusContext) -> list[tuple[list[int], list[int]]]:
-    tables = []
-    for t in twisting_closure(ctx):
-        timg = [0] + list(t.images)
-        tinv = [0] * (ctx.n + 1)
-        for j in range(1, ctx.n + 1):
-            tinv[timg[j]] = j
-        tables.append((timg, tinv))
-    return tables
+@lru_cache(maxsize=None)
+def _closure_tables(ctx: GenusContext) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(t, t^-1) image tables, padded at index 0, over the twisting closure."""
+    return tuple(((0,) + t.images, (0,) + t.inverse().images)
+                 for t in twisting_closure(ctx))
+
+
+def _conjugates(ctx: GenusContext, img: bytes) -> Iterator[bytes]:
+    """Image arrays of t o s o t^-1 for every t in the twisting closure,
+    where img holds the images of s."""
+    sigma = (0,) + tuple(img)
+    symbols = range(1, ctx.n + 1)
+    for timg, tinv in _closure_tables(ctx):
+        yield bytes(timg[sigma[tinv[x]]] for x in symbols)
+
+
+def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
+    """Lexicographically least conjugate under the twisting closure.
+
+    The input is validated; its conjugates are not, because
+    twisting_closure checks once that its generators map solutions to
+    solutions.  Conjugates are compared as byte strings, like the
+    enumeration's image arrays, so the degree 8g-4 must stay below 256.
+    """
+    ok, why = is_filling(ctx, p)
+    if not ok:
+        raise ValueError(f"not a filling permutation: {why}")
+    return Permutation(min(_conjugates(ctx, bytes(p.images))))
 
 
 def _class_minima(ctx: GenusContext, images: Sequence[bytes]) -> list[bytes]:
@@ -290,18 +260,15 @@ def _class_minima(ctx: GenusContext, images: Sequence[bytes]) -> list[bytes]:
     canonical representative of its class; its whole orbit is then
     discarded.  Independent of how the solutions were produced.
     """
-    tables = _closure_tables(ctx)
-    n = ctx.n
     alive = set(images)
     reps: list[bytes] = []
     for img in sorted(alive):
-        if img not in alive:
-            continue
-        reps.append(img)
-        sigma = (0,) + tuple(img)
-        for timg, tinv in tables:
-            conj = bytes(timg[sigma[tinv[x]]] for x in range(1, n + 1))
-            alive.discard(conj)
+        if img in alive:
+            reps.append(img)
+            # one at a time: difference_update rebuilds the table once
+            # deleted slots pile up, a second copy at peak memory
+            for conj in _conjugates(ctx, img):
+                alive.discard(conj)
     return reps
 
 
@@ -406,62 +373,23 @@ def bounds_report(
 
 
 def excluded_roots(ctx: GenusContext, force: bool = False) -> Iterator[Permutation]:
-    """Roots guaranteed not to yield an n-cycle, as a deterministic stream.
+    """Roots guaranteed not to yield an n-cycle, in stream order.
 
-    Pair (1,4g+1) with either orientation of any even transposition; the
-    image k of 1 under C forces sigma(1) = iota(k), whose transposition is
-    then paired with (4g-3,4g-1) interleaved so that C(iota(k)) = 4g-1,
-    which closes sigma's cycle: sigma(sigma(1)) = 1.  The remaining
-    transpositions are matched freely, giving 2^(2g-2)*(2g-1)*(2g-3)!
-    distinct roots, every one a member of the square-root stream.
+    These are the roots C for which sigma = iota o C closes a 2-cycle at
+    1: sigma(sigma(1)) = 1.  With k = C(1) that means C(iota(k)) = 4g-1,
+    so (1,4g+1) is interleaved with any even transposition in either
+    orientation, the transposition of iota(k) is interleaved with
+    (4g-3,4g-1) in the one orientation that sends iota(k) to 4g-1, and
+    the other transpositions are matched freely: 2^(2g-2)*(2g-1)*(2g-3)!
+    distinct roots.
     """
     if ctx.g < 3:
         raise ValueError("exclusion family needs g >= 3")
     check_guard(ctx.g, force)
-    g = ctx.g
-    base = base_involution(ctx)
-    half = 4 * g - 2
-    iota_of = lambda j: j - half if j > half else j + half
-    first_odd = (1, 4 * g + 1)
-    anchor_odd = (4 * g - 3, 4 * g - 1)
-    if first_odd not in base.odd or anchor_odd not in base.odd:
-        raise AssertionError("unexpected involution structure")
-    free_odd = [t for t in base.odd if t not in (first_odd, anchor_odd)]
-    m = ctx.i_min
-
-    for ev in base.even:
-        for flip in (0, 1):
-            k, j = (ev[1], ev[0]) if flip else ev
-            # 4-cycle (1, k, 4g+1, j): C(1) = k
-            kprime = iota_of(k)
-            ev2 = next(t for t in base.even if kprime in t)
-            if ev2 == ev:
-                raise AssertionError("forced transposition collides")
-            jprime = ev2[0] if ev2[1] == kprime else ev2[1]
-            # 4-cycle (kprime, 4g-1, jprime, 4g-3): C(kprime) = 4g-1
-            fixed_cycles = [
-                (1, k, 4 * g + 1, j),
-                (kprime, 4 * g - 1, jprime, 4 * g - 3),
-            ]
-            free_even = [t for t in base.even if t not in (ev, ev2)]
-            for match in permutations(range(m - 2)):
-                for bits in range(1 << (m - 2)):
-                    images = list(range(1, ctx.n + 1))
-                    for a, c, b, d in fixed_cycles:
-                        images[a - 1] = c
-                        images[c - 1] = b
-                        images[b - 1] = d
-                        images[d - 1] = a
-                    for i in range(m - 2):
-                        a, b = free_odd[i]
-                        c, d = free_even[match[i]]
-                        if (bits >> (m - 3 - i)) & 1:
-                            c, d = d, c
-                        images[a - 1] = c
-                        images[c - 1] = b
-                        images[b - 1] = d
-                        images[d - 1] = a
-                    yield Permutation(images)
+    iota = _iota_table(ctx)
+    for C in _roots(ctx):
+        if iota[C[iota[C[1]]]] == 1:
+            yield Permutation(C[1:])
 
 
 def excluded_root_count(g: int) -> int:

@@ -1,5 +1,5 @@
 """Filling permutations: the symbol table, named permutations, validation,
-surface reconstruction and orbit classification.
+surface reconstruction and the twisting group.
 
 An oriented pair of curves (a, b) that fill a genus-g surface with the
 minimal number 2g-1 of crossings cuts the surface into a single (8g-4)-gon.
@@ -11,7 +11,7 @@ s of the 8g-4 labels, and s is characterised by three properties: it is an
 
 where iota inverts every label and tau advances every label one sub-arc
 along its own curve.  This module owns that characterisation and the
-classification of solutions up to relabelling.
+relabellings ("twistings") that map solutions to solutions.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .perms import Permutation, closure, from_cycles, identity
+from .perms import Permutation, closure, from_cycles
 
 
 class Curve(Enum):
@@ -239,35 +239,41 @@ class SurfaceReport:
 
 
 class ReconstructionError(RuntimeError):
-    """Internal inconsistency while regluing a validated solution."""
+    """Internal inconsistency: a validated solution that does not reglue,
+    or a twisting relabelling that would leave the solution set."""
 
 
-def _corner_orbits(ctx: GenusContext, word: tuple[int, ...]) -> list[list[int]]:
+def _corner_orbits(
+    ctx: GenusContext, word: tuple[int, ...]
+) -> tuple[list[int], list[int], list[list[int]]]:
     """Orbits of the quarter-turn corner map on polygon edge positions.
 
     Corner p sits after the edge at position p (0-based).  The map sends
     position p to the position of the label inverse to word[p+1]; its
-    orbits are the vertex classes of the glued surface.
+    orbits are the vertex classes of the glued surface.  Returns
+    (pos_of, class_of_pos, orbits): the position of each symbol, the
+    orbit index of each position, and the orbits in order of their
+    least position.
     """
     n = ctx.n
     half = 4 * ctx.g - 2
     pos_of = [0] * (n + 1)
     for p, s in enumerate(word):
         pos_of[s] = p
-    inv = lambda s: s - half if s > half else s + half
+    class_of_pos = [-1] * n
     orbits: list[list[int]] = []
-    seen = [False] * n
     for start in range(n):
-        if seen[start]:
+        if class_of_pos[start] >= 0:
             continue
         orbit = []
         p = start
-        while not seen[p]:
-            seen[p] = True
+        while class_of_pos[p] < 0:
+            class_of_pos[p] = len(orbits)
             orbit.append(p)
-            p = pos_of[inv(word[(p + 1) % n])]
+            s = word[(p + 1) % n]
+            p = pos_of[s - half if s > half else s + half]
         orbits.append(orbit)
-    return orbits
+    return pos_of, class_of_pos, orbits
 
 
 def reconstruct(fp: FillingPermutation) -> SurfaceReport:
@@ -281,17 +287,9 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     ctx = fp.ctx
     n = ctx.n
     word = fp.boundary_word()
-    orbits = _corner_orbits(ctx, word)
+    pos_of, class_of_pos, orbits = _corner_orbits(ctx, word)
     if any(len(o) != 4 for o in orbits) or len(orbits) != ctx.i_min:
         raise ReconstructionError("corner orbits are not 4-valent")
-
-    class_of_pos = [0] * n
-    for cid, orbit in enumerate(orbits):
-        for p in orbit:
-            class_of_pos[p] = cid
-    pos_of = [0] * (n + 1)
-    for p, s in enumerate(word):
-        pos_of[s] = p
 
     # head corner of the directed edge carrying symbol s
     head = lambda s: class_of_pos[pos_of[s]]
@@ -324,75 +322,39 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     )
 
 
-@lru_cache(maxsize=None)
-def twisting_group(ctx: GenusContext) -> tuple[Permutation, ...]:
-    """Relabellings mu^l kappa^k delta^j rev^i, deduplicated.
+def _check_twisting_generators(
+    ctx: GenusContext, gens: Iterable[Permutation]
+) -> None:
+    """Raise unless every generator commutes with iota and tau and maps
+    parity classes to parity classes.
 
-    These encode every re-orientation of an ordered pair: rotating the
-    starting arc of either curve, reversing the first curve, and swapping
-    the two curves.  At most 4*(2g-1)^2 elements.
+    Conjugation by such a t keeps a solution s an n-cycle and parity
+    respecting, and (t s t^-1) iota (t s t^-1) = t (s iota s) t^-1 =
+    t tau t^-1 = tau, so the group they generate maps the solution set
+    onto itself.
     """
     cp = canonical_perms(ctx)
-    rev = alpha_reversal(ctx)
-    seen: set[Permutation] = set()
-    order = 2 * ctx.g - 1
-    kpow = [identity(ctx.n)]
-    dpow = [identity(ctx.n)]
-    for _ in range(order - 1):
-        kpow.append(kpow[-1].compose(cp.kappa))
-        dpow.append(dpow[-1].compose(cp.delta))
-    for l in (0, 1):
-        for k in range(order):
-            for j in range(order):
-                for i in (0, 1):
-                    t = kpow[k].compose(dpow[j])
-                    if i:
-                        t = t.compose(rev)
-                    if l:
-                        t = cp.mu.compose(t)
-                    seen.add(t)
-    return tuple(sorted(seen))
+    for t in gens:
+        for name, fixed in (("iota", cp.iota), ("tau", cp.tau)):
+            if t.compose(fixed) != fixed.compose(t):
+                raise ReconstructionError(
+                    f"twisting generator {t} does not commute with {name}"
+                )
+        if not t.is_parity_respecting():
+            raise ReconstructionError(
+                f"twisting generator {t} mixes the parity classes"
+            )
 
 
 @lru_cache(maxsize=None)
 def twisting_closure(ctx: GenusContext) -> tuple[Permutation, ...]:
-    """Group generated by the twisting set.
+    """The twisting group, sorted.
 
-    The product set itself is not closed (composing a curve swap with a
-    reversal yields the reversal of the other curve), so canonical class
-    representatives minimise over this closure to make the classes a
-    genuine partition.
+    It is generated by the relabellings that re-orient an ordered pair:
+    kappa and delta rotate the starting arc of either curve, the
+    alpha reversal reverses the first curve and mu swaps the two curves.
     """
-    return tuple(closure(twisting_group(ctx)))
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """Canonical representative of a filling permutation's twisting class."""
-
-    ctx: GenusContext
-    canonical: Permutation
-
-
-def canonical_class_rep(ctx: GenusContext, p: Permutation) -> OrbitClass:
-    """Lexicographically least conjugate under the twisting closure.
-
-    Every conjugate is verified to be a filling permutation; a failure
-    would mean the twisting relabellings are wrong and is reported as an
-    internal error rather than a user error.
-    """
-    ok, why = is_filling(ctx, p)
-    if not ok:
-        raise ValueError(f"not a filling permutation: {why}")
-    best: Permutation | None = None
-    for t in twisting_closure(ctx):
-        c = p.conjugate_by(t)
-        ok, why = is_filling(ctx, c)
-        if not ok:
-            raise ReconstructionError(
-                f"twisting conjugate left the solution set: {why}"
-            )
-        if best is None or c < best:
-            best = c
-    assert best is not None
-    return OrbitClass(ctx, best)
+    cp = canonical_perms(ctx)
+    gens = (cp.kappa, cp.delta, alpha_reversal(ctx), cp.mu)
+    _check_twisting_generators(ctx, gens)
+    return tuple(closure(gens))

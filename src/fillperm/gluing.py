@@ -38,8 +38,19 @@ class GluingPattern:
 
     @classmethod
     def from_json(cls, text: str) -> "GluingPattern":
+        """Parse a pattern file; ValueError names the first schema breach."""
         data = json.loads(text)
-        return cls.make(int(data["i"]), data["polygons"])
+        is_int = lambda v: type(v) is int  # bool is an int subclass
+        if not isinstance(data, dict):
+            raise ValueError("a pattern is a JSON object")
+        if not is_int(data.get("i")):
+            raise ValueError('"i" must be an integer')
+        polygons = data.get("polygons")
+        if not isinstance(polygons, list) or not all(
+            isinstance(p, list) and all(map(is_int, p)) for p in polygons
+        ):
+            raise ValueError('"polygons" must be a list of lists of integers')
+        return cls.make(data["i"], polygons)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class PermutationError(ValueError):
@@ -37,7 +37,8 @@ class Permutation:
             raise PermutationError("not a permutation: empty image list")
         seen = [False] * (n + 1)
         for v in images:
-            if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+            # type(), not isinstance(): bool is an int subclass
+            if type(v) is not int or not 1 <= v <= n or seen[v]:
                 raise PermutationError("not a permutation")
             seen[v] = True
         self.n = n
@@ -286,10 +287,3 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
         frontier = nxt
     return sorted(group)
 
-
-def iter_all(n: int) -> Iterator[Permutation]:
-    """All permutations of degree n in lexicographic order (tiny n only)."""
-    from itertools import permutations as iperm
-
-    for imgs in iperm(range(1, n + 1)):
-        yield Permutation(imgs)

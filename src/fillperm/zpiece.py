@@ -20,20 +20,15 @@ all 5! * 2^5 candidate decorations recovers it without any drawn figure.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .diagram import PairDiagram, diagram_of
 from .enumeration import enumerate_filling
 from .filling import FillingPermutation, GenusContext
 from .perms import Permutation
-
-_ALGO_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -53,14 +48,6 @@ class ZTemplate:
             raise ValueError("order must be a permutation of 1..5")
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1/-1")
-
-    @property
-    def alpha_word(self) -> tuple[str, ...]:
-        return tuple(f"x{i}" for i in range(1, 7))
-
-    @property
-    def beta_word(self) -> tuple[str, ...]:
-        return tuple(f"y{i}" for i in range(1, 7))
 
     @property
     def incidence(self) -> tuple[tuple[int, int, int], ...]:
@@ -288,55 +275,24 @@ def _passes(t: ZTemplate, torus: PairDiagram, g3_diagrams: list[PairDiagram],
 
 
 def _g3_data():
-    sols = enumerate_filling(GenusContext(3))
+    # a fixed-size sweep of the library's own, not a user-requested genus
+    sols = enumerate_filling(GenusContext(3), force=True)
     return [diagram_of(s) for s in sols], {s.perm for s in sols}
 
 
-def _cache_path() -> Path:
-    root = os.environ.get("FILLPERM_CACHE_DIR")
-    base = Path(root) if root else Path.home() / ".cache" / "fillperm"
-    return base / f"ztemplate-v{_ALGO_VERSION}.json"
-
-
-def _template_digest(t: ZTemplate) -> str:
-    return hashlib.sha256(
-        json.dumps(t.to_json(), sort_keys=True).encode()
-    ).hexdigest()
-
-
-def derive_template(use_cache: bool = True) -> ZTemplate:
+@lru_cache(maxsize=None)
+def derive_template() -> ZTemplate:
     """Search the 3840 candidate decorations for the least valid one.
 
     Validity is checked against the independently enumerated genus-3
     solution set: the torus splice must land in it, and every genus-3
-    solution must splice at every vertex.  The winner is cached on disk
-    keyed by the algorithm version, with a content hash guarding the
-    stored decoration.
+    solution must splice at every vertex.  The search runs once per
+    process.
     """
-    path = _cache_path()
-    if use_cache and path.exists():
-        try:
-            data = json.loads(path.read_text())
-            if data.get("algo") == _ALGO_VERSION:
-                t = ZTemplate.from_json(data["template"])
-                if data.get("sha256") == _template_digest(t):
-                    return t
-        except (ValueError, KeyError):
-            pass
     g3_diagrams, g3_set = _g3_data()
     torus = _torus_diagram()
     for t in _candidate_templates():
         if _passes(t, torus, g3_diagrams, g3_set):
-            if use_cache:
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_text(json.dumps({
-                        "algo": _ALGO_VERSION,
-                        "template": t.to_json(),
-                        "sha256": _template_digest(t),
-                    }))
-                except OSError:
-                    pass
             return t
     raise RuntimeError("template derivation failed")
 

@@ -37,4 +37,4 @@ def g4_solutions():
 
 @pytest.fixture(scope="session")
 def template():
-    return derive_template(use_cache=False)
+    return derive_template()

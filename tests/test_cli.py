@@ -5,6 +5,7 @@ import pytest
 
 from fillperm.cli import main
 from fillperm.gluing import GluingPattern
+from fillperm.zpiece import derive_template
 
 
 def run(capsys, *argv):
@@ -95,6 +96,54 @@ def test_verify_parse_error_exit_code(capsys):
 def test_bad_flags_exit_64(capsys):
     assert main(["enumerate", "--bogus"]) == 64
     assert main(["bogus-command"]) == 64
+    assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+def one_line_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate"],
+    ["reconstruct", "[2,3,4,1]"],
+    ["verify", "[2,3,4,1]"],
+    ["extend", "[2,3,4,1]", "--vertex", "1"],
+    ["bounds"],
+    ["hyp"],
+    ["diagram", "[2,3,4,1]"],
+])
+@pytest.mark.parametrize("genus", ["0", "-1"])
+def test_genus_must_be_positive(capsys, command, genus):
+    err = one_line_usage_error(capsys, *command, "--genus", genus)
+    assert "--genus" in err and "integer >= 1" in err
+
+
+def test_negative_limit_is_refused(capsys):
+    err = one_line_usage_error(capsys, "enumerate", "--genus", "3", "--limit", "-1")
+    assert "--limit" in err and "integer >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "bounds"])
+def test_zero_jobs_is_refused(capsys, command):
+    err = one_line_usage_error(capsys, command, "--genus", "3", "--jobs", "0")
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--genus", "3"],
+    ["bounds", "--genus", "3", "--exact"],
+])
+def test_bad_guard_setting_exit_64(capsys, monkeypatch, command):
+    monkeypatch.setenv("FILLPERM_GUARD", "abc")
+    code, out, err = run(capsys, *command)
+    assert code == 64
+    assert out == ""
+    assert err.strip() == "FILLPERM_GUARD must be an integer, got 'abc'"
 
 
 def test_reconstruct(capsys):
@@ -106,8 +155,7 @@ def test_reconstruct(capsys):
     assert data["alpha_is_single_curve"] and data["beta_is_single_curve"]
 
 
-def test_extend(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("FILLPERM_CACHE_DIR", str(tmp_path))
+def test_extend(capsys):
     code, out, _ = run(capsys, "extend", "[2,3,4,1]", "--genus", "1",
                        "--vertex", "1")
     assert code == 0
@@ -119,6 +167,16 @@ def test_extend(capsys, tmp_path, monkeypatch):
     assert verify_code == 0
 
 
+def test_extend_ignores_the_guard(capsys, monkeypatch):
+    # the template search enumerates genus 3 whatever the guard allows
+    monkeypatch.setenv("FILLPERM_GUARD", "1")
+    derive_template.cache_clear()
+    code, out, _ = run(capsys, "extend", "[2,3,4,1]", "--genus", "1",
+                       "--vertex", "1")
+    assert code == 0
+    assert payload(out)["genus"] == 3
+
+
 def test_t1_and_genus_commands(capsys, tmp_path):
     path = tmp_path / "torus.json"
     path.write_text(GluingPattern.make(1, [[1, 2, -1, -2]]).to_json())
@@ -128,6 +186,16 @@ def test_t1_and_genus_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "genus", str(path))
     assert code == 0
     assert payload(out)["genus"] == 1
+
+
+@pytest.mark.parametrize("command", ["t1", "genus"])
+def test_pattern_with_non_integer_arc_exit_65(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"i": 1, "polygons": [["a", 2, -1, -2]]}')
+    code, out, err = run(capsys, command, str(path))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("bad pattern file:") and len(err.splitlines()) == 1
 
 
 def test_t1_missing_file_exit_74(capsys):

@@ -1,25 +1,32 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from fillperm.enumeration import (
     GuardExceeded,
+    GuardSettingError,
     base_involution,
     bounds_report,
+    canonical_class_rep,
     check_guard,
     count_classes,
     count_Lg,
     enumerate_filling,
     excluded_root_count,
     excluded_roots,
-    iter_pairings,
+    guard_limit,
     lower_bound,
     root_count,
     square_roots,
     upper_bound,
 )
-from fillperm.filling import GenusContext, canonical_perms, is_filling
+from fillperm.filling import (
+    GenusContext,
+    canonical_perms,
+    is_filling,
+    twisting_closure,
+)
 from fillperm.perms import Permutation, from_cycles
 
 
@@ -72,13 +79,17 @@ def test_square_roots_g1_explicit():
 
 
 def test_pairings_are_perfect_odd_even_matchings():
+    # every root is a product of 4-cycles (a,c,b,d), each interleaving
+    # one odd transposition (a,b) with one even transposition (c,d)
     ctx = GenusContext(2)
-    for pairing in iter_pairings(ctx):
-        odds = [p[0] for p in pairing.pairs]
-        evens = [p[1] for p in pairing.pairs]
-        assert sorted(odds) == sorted(base_involution(ctx).odd)
-        assert sorted(evens) == sorted(base_involution(ctx).even)
-        assert pairing.realize().compose(pairing.realize()) == base_involution(ctx).perm
+    base = base_involution(ctx)
+    for root in square_roots(ctx):
+        cycles = root.cycles()
+        assert all(len(cyc) == 4 for cyc in cycles)
+        assert all((cyc[0] - cyc[1]) % 2 for cyc in cycles)
+        pairs = [tuple(sorted(cyc[i::2])) for cyc in cycles for i in (0, 1)]
+        assert sorted(p for p in pairs if p[0] % 2) == list(base.odd)
+        assert sorted(p for p in pairs if p[0] % 2 == 0) == list(base.even)
 
 
 def test_enumerate_g1(g1_solutions):
@@ -98,10 +109,8 @@ def test_enumerate_g3_all_valid(g3_solutions):
 
 
 def test_enumeration_closed_under_twisting(g3_solutions):
-    from fillperm.filling import twisting_group
-
     solset = {fp.perm for fp in g3_solutions}
-    for t in twisting_group(GenusContext(3)):
+    for t in twisting_closure(GenusContext(3)):
         assert {p.conjugate_by(t) for p in solset} == solset
 
 
@@ -118,10 +127,8 @@ def test_count_classes_small():
 
 
 def test_count_classes_matches_per_solution_reps(g3_solutions, g3_class_reps):
-    from fillperm.filling import canonical_class_rep
-
     ctx = GenusContext(3)
-    reps = {canonical_class_rep(ctx, fp.perm).canonical for fp in g3_solutions}
+    reps = {canonical_class_rep(ctx, fp.perm) for fp in g3_solutions}
     assert reps == {r.perm for r in g3_class_reps}
     assert count_classes(ctx) == len(reps)
 
@@ -137,6 +144,12 @@ def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("FILLPERM_GUARD", "3")
     with pytest.raises(GuardExceeded):
         check_guard(4)
+
+
+def test_guard_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("FILLPERM_GUARD", "abc")
+    with pytest.raises(GuardSettingError, match="FILLPERM_GUARD .*'abc'"):
+        guard_limit()
 
 
 def brute_force_Lg(g):
@@ -189,12 +202,41 @@ def test_bounds_report_with_exact():
     assert math.ceil(rep.lower) <= rep.exact_N <= rep.upper
 
 
+def constructed_exclusion_family(ctx):
+    """The exclusion family built transposition by transposition.
+
+    (1,4g+1) is interleaved with an even transposition in either
+    orientation, giving C(1) = k; the transposition of iota(k) is
+    interleaved with (4g-3,4g-1) so that C(iota(k)) = 4g-1; the rest
+    are matched freely.
+    """
+    g = ctx.g
+    base = base_involution(ctx)
+    iota = canonical_perms(ctx).iota
+    first, anchor = (1, 4 * g + 1), (4 * g - 3, 4 * g - 1)
+    free_odd = [t for t in base.odd if t not in (first, anchor)]
+    family = set()
+    for ev in base.even:
+        for k, j in (ev, ev[::-1]):
+            kp = iota(k)
+            ev2 = next(t for t in base.even if kp in t)
+            fixed = [(1, k, first[1], j), (kp, anchor[1], sum(ev2) - kp, anchor[0])]
+            free_even = [t for t in base.even if t not in (ev, ev2)]
+            for match in permutations(free_even):
+                for flips in product((False, True), repeat=len(free_odd)):
+                    free = [(a, d, b, c) if flip else (a, c, b, d)
+                            for (a, b), (c, d), flip in zip(free_odd, match, flips)]
+                    family.add(from_cycles(fixed + free, ctx.n))
+    return family
+
+
 def test_excluded_roots_g3(g3_solutions):
     ctx = GenusContext(3)
     cp = canonical_perms(ctx)
     exc = list(excluded_roots(ctx))
-    assert len(exc) == excluded_root_count(3) == 480
-    assert len(set(exc)) == 480
+    family = constructed_exclusion_family(ctx)
+    assert len(exc) == len(set(exc)) == len(family) == excluded_root_count(3) == 480
+    assert set(exc) == family
     rootset = set(square_roots(ctx))
     solset = {fp.perm for fp in g3_solutions}
     for c in exc:

@@ -7,19 +7,20 @@ from fillperm.filling import (
     Direction,
     FillingPermutation,
     GenusContext,
+    ReconstructionError,
     SymbolInfo,
+    _check_twisting_generators,
     alpha_reversal,
     beta_reversal,
-    canonical_class_rep,
     canonical_perms,
     is_filling,
     reconstruct,
     symbol_info,
     symbol_of,
     twisting_closure,
-    twisting_group,
 )
-from fillperm.perms import Permutation, from_cycles, identity
+from fillperm.enumeration import canonical_class_rep
+from fillperm.perms import Permutation, closure, from_cycles, identity
 
 
 def test_context_derived_fields():
@@ -150,20 +151,54 @@ def test_reconstruct_all_g3(g3_solutions):
         assert rep.alpha_is_single_curve and rep.beta_is_single_curve
 
 
-def test_twisting_group_sizes():
-    assert len(twisting_group(GenusContext(1))) <= 4
-    g2 = twisting_group(GenusContext(2))
-    assert len(g2) <= 36
-    g3 = twisting_group(GenusContext(3))
-    assert len(g3) == 100  # 4 * (2g-1)^2 exactly for g >= 2
-    assert identity(20) in g3
+def test_twisting_closure_sizes():
+    sizes = [len(twisting_closure(GenusContext(g))) for g in range(1, 6)]
+    assert sizes == [8, 72, 200, 392, 648]
+    assert identity(20) in twisting_closure(GenusContext(3))
+
+
+def product_set_closure(ctx):
+    """Reference: the group generated by every product
+    mu^l kappa^k delta^j rev^i, not only by the four generators."""
+    cp = canonical_perms(ctx)
+    rev = alpha_reversal(ctx)
+    order = 2 * ctx.g - 1
+    products = set()
+    for l in (0, 1):
+        for k in range(order):
+            for j in range(order):
+                for i in (0, 1):
+                    t = cp.kappa.power(k).compose(cp.delta.power(j))
+                    if i:
+                        t = t.compose(rev)
+                    if l:
+                        t = cp.mu.compose(t)
+                    products.add(t)
+    return tuple(closure(products))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_twisting_closure_matches_the_product_set_closure(g):
+    ctx = GenusContext(g)
+    assert twisting_closure(ctx) == product_set_closure(ctx)
+
+
+def test_twisting_generators_are_checked():
+    for g in range(1, 7):
+        ctx = GenusContext(g)
+        cp = canonical_perms(ctx)
+        _check_twisting_generators(
+            ctx, (cp.kappa, cp.delta, alpha_reversal(ctx), cp.mu))
+    ctx = GenusContext(3)
+    with pytest.raises(ReconstructionError, match="tau"):
+        _check_twisting_generators(ctx, (canonical_perms(ctx).eta,))
 
 
 def test_twisting_conjugation_preserves_solutions(g3_solutions):
     # exhaustively: every twisting element maps the solution set into itself
     ctx = GenusContext(3)
     solset = {fp.perm for fp in g3_solutions}
-    for t in twisting_group(ctx):
+    for t in twisting_closure(ctx):
         for fp in g3_solutions:
             assert fp.perm.conjugate_by(t) in solset
 
@@ -200,25 +235,24 @@ def test_canonical_class_rep_g1():
     ctx = GenusContext(1)
     r1 = canonical_class_rep(ctx, Permutation([2, 3, 4, 1]))
     r2 = canonical_class_rep(ctx, Permutation([4, 1, 2, 3]))
-    assert r1.canonical == r2.canonical == Permutation([2, 3, 4, 1])
+    assert r1 == r2 == Permutation([2, 3, 4, 1])
 
 
 def test_canonical_class_rep_idempotent(g3_class_reps):
     ctx = GenusContext(3)
     for rep in g3_class_reps:
-        again = canonical_class_rep(ctx, rep.perm)
-        assert again.canonical == rep.perm
+        assert canonical_class_rep(ctx, rep.perm) == rep.perm
 
 
 def test_class_invariant_under_twisting(g3_class_reps):
     ctx = GenusContext(3)
     rng = random.Random(31)
-    T = twisting_group(ctx)
+    T = twisting_closure(ctx)
     for rep in g3_class_reps:
         for _ in range(10):
             t = rng.choice(T)
             conj = rep.perm.conjugate_by(t)
-            assert canonical_class_rep(ctx, conj).canonical == rep.perm
+            assert canonical_class_rep(ctx, conj) == rep.perm
 
 
 def test_canonical_class_rep_rejects_non_solutions():

@@ -47,6 +47,23 @@ def test_json_round_trip():
     assert again == TORUS_SQUARE
 
 
+@pytest.mark.parametrize("text", [
+    '[1, 2]',
+    '{"polygons": [[1, 2, -1, -2]]}',
+    '{"i": "1", "polygons": [[1, 2, -1, -2]]}',
+    '{"i": true, "polygons": [[1, 2, -1, -2]]}',
+    '{"i": 1.0, "polygons": [[1, 2, -1, -2]]}',
+    '{"i": 1}',
+    '{"i": 1, "polygons": [1, 2, -1, -2]}',
+    '{"i": 1, "polygons": [["a", 2, -1, -2]]}',
+    '{"i": 1, "polygons": [[true, 2, -1, -2]]}',
+    '{"i": 1, "polygons": [[1.5, 2, -1, -2]]}',
+])
+def test_from_json_checks_the_schema(text):
+    with pytest.raises(ValueError):
+        GluingPattern.from_json(text)
+
+
 def test_from_filling_torus():
     fp = FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
     pat = from_filling(fp)

@@ -27,6 +27,10 @@ def test_construction_rejects_non_bijections():
         Permutation([0, 1])
     with pytest.raises(PermutationError):
         Permutation([])
+    with pytest.raises(PermutationError):
+        Permutation([True])
+    with pytest.raises(PermutationError):
+        Permutation([2, True])
 
 
 def test_compose_identity_and_inverse():

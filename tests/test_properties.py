@@ -1,0 +1,32 @@
+"""Property tests of invariants that span several modules."""
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from fillperm.diagram import PairDiagram, diagram_of
+from fillperm.filling import reconstruct
+
+
+@st.composite
+def diagrams(draw):
+    m = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    beta_seq = draw(st.permutations(range(1, m + 1)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))
+    return PairDiagram(m, tuple(beta_seq), tuple(signs))
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(diagrams())
+def test_one_face_diagram_round_trip(d):
+    # no three-crossing diagram has a single face: genus 2 has no
+    # minimally intersecting filling pair
+    assume(d.is_filling_pair())
+    fp = d.to_filling_permutation()
+    assert diagram_of(fp) == d
+    assert diagram_of(fp).to_filling_permutation() == fp
+    rep = reconstruct(fp)
+    assert rep.genus == (d.m + 1) // 2
+    assert len(rep.vertex_classes) == d.m
+    assert all(len(c) == 4 for c in rep.vertex_classes)
+    assert rep.alpha_is_single_curve and rep.beta_is_single_curve

@@ -39,7 +39,6 @@ def test_template_shape(template):
     assert sorted(template.order) == [1, 2, 3, 4, 5]
     assert len(template.signs) == 5
     assert len(template.incidence) == 5
-    assert template.alpha_word == ("x1", "x2", "x3", "x4", "x5", "x6")
 
 
 def test_template_json_round_trip(template):
@@ -146,7 +145,8 @@ def test_genus4_solutions_contain_no_pieces(template, g4_solutions):
 
 
 def test_derivation_is_deterministic(template):
-    assert derive_template(use_cache=False) == template
+    # a fresh search, bypassing the per-process cache
+    assert derive_template.__wrapped__() == template
 
 
 def test_all_valid_decorations_recorded(template):

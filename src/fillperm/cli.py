@@ -31,7 +31,7 @@ from .filling import (
 )
 from .gluing import GluingPattern, euler_genus, t1, validate
 from .hyperbolic import report as hyperbolic_report
-from .perms import ParseError, Permutation, PermutationError, format_perm, parse
+from .perms import Permutation, PermutationError, format_perm, parse
 from .svg import diagram_svg
 from .zpiece import derive_template, splice
 
@@ -75,15 +75,31 @@ def _emit(payload: dict, started: float) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_perm(text: str) -> Permutation:
+def _parse_perm(text: str, ctx: GenusContext) -> Permutation:
+    """The permutation argument, which must have degree 8g-4; exit 65
+    on anything else."""
     try:
-        return parse(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EX_DATAERR)
+        p = parse(text)
     except PermutationError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EX_DATAERR)
+    if p.n != ctx.n:
+        print(f"degree {p.n} does not match 8g-4 = {ctx.n}", file=sys.stderr)
+        raise SystemExit(EX_DATAERR)
+    return p
+
+
+def _filling_arg(args) -> FillingPermutation:
+    """The permutation argument as a filling permutation at --genus; exit
+    65 if it is not a permutation of degree 8g-4 and 1 if it does not
+    fill."""
+    ctx = GenusContext(args.genus)
+    p = _parse_perm(args.perm, ctx)
+    try:
+        return FillingPermutation(ctx, p)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        raise SystemExit(EX_VALIDATION)
 
 
 def _load_pattern(path: str) -> GluingPattern:
@@ -130,10 +146,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     started = time.time()
     ctx = GenusContext(args.genus)
-    p = _parse_perm(args.perm)
-    if p.n != ctx.n:
-        print(f"degree {p.n} does not match 8g-4 = {ctx.n}", file=sys.stderr)
-        return EX_DATAERR
+    p = _parse_perm(args.perm, ctx)
     ok, why = is_filling(ctx, p)
     _emit({"command": "verify", "genus": args.genus, "valid": ok,
            "diagnostic": why, **_perm_payload(p)}, started)
@@ -142,13 +155,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     started = time.time()
-    ctx = GenusContext(args.genus)
-    p = _parse_perm(args.perm)
-    try:
-        fp = FillingPermutation(ctx, p)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_VALIDATION
+    fp = _filling_arg(args)
     rep = reconstruct(fp)
     _emit({
         "command": "reconstruct",
@@ -163,13 +170,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_extend(args) -> int:
     started = time.time()
-    ctx = GenusContext(args.genus)
-    p = _parse_perm(args.perm)
-    try:
-        fp = FillingPermutation(ctx, p)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_VALIDATION
+    fp = _filling_arg(args)
     template = derive_template()
     try:
         out = splice(fp, args.vertex, template)
@@ -257,13 +258,7 @@ def cmd_hyp(args) -> int:
 
 def cmd_diagram(args) -> int:
     started = time.time()
-    ctx = GenusContext(args.genus)
-    p = _parse_perm(args.perm)
-    try:
-        fp = FillingPermutation(ctx, p)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EX_VALIDATION
+    fp = _filling_arg(args)
     svg = diagram_svg(fp)
     try:
         if args.output == "-":
@@ -275,8 +270,8 @@ def cmd_diagram(args) -> int:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EX_IOERR
     if args.output != "-":
-        _emit({"command": "diagram", "genus": args.genus,
-               "output": args.output, "edges": ctx.n, "chords": ctx.n // 2},
+        _emit({"command": "diagram", "genus": args.genus, "output": args.output,
+               "edges": fp.ctx.n, "chords": fp.ctx.n // 2},
               started)
     return 0
 

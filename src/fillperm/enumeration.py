@@ -60,7 +60,8 @@ def check_guard(g: int, force: bool = False) -> None:
     raise GuardExceeded(
         f"genus {g} exceeds the enumeration guard ({limit}); "
         f"the run would generate {root_count(g)} square roots. "
-        "Set FILLPERM_GUARD or pass force=True to override."
+        "Set FILLPERM_GUARD or pass --force (force=True from Python) "
+        "to override."
     )
 
 

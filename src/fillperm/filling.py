@@ -73,6 +73,28 @@ class CanonicalPerms(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def relabeling_generators(i: int) -> tuple[Permutation, ...]:
+    """(kappa, delta, rho, mu): generators of the relabelling group of a
+    pair with i arcs per curve, on the 4i directed-arc symbols.
+
+    Symbols 1..2i are the forward arcs a1,b1,a2,b2,... and symbol j+2i
+    is the inverse of symbol j.  kappa and delta rotate the arc numbering
+    of the first and second curve, rho reverses the first curve and mu
+    swaps the two curves.  Reversing a curve renumbers its arcs along the
+    new direction, so rho pairs forward arc k with the inverse of arc
+    i+2-k (mod i), not with its own inverse.
+    """
+    n = 4 * i
+    kappa = from_cycles([range(1, 2 * i, 2), range(2 * i + 1, n, 2)], n)
+    delta = from_cycles([range(2, 2 * i + 1, 2), range(2 * i + 2, n + 1, 2)], n)
+    rho = from_cycles(
+        [(2 * k - 1, 2 * i + 2 * ((i + 1 - k) % i) + 1) for k in range(1, i + 1)], n
+    )
+    mu = from_cycles([(j, j + 1) for j in range(1, n, 2)], n)
+    return kappa, delta, rho, mu
+
+
+@lru_cache(maxsize=None)
 def canonical_perms(ctx: GenusContext) -> CanonicalPerms:
     """The named permutations of the symbol set, genus-indexed.
 
@@ -95,59 +117,27 @@ def canonical_perms(ctx: GenusContext) -> CanonicalPerms:
         ],
         n,
     )
-    kappa = from_cycles(
-        [
-            list(range(1, 4 * g - 2, 2)),
-            list(range(4 * g - 1, 8 * g - 4, 2)),  # 4g-1,4g+1,...,8g-5
-        ],
-        n,
-    )
-    delta = from_cycles(
-        [
-            list(range(2, 4 * g - 1, 2)),
-            list(range(4 * g, 8 * g - 3, 2)),      # 4g,4g+2,...,8g-4
-        ],
-        n,
-    )
+    kappa, delta, _, mu = relabeling_generators(ctx.i_min)
     eta = from_cycles(
         [(2 * k - 1, 4 * g - 2 + 2 * k - 1) for k in range(1, 2 * g)], n
     )
-    mu = from_cycles([(j, j + 1) for j in range(1, n, 2)], n)
     return CanonicalPerms(Q, iota, tau, kappa, delta, eta, mu)
 
 
-def _reversal_index(g: int, k: int) -> int:
-    # Arc k of a curve becomes arc (2g+1-k mod 2g-1) of the reversed curve.
-    return (2 * g - k) % (2 * g - 1) + 1
-
-
-@lru_cache(maxsize=None)
 def alpha_reversal(ctx: GenusContext) -> Permutation:
     """Relabelling induced by reversing the first curve's direction.
 
-    Reversing a curve renumbers its arcs along the new direction, so the
-    flip pairs forward arc k with the inverse of arc 2g+1-k (mod 2g-1),
-    not with its own inverse.  This is the form that commutes with tau
-    and hence maps solutions of the filling equation to solutions; the
-    index-preserving eta does not for g >= 2.
+    This is the form that commutes with tau and hence maps solutions of
+    the filling equation to solutions; the index-preserving eta does not
+    for g >= 2.
     """
-    g = ctx.g
-    pairs = []
-    for k in range(1, 2 * g):
-        m = _reversal_index(g, k)
-        pairs.append((2 * k - 1, 4 * g - 2 + 2 * m - 1))
-    return from_cycles(pairs, ctx.n)
+    return relabeling_generators(ctx.i_min)[2]
 
 
-@lru_cache(maxsize=None)
 def beta_reversal(ctx: GenusContext) -> Permutation:
     """Relabelling induced by reversing the second curve's direction."""
-    g = ctx.g
-    pairs = []
-    for k in range(1, 2 * g):
-        m = _reversal_index(g, k)
-        pairs.append((2 * k, 4 * g - 2 + 2 * m))
-    return from_cycles(pairs, ctx.n)
+    _, _, rho, mu = relabeling_generators(ctx.i_min)
+    return rho.conjugate_by(mu)
 
 
 def symbol_info(ctx: GenusContext, j: int) -> SymbolInfo:
@@ -354,7 +344,6 @@ def twisting_closure(ctx: GenusContext) -> tuple[Permutation, ...]:
     kappa and delta rotate the starting arc of either curve, the
     alpha reversal reverses the first curve and mu swaps the two curves.
     """
-    cp = canonical_perms(ctx)
-    gens = (cp.kappa, cp.delta, alpha_reversal(ctx), cp.mu)
+    gens = relabeling_generators(ctx.i_min)
     _check_twisting_generators(ctx, gens)
     return tuple(closure(gens))

@@ -19,7 +19,8 @@ from itertools import permutations, product
 from typing import Sequence
 
 from .diagram import PairDiagram
-from .filling import Curve, Direction, FillingPermutation, symbol_info
+from .filling import Curve, FillingPermutation, relabeling_generators
+from .perms import closure
 
 
 @dataclass(frozen=True)
@@ -187,15 +188,22 @@ def t1(pat: GluingPattern) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _signed_ids(i: int) -> tuple[int, ...]:
+    """Signed arc id of each of the 4i directed-arc symbols, padded at 0.
+
+    Symbols 1..2i are the forward arcs a1,b1,a2,b2,... (ids k and i+k)
+    and symbol j+2i is the inverse of symbol j.
+    """
+    forward = [k for a in range(1, i + 1) for k in (a, i + a)]
+    return (0, *forward, *(-k for k in forward))
+
+
 def from_filling(fp: FillingPermutation) -> GluingPattern:
     """The one-polygon pattern of a minimally intersecting pair."""
     i = fp.ctx.i_min
-    poly = []
-    for sym in fp.boundary_word():
-        info = symbol_info(fp.ctx, sym)
-        a = info.arc_index if info.curve is Curve.ALPHA else i + info.arc_index
-        poly.append(a if info.direction is Direction.FORWARD else -a)
-    return GluingPattern.make(i, [poly])
+    ids = _signed_ids(i)
+    return GluingPattern.make(i, [[ids[s] for s in fp.boundary_word()]])
 
 
 def pattern_of_diagram(d: PairDiagram) -> GluingPattern:
@@ -218,28 +226,23 @@ def pattern_of_diagram(d: PairDiagram) -> GluingPattern:
 # ----------------------------------------------------------------------
 
 
-def _relabelings(i: int):
-    """Signed-arc relabeling tables: per curve a rotation of the arc
-    numbering and an optional direction reversal (which renumbers along
-    the new direction and negates the signs together), plus the swap of
-    the two curves."""
-    def dihedral(k: int, r: int, eps: int) -> int:
-        return (eps * (k - 1) + r) % i + 1
+@lru_cache(maxsize=None)
+def _relabeling_tables(i: int) -> tuple[tuple[int, ...], ...]:
+    """The relabelling group on signed arc ids, one table per element.
 
-    for swap in (False, True):
-        for ra in range(i):
-            for ea in (1, -1):
-                for rb in range(i):
-                    for eb in (1, -1):
-                        table: dict[int, int] = {}
-                        for k in range(1, i + 1):
-                            na = dihedral(k, ra, ea) + (i if swap else 0)
-                            table[k] = ea * na
-                            table[-k] = -ea * na
-                            nb = dihedral(k, rb, eb) + (0 if swap else i)
-                            table[i + k] = eb * nb
-                            table[-(i + k)] = -eb * nb
-                        yield table
+    Each element of the closure of `relabeling_generators(i)` is carried
+    from symbols to signed ids.  A table has 4i + 1 entries and is
+    indexed by the signed id itself: the negative ids wrap around to the
+    top half of the tuple.
+    """
+    ids = _signed_ids(i)
+    tables = []
+    for t in closure(relabeling_generators(i)):
+        table = [0] * (4 * i + 1)
+        for s in range(1, 4 * i + 1):
+            table[ids[s]] = ids[t(s)]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _normalize(polygons: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -263,7 +266,7 @@ def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
     not quotiented, so the count may split some topological classes.
     """
     best = None
-    for table in _relabelings(pat.i):
+    for table in _relabeling_tables(pat.i):
         cand = _normalize([[table[v] for v in poly] for poly in pat.polygons])
         if best is None or cand < best:
             best = cand

@@ -60,6 +60,7 @@ def test_enumerate_guard_refusal(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "guard" in err
+    assert "--force" in err
 
 
 def test_jobs_do_not_change_output(capsys):
@@ -91,6 +92,16 @@ def test_verify_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "verify", "[1,1,3]", "--genus", "1")
     assert code == 65
     assert "not a permutation" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct", "extend",
+                                     "diagram"])
+def test_wrong_degree_exit_65(capsys, command):
+    extra = ["--vertex", "1"] if command == "extend" else []
+    code, out, err = run(capsys, command, "[2,3,4,1]", "--genus", "3", *extra)
+    assert code == 65
+    assert out == ""
+    assert err == "degree 4 does not match 8g-4 = 20\n"
 
 
 def test_bad_flags_exit_64(capsys):

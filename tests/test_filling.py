@@ -15,6 +15,7 @@ from fillperm.filling import (
     canonical_perms,
     is_filling,
     reconstruct,
+    relabeling_generators,
     symbol_info,
     symbol_of,
     twisting_closure,
@@ -214,6 +215,27 @@ def test_index_preserving_flip_breaks_the_equation():
     assert rev.compose(cp.tau) == cp.tau.compose(rev)
     assert rev.compose(cp.iota) == cp.iota.compose(rev)
     assert beta_reversal(ctx).compose(cp.tau) == cp.tau.compose(beta_reversal(ctx))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_relabeling_generators_match_the_genus_formulas(g):
+    # reference: the generators written out with the genus-g symbol
+    # ranges 1..4g-2 (forward) and 4g-1..8g-4 (inverse)
+    n = 8 * g - 4
+    reversed_arc = lambda k: (2 * g - k) % (2 * g - 1) + 1
+    kappa = from_cycles([range(1, 4 * g - 2, 2), range(4 * g - 1, n, 2)], n)
+    delta = from_cycles([range(2, 4 * g - 1, 2), range(4 * g, n + 1, 2)], n)
+    alpha = from_cycles([(2 * k - 1, 4 * g - 3 + 2 * reversed_arc(k))
+                         for k in range(1, 2 * g)], n)
+    beta = from_cycles([(2 * k, 4 * g - 2 + 2 * reversed_arc(k))
+                        for k in range(1, 2 * g)], n)
+    mu = from_cycles([(j, j + 1) for j in range(1, n, 2)], n)
+    ctx = GenusContext(g)
+    cp = canonical_perms(ctx)
+    assert relabeling_generators(2 * g - 1) == (kappa, delta, alpha, mu)
+    assert (cp.kappa, cp.delta, cp.mu) == (kappa, delta, mu)
+    assert alpha_reversal(ctx) == alpha
+    assert beta_reversal(ctx) == beta
 
 
 def test_alpha_reversal_matches_eta_at_g1():

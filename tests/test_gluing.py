@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
+from fillperm.enumeration import count_classes, enumerate_filling
 from fillperm.filling import FillingPermutation, GenusContext
 from fillperm.gluing import (
     GluingPattern,
+    _relabeling_tables,
     canonical_key,
     euler_genus,
     from_filling,
@@ -161,3 +165,58 @@ def test_canonical_key_invariant_under_relabeling():
         i, [[remap[v] for v in poly] for poly in pat.polygons]
     )
     assert canonical_key(rotated) == canonical_key(pat)
+
+
+def nested_loop_relabelings(i):
+    """Reference: the relabelling group on signed arc ids written out
+    directly, per curve a rotation of the arc numbering and an optional
+    reversal (which renumbers along the new direction and negates the
+    signs together), plus the swap of the two curves."""
+    def dihedral(k, r, eps):
+        return (eps * (k - 1) + r) % i + 1
+
+    for swap in (False, True):
+        for ra in range(i):
+            for ea in (1, -1):
+                for rb in range(i):
+                    for eb in (1, -1):
+                        table = {}
+                        for k in range(1, i + 1):
+                            na = dihedral(k, ra, ea) + (i if swap else 0)
+                            table[k] = ea * na
+                            table[-k] = -ea * na
+                            nb = dihedral(k, rb, eb) + (0 if swap else i)
+                            table[i + k] = eb * nb
+                            table[-(i + k)] = -eb * nb
+                        yield table
+
+
+@pytest.mark.parametrize("i", range(1, 9))
+def test_relabeling_tables_match_the_nested_loops(i):
+    ids = [v for k in range(1, 2 * i + 1) for v in (k, -k)]
+    cached = {tuple(table[v] for v in ids) for table in _relabeling_tables(i)}
+    reference = {tuple(table[v] for v in ids)
+                 for table in nested_loop_relabelings(i)}
+    assert cached == reference
+    assert len(_relabeling_tables(i)) == len(reference) == 8 * i * i
+
+
+@pytest.mark.parametrize("g, classes", [(1, 1), (3, 5)])
+def test_one_polygon_patterns_are_the_twisting_classes(g, classes):
+    ctx = GenusContext(g)
+    keys = {canonical_key(from_filling(fp)) for fp in enumerate_filling(ctx)}
+    found = {p.polygons for p in search_patterns(g, 2 * g - 1, 10**6)}
+    assert keys == found
+    assert len(keys) == count_classes(ctx) == classes
+
+
+@pytest.mark.parametrize("g, i, digest", [
+    (1, 1, "2ffd82ff4bfcfcc9"),
+    (2, 4, "dba7097ac6e859f0"),
+    (2, 6, "799d25cd75384fa1"),
+    (3, 5, "6b466fb4283df178"),
+    (3, 6, "5a121f108452015e"),
+])
+def test_search_output_is_pinned(g, i, digest):
+    text = repr([p.polygons for p in search_patterns(g, i, 10**6)])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

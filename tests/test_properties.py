@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.filling import reconstruct
+from fillperm.gluing import euler_genus, from_filling, pattern_of_diagram
+from fillperm.perms import Permutation, format_perm, parse
 
 
 @st.composite
@@ -30,3 +32,15 @@ def test_one_face_diagram_round_trip(d):
     assert len(rep.vertex_classes) == d.m
     assert all(len(c) == 4 for c in rep.vertex_classes)
     assert rep.alpha_is_single_curve and rep.beta_is_single_curve
+    assert from_filling(fp) == pattern_of_diagram(d)
+    assert euler_genus(pattern_of_diagram(d)) == d.genus()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.permutations(range(1, n + 1))))
+def test_parse_inverts_format_perm(images):
+    # fixed points are dropped from the cycles, so the degree rides on
+    # the "n=K" token
+    p = Permutation(images)
+    assert parse(format_perm(p)) == p

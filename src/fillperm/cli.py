@@ -17,6 +17,7 @@ from . import __version__
 from .enumeration import (
     GuardExceeded,
     GuardSettingError,
+    _conjugates,
     bounds_report,
     classify_solutions,
     enumerate_filling,
@@ -135,9 +136,12 @@ def cmd_enumerate(args) -> int:
         listed = reps if args.limit is None else reps[: args.limit]
         results = [_perm_payload(r.perm) for r in listed]
         if args.classes:
+            # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}
+            order = len(twisting_closure(ctx))
             for entry, rep in zip(results, listed):
-                orbit = {rep.perm.conjugate_by(t) for t in twisting_closure(ctx)}
-                entry["orbit_size"] = len(orbit)
+                img = bytes(rep.perm.images)
+                fixed = sum(conj == img for conj in _conjugates(ctx, img))
+                entry["orbit_size"] = order // fixed
         payload["results"] = results
     _emit(payload, started)
     return 0

@@ -21,14 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .filling import (
-    Curve,
-    Direction,
-    FillingPermutation,
-    GenusContext,
-    _corner_orbits,
-    symbol_info,
-)
+from .filling import FillingPermutation, GenusContext, _corner_orbits
 from .perms import Permutation
 
 # Dart slots at each point: the germ of the incoming/outgoing strand of
@@ -199,12 +192,12 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
         label_of_class[class_of_pos[pos_of[2 * j]]] for j in range(1, m + 1)
     )
 
-    # classify each corner's incoming arc into a dart slot
+    # classify each corner's incoming arc into a dart slot: odd symbols
+    # lie on the first curve, symbols above 4g-2 are inverse arcs
+    half = 4 * ctx.g - 2
+
     def slot_of(sym: int) -> int:
-        info = symbol_info(ctx, sym)
-        if info.curve is Curve.ALPHA:
-            return AI if info.direction is Direction.FORWARD else AO
-        return BI if info.direction is Direction.FORWARD else BO
+        return (BI if sym % 2 == 0 else AI) + (sym > half)
 
     signs = [0] * m
     for orbit in orbit_lists:

@@ -4,10 +4,11 @@ Every filling permutation factors as iota o C where C squares to the
 fixed-point-free involution iota o tau.  The involution splits into 2g-1
 all-odd and 2g-1 all-even transpositions; the admissible square roots are
 exactly the perfect matchings of odd transpositions with even ones, each
-matched pair interleaved into a 4-cycle in one of two ways.  Enumerating
-matchings in lexicographic order and interleaving bits within each
-matching gives a deterministic stream of 2^(2g-1) * (2g-1)! candidates,
-and the n-cycle test on iota o C filters out the solutions.
+matched pair interleaved into a 4-cycle in one of two ways: 2^(2g-1) *
+(2g-1)! candidates.  The solutions are the roots for which iota o C is
+an n-cycle; a depth-first search builds C one odd transposition at a
+time and drops every prefix on which iota o C already closes a shorter
+cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -24,6 +25,7 @@ from .filling import (
     FillingPermutation,
     GenusContext,
     canonical_perms,
+    equation_tables,
     is_filling,
     twisting_closure,
 )
@@ -111,9 +113,7 @@ def root_count(g: int) -> int:
     return 2 ** (2 * g - 1) * factorial(2 * g - 1)
 
 
-def _roots(
-    ctx: GenusContext, start_rank: int = 0, stop_rank: int | None = None
-) -> Iterator[list[int]]:
+def _roots(ctx: GenusContext) -> Iterator[list[int]]:
     """Every admissible square root C of iota o tau, as an image list.
 
     C[j] is the image of j (index 0 is unused).  One list is rewritten
@@ -121,15 +121,14 @@ def _roots(
     The i-th odd transposition (a,b) is matched with the i-th even
     transposition (c,d) of the current matching; bit i (most significant
     first) chooses the 4-cycle (a,c,b,d) or (a,d,b,c), whose square is
-    (a,b)(c,d) either way.  Ranks index matchings in lexicographic
-    order, so a worker owning the rank range [start, stop) reproduces
-    exactly that slice of the deterministic stream.
+    (a,b)(c,d) either way.  Matchings come in lexicographic order, so
+    the stream is deterministic.
     """
     base = base_involution(ctx)
     odd = base.odd
     m = ctx.i_min
     C = [0] * (ctx.n + 1)
-    for evens in islice(permutations(base.even), start_rank, stop_rank):
+    for evens in permutations(base.even):
         for bits in range(1 << m):
             for i in range(m):
                 a, b = odd[i]
@@ -149,48 +148,121 @@ def square_roots(ctx: GenusContext) -> Iterator[Permutation]:
         yield Permutation(C[1:])
 
 
-def _iota_table(ctx: GenusContext) -> list[int]:
-    half = 4 * ctx.g - 2
-    return [0] + [j - half if j > half else j + half for j in range(1, ctx.n + 1)]
-
-
 def _iter_solution_images(
-    ctx: GenusContext, start_rank: int = 0, stop_rank: int | None = None
+    ctx: GenusContext, shard: int | None = None
 ) -> Iterator[bytes]:
-    """Yield image arrays (as bytes, symbols 1..n) of filling permutations,
-    for the roots of the matchings ranked in [start_rank, stop_rank)."""
-    iota = _iota_table(ctx)
+    """Yield image arrays (as bytes, symbols 1..n) of filling permutations
+    by a depth-first search over the square roots C of iota o tau.
+
+    Level i interleaves the i-th odd transposition (a,b) with an unused
+    even transposition (c,d) as the 4-cycle (a,c,b,d) or (a,d,b,c),
+    which writes the four arcs x -> iota(C(x)) of sigma = iota o C for
+    x in {a,b,c,d}.  Between levels sigma is a set of disjoint paths;
+    each path end x knows the far end far[x] and the path's arc count.
+    An arc x -> y closes a cycle exactly when y is x's far end, and a
+    prefix that closes a cycle shorter than n is dropped with all of
+    its extensions.  Shard k (0 <= k < 2(2g-1)) fixes the first level
+    to even transposition k // 2 in orientation k % 2; the shards in
+    order list the same solutions as the whole search.
+    """
+    base = base_involution(ctx)
+    iota = equation_tables(ctx)[0]
     n = ctx.n
-    for C in _roots(ctx, start_rank, stop_rank):
-        # sigma = iota o C; walk the cycle through 1 with early exit
-        steps = 1
-        x = iota[C[1]]
-        while x != 1:
-            steps += 1
-            x = iota[C[x]]
-        if steps == n:
-            yield bytes(iota[C[j]] for j in range(1, n + 1))
+    m = ctx.i_min
+    # moves[i][k]: the index of the even transposition taken and the four
+    # arcs written when level i takes choice k
+    moves = []
+    for a, b in base.odd:
+        row = []
+        for j, (c, d) in enumerate(base.even):
+            for c, d in ((c, d), (d, c)):
+                row.append((j, ((a, iota[c]), (c, iota[b]),
+                                (b, iota[d]), (d, iota[a]))))
+        moves.append(row)
+
+    sigma = [0] * (n + 1)
+    far = list(range(n + 1))
+    length = [0] * (n + 1)
+    used = [False] * m
+    # path merges to undo, as (s, x, lx, e, y, ly): s and e regain their
+    # old far ends x and y and their old lengths
+    trail: list[tuple[int, int, int, int, int, int]] = []
+
+    def retract(mark: int) -> None:
+        while len(trail) > mark:
+            s, x, lx, e, y, ly = trail.pop()
+            far[s] = x
+            far[e] = y
+            length[s] = lx
+            length[e] = ly
+
+    # per level: the choices left, the even transposition taken and
+    # the trail length before its arcs
+    levels = [iter(())] * m
+    levels[0] = iter(moves[0] if shard is None else moves[0][shard:shard + 1])
+    chosen = [0] * m
+    marks = [0] * m
+    i = 0
+    while True:
+        for j, arcs in levels[i]:
+            if used[j]:
+                continue
+            mark = len(trail)
+            for x, y in arcs:
+                sigma[x] = y
+                s = far[x]
+                lx = length[x]
+                if y == s:
+                    if lx + 1 < n:
+                        break
+                    continue
+                e = far[y]
+                ly = length[y]
+                trail.append((s, x, lx, e, y, ly))
+                far[s] = e
+                far[e] = s
+                length[s] = length[e] = lx + ly + 1
+            else:
+                if i + 1 == m:
+                    yield bytes(sigma[1:])
+                else:
+                    used[j] = True
+                    chosen[i] = j
+                    marks[i] = mark
+                    i += 1
+                    levels[i] = iter(moves[i])
+                    break
+            retract(mark)
+        else:
+            i -= 1
+            if i < 0:
+                return
+            used[chosen[i]] = False
+            retract(marks[i])
 
 
 def _worker_solutions(args) -> list[bytes]:
-    g, start, stop = args
-    ctx = GenusContext(g)
-    return list(_iter_solution_images(ctx, start, stop))
+    g, shard = args
+    return list(_iter_solution_images(GenusContext(g), shard))
 
 
 def _solution_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
-    """All filling-permutation image arrays, in deterministic stream order."""
-    total = factorial(ctx.i_min)
-    jobs = max(1, jobs)
-    if jobs == 1 or total < 64:
+    """All filling-permutation image arrays, in deterministic search order.
+
+    With jobs > 1 the first-level shards run in a pool of at most one
+    worker per shard, and their parts are joined in shard order, so the
+    list does not depend on jobs.
+    """
+    shards = 2 * ctx.i_min
+    workers = min(max(1, jobs), shards)
+    if workers == 1:
         return list(_iter_solution_images(ctx))
     import multiprocessing as mp
 
-    chunk = 16
-    ranges = [(ctx.g, s, min(s + chunk, total)) for s in range(0, total, chunk)]
     out: list[bytes] = []
-    with mp.Pool(jobs) as pool:
-        for part in pool.imap(_worker_solutions, ranges, chunksize=8):
+    with mp.Pool(workers) as pool:
+        for part in pool.imap(_worker_solutions,
+                              [(ctx.g, k) for k in range(shards)]):
             out.extend(part)
     return out
 
@@ -387,7 +459,7 @@ def excluded_roots(ctx: GenusContext, force: bool = False) -> Iterator[Permutati
     if ctx.g < 3:
         raise ValueError("exclusion family needs g >= 3")
     check_guard(ctx.g, force)
-    iota = _iota_table(ctx)
+    iota = equation_tables(ctx)[0]
     for C in _roots(ctx):
         if iota[C[iota[C[1]]]] == 1:
             yield Permutation(C[1:])

@@ -169,16 +169,28 @@ def symbol_of(ctx: GenusContext, curve: Curve, arc_index: int,
     return base
 
 
+@lru_cache(maxsize=None)
+def equation_tables(ctx: GenusContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Image tables of iota and tau, padded at index 0."""
+    cp = canonical_perms(ctx)
+    return (0, *cp.iota.images), (0, *cp.tau.images)
+
+
 def is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
-    """Test the three filling conditions; on failure name the first broken one."""
+    """Test the three filling conditions; on failure name the first broken one.
+
+    The equation is checked on the image tuples, s(iota(s(j))) = tau(j)
+    for every j, without building the products as permutations.
+    """
     if p.n != ctx.n:
         raise ValueError("degree mismatch")
     if not p.is_n_cycle():
         return False, "not an n-cycle"
     if not p.is_parity_respecting():
         return False, "not parity respecting"
-    cp = canonical_perms(ctx)
-    if p.compose(cp.iota.compose(p)) != cp.tau:
+    iota, tau = equation_tables(ctx)
+    s = (0, *p.images)
+    if any(s[iota[s[j]]] != tau[j] for j in range(1, ctx.n + 1)):
         return False, "does not solve the filling equation"
     return True, None
 

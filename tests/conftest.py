@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from fillperm.enumeration import class_representatives, enumerate_filling
@@ -38,3 +40,26 @@ def g4_solutions():
 @pytest.fixture(scope="session")
 def template():
     return derive_template()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by a stand-in that maps in this
+    process; the list of pool sizes requested."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return sizes

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import fillperm
 from fillperm.cli import main
+from fillperm.filling import GenusContext, twisting_closure
+from fillperm.perms import Permutation
 from fillperm.gluing import GluingPattern
 from fillperm.zpiece import derive_template
 
@@ -46,6 +52,25 @@ def test_enumerate_classes_orbit_sizes(capsys):
     assert data["results"][0]["orbit_size"] == 2
 
 
+def test_orbit_sizes_match_the_explicit_orbits(capsys):
+    code, out, _ = run(capsys, "enumerate", "--genus", "3", "--classes")
+    assert code == 0
+    results = payload(out)["results"]
+    closure = twisting_closure(GenusContext(3))
+    for entry in results:
+        rep = Permutation(entry["images"])
+        assert entry["orbit_size"] == len({rep.conjugate_by(t) for t in closure})
+    assert sum(entry["orbit_size"] for entry in results) == 600
+
+
+def test_huge_jobs_starts_one_worker_per_shard(capsys, pool_sizes):
+    code, out, _ = run(capsys, "enumerate", "--genus", "3", "--count-only",
+                       "--jobs", "5000")
+    assert code == 0
+    assert payload(out)["filling_count"] == 600
+    assert pool_sizes == [10]  # 2(2g-1) first-level shards
+
+
 def test_enumerate_limit(capsys):
     code, out, _ = run(capsys, "enumerate", "--genus", "3", "--limit", "2")
     assert code == 0
@@ -72,6 +97,15 @@ def test_jobs_do_not_change_output(capsys):
         del data["timing"]
         outputs.append(json.dumps(data, sort_keys=True))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_python_m_fillperm_version():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fillperm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "fillperm", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == fillperm.__version__
 
 
 def test_verify_pass(capsys):

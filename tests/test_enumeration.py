@@ -6,6 +6,9 @@ import pytest
 from fillperm.enumeration import (
     GuardExceeded,
     GuardSettingError,
+    _iter_solution_images,
+    _roots,
+    _solution_images,
     base_involution,
     bounds_report,
     canonical_class_rep,
@@ -119,6 +122,49 @@ def test_enumeration_deterministic_across_jobs():
     one = [fp.perm for fp in enumerate_filling(ctx, jobs=1)]
     two = [fp.perm for fp in enumerate_filling(ctx, jobs=2)]
     assert one == two
+
+
+def unpruned_solution_images(ctx):
+    """The solutions found by filtering the whole root stream: walk the
+    cycle of sigma = iota o C through 1 and keep the full-length ones."""
+    iota = (0,) + canonical_perms(ctx).iota.images
+    n = ctx.n
+    out = []
+    for C in _roots(ctx):
+        steps = 1
+        x = iota[C[1]]
+        while x != 1:
+            steps += 1
+            x = iota[C[x]]
+        if steps == n:
+            out.append(bytes(iota[C[j]] for j in range(1, n + 1)))
+    return out
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_pruned_search_matches_the_root_stream(g):
+    ctx = GenusContext(g)
+    pruned = list(_iter_solution_images(ctx))
+    assert len(pruned) == len(set(pruned)) == [2, 0, 600, 65856][g - 1]
+    assert set(pruned) == set(unpruned_solution_images(ctx))
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_solution_images_independent_of_jobs(g):
+    ctx = GenusContext(g)
+    one = _solution_images(ctx, jobs=1)
+    assert _solution_images(ctx, jobs=2) == one
+    assert _solution_images(ctx, jobs=3) == one
+
+
+def test_workers_never_exceed_shards(pool_sizes):
+    ctx = GenusContext(3)
+    images = _solution_images(ctx, jobs=5000)
+    assert pool_sizes == [2 * ctx.i_min]
+    assert images == list(_iter_solution_images(ctx))
+    _solution_images(ctx, jobs=4)
+    _solution_images(GenusContext(1), jobs=5000)
+    assert pool_sizes == [10, 4, 2]
 
 
 def test_count_classes_small():

@@ -114,6 +114,54 @@ def test_q12_is_not_filling_at_g2():
     assert not ok
 
 
+def composed_is_filling(ctx, p):
+    """The three conditions, the equation checked by composing
+    permutations."""
+    if not p.is_n_cycle():
+        return False, "not an n-cycle"
+    if not p.is_parity_respecting():
+        return False, "not parity respecting"
+    cp = canonical_perms(ctx)
+    if p.compose(cp.iota.compose(p)) != cp.tau:
+        return False, "does not solve the filling equation"
+    return True, None
+
+
+def test_is_filling_diagnostics_at_genus_3():
+    ctx = GenusContext(3)
+    assert is_filling(ctx, identity(20)) == (False, "not an n-cycle")
+    mixed = from_cycles([[1, 3, 2, *range(4, 21)]], 20)
+    assert is_filling(ctx, mixed) == (False, "not parity respecting")
+    rotation = from_cycles([range(1, 21)], 20)
+    assert is_filling(ctx, rotation) == (
+        False, "does not solve the filling equation")
+
+
+def test_is_filling_matches_the_composed_equation(g3_solutions):
+    ctx = GenusContext(3)
+    rng = random.Random(3)
+    odds, evens = list(range(1, 21, 2)), list(range(2, 21, 2))
+    perms = [fp.perm for fp in g3_solutions]
+    for _ in range(300):
+        # a parity-respecting relabelling of a solution, a random
+        # parity-respecting 20-cycle and a random permutation
+        rng.shuffle(odds)
+        rng.shuffle(evens)
+        images = [0] * 20
+        for old, new in zip(range(1, 21, 2), odds):
+            images[old - 1] = new
+        for old, new in zip(range(2, 21, 2), evens):
+            images[old - 1] = new
+        perms.append(rng.choice(perms[:600]).conjugate_by(Permutation(images)))
+        perms.append(from_cycles([[x for pair in zip(odds, evens) for x in pair]], 20))
+        perms.append(Permutation(rng.sample(range(1, 21), 20)))
+    verdicts = [is_filling(ctx, p) for p in perms]
+    assert verdicts == [composed_is_filling(ctx, p) for p in perms]
+    assert {why for _, why in verdicts} == {
+        None, "not an n-cycle", "not parity respecting",
+        "does not solve the filling equation"}
+
+
 def test_filling_equation_holds_for_solutions(g3_solutions):
     ctx = GenusContext(3)
     cp = canonical_perms(ctx)

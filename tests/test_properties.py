@@ -7,6 +7,7 @@ from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.filling import reconstruct
 from fillperm.gluing import euler_genus, from_filling, pattern_of_diagram
 from fillperm.perms import Permutation, format_perm, parse
+from fillperm.zpiece import LSequence, build_from_sequence, detect_zpieces, splice
 
 
 @st.composite
@@ -44,3 +45,33 @@ def test_parse_inverts_format_perm(images):
     # the "n=K" token
     p = Permutation(images)
     assert parse(format_perm(p)) == p
+
+
+def inserted_piece_is_detected(fp, k, template):
+    # splice gives the five new crossings labels k..k+4
+    points = frozenset(range(k, k + 5))
+    return any(z.interior_points == points for z in detect_zpieces(fp, template))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 599), st.integers(1, 5))
+def test_detect_finds_the_spliced_piece(g3_solutions, template, index, k):
+    out = splice(g3_solutions[index], k, template)
+    assert inserted_piece_is_detected(out, k, template)
+
+
+@st.composite
+def attachment_sequences(draw):
+    g = draw(st.sampled_from([3, 5, 7, 9]))
+    entries = []
+    for i in range(1, (g - 1) // 2 + 1):
+        low = entries[-1] + 1 if entries else 1
+        entries.append(draw(st.integers(low, 4 * i - 3)))
+    return LSequence(g, tuple(entries))
+
+
+@settings(max_examples=160, deadline=None, database=None)
+@given(attachment_sequences())
+def test_detect_finds_the_last_attached_piece(template, seq):
+    out = build_from_sequence(seq, template)
+    assert inserted_piece_is_detected(out, seq.entries[-1], template)

@@ -25,16 +25,12 @@ from .enumeration import (
     upper_bound,
 )
 from .filling import (
-    Curve,
-    Direction,
     FillingPermutation,
     GenusContext,
     SurfaceReport,
-    SymbolInfo,
     canonical_perms,
     is_filling,
     reconstruct,
-    symbol_info,
 )
 from .gluing import (
     GluingPattern,
@@ -67,8 +63,6 @@ from .zpiece import (
 
 __all__ = [
     "BoundsReport",
-    "Curve",
-    "Direction",
     "FillingPermutation",
     "GenusContext",
     "GluingPattern",
@@ -79,7 +73,6 @@ __all__ = [
     "Permutation",
     "PermutationError",
     "SurfaceReport",
-    "SymbolInfo",
     "ValidationReport",
     "ZMatch",
     "ZTemplate",
@@ -108,7 +101,6 @@ __all__ = [
     "search_patterns",
     "splice",
     "square_roots",
-    "symbol_info",
     "t1",
     "upper_bound",
     "validate",

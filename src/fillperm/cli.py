@@ -32,7 +32,7 @@ from .filling import (
 )
 from .gluing import GluingPattern, euler_genus, t1, validate
 from .hyperbolic import report as hyperbolic_report
-from .perms import Permutation, PermutationError, format_perm, parse
+from .perms import DegreeError, Permutation, format_perm, parse
 from .svg import diagram_svg
 from .zpiece import derive_template, splice
 
@@ -70,24 +70,31 @@ _non_negative_int = _int_at_least(0)
 
 
 def _emit(payload: dict, started: float) -> None:
+    """Write one JSON document, formatted whole first.  Python's int -> str
+    limit of 4,300 digits guards parsing untrusted text; it is lifted for
+    the program's own results (the genus-801 bounds have 4,900 digits)."""
     payload = {"schema": SCHEMA, "version": __version__, **payload,
                "timing": {"seconds": round(time.time() - started, 6)}}
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, sort_keys=True, default=str)  # Fraction: "p/q"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 def _parse_perm(text: str, ctx: GenusContext) -> Permutation:
     """The permutation argument, which must have degree 8g-4; exit 65
     on anything else."""
     try:
-        p = parse(text)
-    except PermutationError as exc:
+        return parse(text, ctx.n)
+    except DegreeError as exc:
+        print(f"degree {exc.degree} does not match 8g-4 = {ctx.n}", file=sys.stderr)
+        raise SystemExit(EX_DATAERR)
+    except ValueError as exc:  # a PermutationError, or a number int() refuses
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EX_DATAERR)
-    if p.n != ctx.n:
-        print(f"degree {p.n} does not match 8g-4 = {ctx.n}", file=sys.stderr)
-        raise SystemExit(EX_DATAERR)
-    return p
 
 
 def _filling_arg(args) -> FillingPermutation:
@@ -104,14 +111,15 @@ def _filling_arg(args) -> FillingPermutation:
 
 
 def _load_pattern(path: str) -> GluingPattern:
+    """Exit 74 if path (- for stdin) cannot be read, 65 if it is not
+    UTF-8 JSON of the pattern schema or is nested too deep to decode."""
     try:
         text = sys.stdin.read() if path == "-" else open(path).read()
+        return GluingPattern.from_json(text)
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EX_IOERR)
-    try:
-        return GluingPattern.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"bad pattern file: {exc}", file=sys.stderr)
         raise SystemExit(EX_DATAERR)
 
@@ -228,7 +236,7 @@ def cmd_bounds(args) -> int:
         "genus": rep.genus,
         "upper": rep.upper,
         "root_count": rep.root_count,
-        "lower": str(rep.lower) if rep.lower is not None else None,
+        "lower": rep.lower,
         "lower_note": None if rep.lower is not None
         else "not implemented (even-genus chain)",
     }

@@ -61,57 +61,52 @@ class PairDiagram:
         return rho
 
     def _arcs(self):
-        """Directed arcs as (head_dart, tail_dart) tables.
+        """Head and tail dart of each directed arc, padded at index 0.
 
-        Directed arc ids: 0..2m-1 forward (alpha arcs 1..m then beta arcs
-        1..m), 2m..4m-1 the corresponding inverses.
+        Arcs are indexed by their filling symbols: 2k-1 is alpha arc k,
+        2k is beta arc k and s+2m is the inverse of s.
         """
         m = self.m
         bseq = self.beta_seq
-        head = [0] * (4 * m)
-        tail = [0] * (4 * m)
+        head = [0] * (4 * m + 1)
+        tail = [0] * (4 * m + 1)
         for k in range(1, m + 1):
+            # alpha arc k ends at point k; beta arc k ends at bseq[k-1]
             prev = k - 1 if k > 1 else m
-            fwd = k - 1
-            head[fwd] = 4 * (k - 1) + AI
-            tail[fwd] = 4 * (prev - 1) + AO
-            head[2 * m + fwd] = tail[fwd]
-            tail[2 * m + fwd] = head[fwd]
-        for j in range(1, m + 1):
-            t = bseq[j - 1]
-            prev = bseq[j - 2]
-            fwd = m + j - 1
-            head[fwd] = 4 * (t - 1) + BI
-            tail[fwd] = 4 * (prev - 1) + BO
-            head[2 * m + fwd] = tail[fwd]
-            tail[2 * m + fwd] = head[fwd]
+            for s, h, t in (
+                (2 * k - 1, 4 * (k - 1) + AI, 4 * (prev - 1) + AO),
+                (2 * k, 4 * (bseq[k - 1] - 1) + BI, 4 * (bseq[k - 2] - 1) + BO),
+            ):
+                head[s] = tail[s + 2 * m] = h
+                tail[s] = head[s + 2 * m] = t
         return head, tail
 
     def _next_arc(self) -> list[int]:
-        """The face-walk successor on directed arcs."""
+        """The face-walk successor on directed arc symbols, padded at 0."""
         head, tail = self._arcs()
         rho = self._rotation()
-        leaving = [0] * (4 * self.m)
-        for arc, d in enumerate(tail):
-            leaving[d] = arc
-        return [leaving[rho[head[arc]]] for arc in range(4 * self.m)]
+        n = 4 * self.m
+        leaving = [0] * n
+        for s in range(1, n + 1):
+            leaving[tail[s]] = s
+        return [0] + [leaving[rho[head[s]]] for s in range(1, n + 1)]
 
     # -- faces -----------------------------------------------------------
 
     def faces(self) -> list[list[int]]:
-        """Complementary polygons as cyclic lists of directed arc ids."""
+        """Complementary polygons as cyclic lists of directed arc symbols."""
         nxt = self._next_arc()
-        seen = [False] * (4 * self.m)
+        seen = [False] * len(nxt)
         out: list[list[int]] = []
-        for start in range(4 * self.m):
+        for start in range(1, len(nxt)):
             if seen[start]:
                 continue
             face = []
-            a = start
-            while not seen[a]:
-                seen[a] = True
-                face.append(a)
-                a = nxt[a]
+            s = start
+            while not seen[s]:
+                seen[s] = True
+                face.append(s)
+                s = nxt[s]
             out.append(face)
         return out
 
@@ -131,40 +126,18 @@ class PairDiagram:
 
     # -- conversion to the polygon encoding ------------------------------
 
-    def arc_symbol(self, arc: int) -> int:
-        """Symbol of a directed arc id in the 8g-4 labelling."""
-        m = self.m
-        g = (m + 1) // 2
-        half = 4 * g - 2
-        inverse = arc >= 2 * m
-        base = arc % (2 * m)
-        if base < m:
-            sym = 2 * (base + 1) - 1
-        else:
-            sym = 2 * (base - m + 1)
-        return sym + half if inverse else sym
-
     def to_filling_permutation(self) -> FillingPermutation:
         """Cut along the pair and read off the filling permutation.
 
+        The face-walk successor on the arc symbols is the permutation.
         Requires a single complementary face; raises ValueError otherwise.
         """
         if self.m % 2 == 0:
             raise ValueError("a filling pair has an odd crossing count")
-        nxt = self._next_arc()
-        word = [0]  # start the walk at forward alpha arc 1
-        a = nxt[0]
-        while a != 0:
-            word.append(a)
-            a = nxt[a]
-        if len(word) != 4 * self.m:
+        p = Permutation(self._next_arc()[1:])
+        if not p.is_n_cycle():  # the face at symbol 1 is not every arc
             raise ValueError("complement is not a single disk")
-        ctx = GenusContext((self.m + 1) // 2)
-        images = [0] * ctx.n
-        for t, arc in enumerate(word):
-            s = self.arc_symbol(arc)
-            images[s - 1] = self.arc_symbol(word[(t + 1) % len(word)])
-        return FillingPermutation(ctx, Permutation(images))
+        return FillingPermutation(GenusContext((self.m + 1) // 2), p)
 
 
 def diagram_of(fp: FillingPermutation) -> PairDiagram:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lgamma, log
 from typing import Iterator, Sequence
 
 from .filling import (
@@ -59,9 +59,11 @@ def check_guard(g: int, force: bool = False) -> None:
     limit = guard_limit()
     if force or g <= limit:
         return
+    # log10 of root_count(g) = 2^(2g-1) (2g-1)!, which str() may refuse
+    digits = ((2 * g - 1) * log(2) + lgamma(2 * g)) / log(10)
     raise GuardExceeded(
         f"genus {g} exceeds the enumeration guard ({limit}); "
-        f"the run would generate {root_count(g)} square roots. "
+        f"the run would generate about 10^{digits:.1f} square roots. "
         "Set FILLPERM_GUARD or pass --force (force=True from Python) "
         "to override."
     )

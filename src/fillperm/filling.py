@@ -1,5 +1,5 @@
-"""Filling permutations: the symbol table, named permutations, validation,
-surface reconstruction and the twisting group.
+"""Filling permutations: the directed-arc layout, named permutations,
+validation, surface reconstruction and the twisting group.
 
 An oriented pair of curves (a, b) that fill a genus-g surface with the
 minimal number 2g-1 of crossings cuts the surface into a single (8g-4)-gon.
@@ -17,21 +17,10 @@ relabellings ("twistings") that map solutions to solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .perms import Permutation, closure, from_cycles
-
-
-class Curve(Enum):
-    ALPHA = "alpha"
-    BETA = "beta"
-
-
-class Direction(Enum):
-    FORWARD = "forward"
-    INVERSE = "inverse"
 
 
 @dataclass(frozen=True)
@@ -53,13 +42,6 @@ class GenusContext:
     def i_min(self) -> int:
         """Minimal crossing count of a filling pair: 2g - 1."""
         return 2 * self.g - 1
-
-
-@dataclass(frozen=True)
-class SymbolInfo:
-    curve: Curve
-    arc_index: int
-    direction: Direction
 
 
 class CanonicalPerms(NamedTuple):
@@ -92,6 +74,19 @@ def relabeling_generators(i: int) -> tuple[Permutation, ...]:
     )
     mu = from_cycles([(j, j + 1) for j in range(1, n, 2)], n)
     return kappa, delta, rho, mu
+
+
+@lru_cache(maxsize=None)
+def signed_ids(i: int) -> tuple[int, ...]:
+    """Signed arc id of each of the 4i directed-arc symbols, padded at 0.
+
+    This is the arc layout of `relabeling_generators` in the signed form
+    of gluing patterns: symbol 2k-1 is arc k of the first curve (id k),
+    symbol 2k is arc k of the second curve (id i+k), and the inverse
+    symbol s+2i has id -ids[s].
+    """
+    forward = [k for a in range(1, i + 1) for k in (a, i + a)]
+    return (0, *forward, *(-k for k in forward))
 
 
 @lru_cache(maxsize=None)
@@ -138,35 +133,6 @@ def beta_reversal(ctx: GenusContext) -> Permutation:
     """Relabelling induced by reversing the second curve's direction."""
     _, _, rho, mu = relabeling_generators(ctx.i_min)
     return rho.conjugate_by(mu)
-
-
-def symbol_info(ctx: GenusContext, j: int) -> SymbolInfo:
-    """Decode symbol j into (curve, arc index, direction).
-
-    Symbols 1..4g-2 are the forward arcs a1,b1,a2,b2,...; symbol
-    j+(4g-2) is the inverse of symbol j.
-    """
-    if not 1 <= j <= ctx.n:
-        raise ValueError(f"symbol {j} out of range 1..{ctx.n}")
-    half = 4 * ctx.g - 2
-    direction = Direction.FORWARD
-    if j > half:
-        direction = Direction.INVERSE
-        j -= half
-    if j % 2:
-        return SymbolInfo(Curve.ALPHA, (j + 1) // 2, direction)
-    return SymbolInfo(Curve.BETA, j // 2, direction)
-
-
-def symbol_of(ctx: GenusContext, curve: Curve, arc_index: int,
-              direction: Direction = Direction.FORWARD) -> int:
-    """Inverse of symbol_info."""
-    if not 1 <= arc_index <= ctx.i_min:
-        raise ValueError(f"arc index {arc_index} out of range 1..{ctx.i_min}")
-    base = 2 * arc_index - 1 if curve is Curve.ALPHA else 2 * arc_index
-    if direction is Direction.INVERSE:
-        base += 4 * ctx.g - 2
-    return base
 
 
 @lru_cache(maxsize=None)

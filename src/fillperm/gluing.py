@@ -19,7 +19,7 @@ from itertools import permutations, product
 from typing import Sequence
 
 from .diagram import PairDiagram
-from .filling import Curve, FillingPermutation, relabeling_generators
+from .filling import FillingPermutation, relabeling_generators, signed_ids
 from .perms import closure
 
 
@@ -99,11 +99,11 @@ def validate(pat: GluingPattern) -> ValidationReport:
         failures.append("each signed arc id must occur exactly once")
         return ValidationReport(False, tuple(failures))
 
-    curve = lambda v: Curve.ALPHA if abs(v) <= pat.i else Curve.BETA
+    on_first = lambda v: abs(v) <= pat.i
 
     for pi, poly in enumerate(pat.polygons):
         for qi in range(len(poly)):
-            if curve(poly[qi]) is curve(poly[(qi + 1) % len(poly)]):
+            if on_first(poly[qi]) == on_first(poly[(qi + 1) % len(poly)]):
                 failures.append(f"polygon {pi}: consecutive edges on one curve")
                 break
 
@@ -123,8 +123,8 @@ def validate(pat: GluingPattern) -> ValidationReport:
         if len(orbit) != 4:
             failures.append(f"corner orbit of size {len(orbit)} at {orbit[0]}")
         else:
-            curves = [curve(pat.polygons[p][q]) for p, q in orbit]
-            if curves[0] is curves[1] or curves[1] is curves[2]:
+            curves = [on_first(pat.polygons[p][q]) for p, q in orbit]
+            if curves[0] == curves[1] or curves[1] == curves[2]:
                 failures.append(f"crossing at {orbit[0]} is not transverse")
     if orbits != pat.i and not failures:
         failures.append(f"{orbits} crossings found, expected {pat.i}")
@@ -188,37 +188,17 @@ def t1(pat: GluingPattern) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _signed_ids(i: int) -> tuple[int, ...]:
-    """Signed arc id of each of the 4i directed-arc symbols, padded at 0.
-
-    Symbols 1..2i are the forward arcs a1,b1,a2,b2,... (ids k and i+k)
-    and symbol j+2i is the inverse of symbol j.
-    """
-    forward = [k for a in range(1, i + 1) for k in (a, i + a)]
-    return (0, *forward, *(-k for k in forward))
-
-
 def from_filling(fp: FillingPermutation) -> GluingPattern:
     """The one-polygon pattern of a minimally intersecting pair."""
     i = fp.ctx.i_min
-    ids = _signed_ids(i)
+    ids = signed_ids(i)
     return GluingPattern.make(i, [[ids[s] for s in fp.boundary_word()]])
 
 
 def pattern_of_diagram(d: PairDiagram) -> GluingPattern:
     """Cut a crossing diagram along its curves into a gluing pattern."""
-    i = d.m
-    polys = []
-    for face in d.faces():
-        poly = []
-        for arc in face:
-            inverse = arc >= 2 * i
-            base = arc % (2 * i)
-            a = base + 1  # alpha arcs 1..i then beta arcs i+1..2i
-            poly.append(-a if inverse else a)
-        polys.append(poly)
-    return GluingPattern.make(i, polys)
+    ids = signed_ids(d.m)
+    return GluingPattern.make(d.m, [[ids[s] for s in face] for face in d.faces()])
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +215,7 @@ def _relabeling_tables(i: int) -> tuple[tuple[int, ...], ...]:
     indexed by the signed id itself: the negative ids wrap around to the
     top half of the tuple.
     """
-    ids = _signed_ids(i)
+    ids = signed_ids(i)
     tables = []
     for t in closure(relabeling_generators(i)):
         table = [0] * (4 * i + 1)

@@ -26,6 +26,14 @@ class ParseError(PermutationError):
         self.position = position
 
 
+class DegreeError(PermutationError):
+    """Permutation text of another degree than the caller requires."""
+
+    def __init__(self, degree: int, required: int):
+        super().__init__(f"degree {degree}, expected {required}")
+        self.degree = degree
+
+
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of images of 1..n."""
 
@@ -198,12 +206,13 @@ def from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Permutation:
 _N_SPEC = re.compile(r"n\s*=\s*(\d+)")
 
 
-def parse(text: str) -> Permutation:
+def parse(text: str, n: int | None = None) -> Permutation:
     """Parse either image-list form "[2,3,4,1]" or cycle form "(1 3)(2 4)".
 
     Cycle form accepts space- or comma-separated symbols and an optional
     explicit degree token "n=K" (required whenever fixed points would be
-    dropped from the cycles).
+    dropped from the cycles).  With n given, text of another degree raises
+    DegreeError, in cycle form before a huge degree is allocated.
     """
     stripped = text.strip()
     if not stripped:
@@ -220,7 +229,10 @@ def parse(text: str) -> Permutation:
             if not re.fullmatch(r"-?\d+", part):
                 raise ParseError(f"bad image entry {part!r}", text.find(part) if part else 1)
             images.append(int(part))
-        return Permutation(images)
+        p = Permutation(images)
+        if n is not None and p.n != n:
+            raise DegreeError(p.n, n)
+        return p
 
     n_match = _N_SPEC.search(stripped)
     degree = int(n_match.group(1)) if n_match else None
@@ -242,7 +254,7 @@ def parse(text: str) -> Permutation:
         entries = body.split()
         cyc = []
         for entry in entries:
-            if not entry.isdigit() or int(entry) < 1:
+            if not entry.isdecimal() or int(entry) < 1:
                 raise ParseError(f"bad cycle entry {entry!r}", pos + 1)
             cyc.append(int(entry))
         if cyc:
@@ -255,6 +267,8 @@ def parse(text: str) -> Permutation:
         degree = max_sym
     if max_sym > degree:
         raise PermutationError("not a permutation: cycle symbol exceeds degree")
+    if n is not None and degree != n:
+        raise DegreeError(degree, n)
     return from_cycles(cycles, degree)
 
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 
-from .filling import Curve, Direction, FillingPermutation, symbol_info
+from .filling import FillingPermutation, signed_ids
 
 
 def _edge_label(fp: FillingPermutation, sym: int) -> str:
-    info = symbol_info(fp.ctx, sym)
-    name = "a" if info.curve is Curve.ALPHA else "b"
-    tick = "'" if info.direction is Direction.INVERSE else ""
-    return f"{name}{info.arc_index}{tick}"
+    i = fp.ctx.i_min
+    v = signed_ids(i)[sym]
+    name, arc = ("a", abs(v)) if abs(v) <= i else ("b", abs(v) - i)
+    tick = "'" if v < 0 else ""
+    return f"{name}{arc}{tick}"
 
 
 def diagram_svg(fp: FillingPermutation, size: int = 640) -> str:

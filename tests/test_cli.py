@@ -1,16 +1,22 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fillperm
 from fillperm.cli import main
+from fillperm.enumeration import lower_bound, root_count, upper_bound
 from fillperm.filling import GenusContext, twisting_closure
 from fillperm.perms import Permutation
 from fillperm.gluing import GluingPattern
+from fillperm.svg import diagram_svg
 from fillperm.zpiece import derive_template
 
 
@@ -88,6 +94,18 @@ def test_enumerate_guard_refusal(capsys, monkeypatch):
     assert "--force" in err
 
 
+def test_guard_refusal_at_a_genus_with_a_huge_root_count(capsys, monkeypatch):
+    # root_count(2000) has 13,874 digits, more than str() prints
+    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
+    code, out, err = run(capsys, "enumerate", "--genus", "2000")
+    assert code == 2
+    assert out == ""
+    assert err == ("genus 2000 exceeds the enumeration guard (5); the run "
+                   "would generate about 10^13873.5 square roots. Set "
+                   "FILLPERM_GUARD or pass --force (force=True from Python) "
+                   "to override.\n")
+
+
 def test_jobs_do_not_change_output(capsys):
     outputs = []
     for jobs in ("1", "2", "8"):
@@ -136,6 +154,14 @@ def test_wrong_degree_exit_65(capsys, command):
     assert code == 65
     assert out == ""
     assert err == "degree 4 does not match 8g-4 = 20\n"
+
+
+@pytest.mark.parametrize("text", ["() n=1000000000000000", "(1 1000000000000000)"])
+def test_huge_degree_is_refused_before_it_is_built(capsys, text):
+    code, out, err = run(capsys, "verify", text, "--genus", "1")
+    assert code == 65
+    assert out == ""
+    assert err == "degree 1000000000000000 does not match 8g-4 = 4\n"
 
 
 def test_bad_flags_exit_64(capsys):
@@ -243,6 +269,18 @@ def test_pattern_with_non_integer_arc_exit_65(capsys, tmp_path, command):
     assert err.startswith("bad pattern file:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe\x7b", b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("command", ["t1", "genus"])
+def test_unreadable_pattern_exit_65(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("bad pattern file:") and len(err.splitlines()) == 1
+
+
 def test_t1_missing_file_exit_74(capsys):
     code, _, err = run(capsys, "t1", "/nonexistent/pattern.json")
     assert code == 74
@@ -265,6 +303,17 @@ def test_bounds(capsys):
     assert "even-genus" in data["lower_note"]
     code, out, _ = run(capsys, "bounds", "--genus", "3")
     assert payload(out)["lower"] == "1/100"
+
+
+def test_bounds_prints_numbers_of_any_length(capsys):
+    # upper and root_count have about 4,900 digits at genus 801
+    code, out, err = run(capsys, "bounds", "--genus", "801")
+    assert code == 0
+    assert err == ""
+    data = json.loads(out, parse_int=Decimal)  # no int() digit limit
+    assert data["upper"] == upper_bound(801)
+    assert data["root_count"] == root_count(801)
+    assert data["lower"] == str(lower_bound(801))
 
 
 def test_hyp_reports_discrepancy(capsys):
@@ -290,9 +339,96 @@ def test_diagram_svg(capsys, tmp_path):
     edges = [l for l in lines if l.attrib.get("class") == "edge"]
     assert len(edges) == 4
     assert len(chords) == 2
+    labels = [t.text for t in root.findall(f"{ns}text")]
+    assert labels == ["a1", "b1", "a1'", "b1'"]  # boundary order
+
+
+def test_diagram_svg_is_pinned(g1_solutions, g3_solutions):
+    digest = hashlib.sha256()
+    for fp in [*g1_solutions, *g3_solutions]:
+        digest.update(diagram_svg(fp).encode())
+    assert digest.hexdigest()[:16] == "018cec51b7b39256"
 
 
 def test_diagram_rejects_invalid(capsys, tmp_path):
     code, _, err = run(capsys, "diagram", "[3,4,1,2]", "--genus", "1",
                        "-o", str(tmp_path / "x.svg"))
     assert code == 1
+
+
+GENERA = st.sampled_from(["3", "1", "2", "6", "801", "2000", "0", "-1", "junk"])
+PERM_TEXTS = st.one_of(
+    st.sampled_from([
+        "[2,3,4,1]", "[4,1,2,3]", "[3,4,1,2]", "(1 2 3 4)", "() n=1000000000000000",
+        "[2,7,8,1,12,13,10,17,14,11,6,3,20,15,16,19,4,5,18,9]",  # fills at g=3
+    ]),
+    st.text(alphabet="()[], n=-0123456789", max_size=40),
+    st.text(max_size=20),
+)
+SMALL_INTS = st.sampled_from(["1", "2", "3", "5", "99", "0", "-1", "junk"])
+PATTERN_FILES = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from([b'{"i": 1, "polygons": [[1, 2, -1, -2]]}', b"[" * 5000]),
+    st.fixed_dictionaries({
+        "i": st.one_of(st.integers(-1, 4), st.text(max_size=2)),
+        "polygons": st.lists(st.lists(st.integers(-9, 9), max_size=8), max_size=3),
+    }).map(lambda d: json.dumps(d).encode()),
+)
+GENUS = ["--genus", GENERA]
+# subcommand -> (required, optional) argument groups; "pattern" and
+# "output" stand for file names under tmp_path
+COMMANDS = {
+    "enumerate": ([GENUS], [["--count-only"], ["--classes"],
+                            ["--limit", SMALL_INTS], ["--jobs", SMALL_INTS]]),
+    "verify": ([[PERM_TEXTS], GENUS], []),
+    "reconstruct": ([[PERM_TEXTS], GENUS], []),
+    "extend": ([[PERM_TEXTS], GENUS, ["--vertex", SMALL_INTS]], []),
+    "t1": ([["pattern"]], []),
+    "genus": ([["pattern"]], []),
+    "bounds": ([GENUS], [["--exact"], ["--jobs", SMALL_INTS]]),
+    "hyp": ([GENUS], []),
+    "diagram": ([[PERM_TEXTS], GENUS], [["-o", "output"]]),
+}
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    """An argv for main(): a subcommand and its arguments in any order,
+    now and then with one left out or one stray token added.  Genera 4
+    and 5 and --force never occur, so no draw starts a long enumeration."""
+    command = draw(st.sampled_from([*COMMANDS, "--version", "--help", "bogus"]))
+    if command not in COMMANDS:
+        return [command]
+    required, optional = COMMANDS[command]
+    groups = required + [group for group in optional if draw(st.booleans())]
+    groups = draw(st.permutations(groups))
+    if draw(st.integers(0, 7)) == 0:
+        groups.pop()
+    argv = [command]
+    for group in groups:
+        for part in group:
+            if part in paths:
+                argv.append(draw(st.sampled_from(paths[part])))
+            else:
+                argv.append(part if isinstance(part, str) else draw(part))
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-x", "--", "--genus"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_argv_exits_with_a_documented_code(capsys, monkeypatch, pool_sizes,
+                                                 tmp_path, data):
+    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
+    pattern = tmp_path / "pattern.json"
+    pattern.write_bytes(data.draw(PATTERN_FILES))
+    paths = {
+        "pattern": [str(pattern), str(tmp_path / "missing.json"), str(tmp_path)],
+        "output": [str(tmp_path / "out.svg"), str(tmp_path), "-"],
+    }
+    argv = data.draw(cli_argvs(paths))
+    assert main(argv) in {0, 1, 2, 64, 65, 74}
+    capsys.readouterr()

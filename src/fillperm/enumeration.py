@@ -8,7 +8,9 @@ matched pair interleaved into a 4-cycle in one of two ways: 2^(2g-1) *
 (2g-1)! candidates.  The solutions are the roots for which iota o C is
 an n-cycle; a depth-first search builds C one odd transposition at a
 time and drops every prefix on which iota o C already closes a shorter
-cycle.
+cycle.  Counting and classifying search only the roots whose first
+level sets s(1) = 2, one (4g-2)-th of the search: the twisting closure
+spreads every class evenly over the values of s(1).
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, lgamma, log
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Container, Iterable, Iterator, Sequence
 
 from .filling import (
     FillingPermutation,
     GenusContext,
+    ReconstructionError,
     canonical_perms,
     equation_tables,
     is_filling,
@@ -32,6 +36,9 @@ from .filling import (
 from .perms import Permutation
 
 DEFAULT_GUARD = 5
+# Solutions are byte strings of their n = 8g-4 images, so n < 256; no
+# override lifts this.
+MAX_ENUMERATED_GENUS = 32
 
 
 class GuardExceeded(RuntimeError):
@@ -58,6 +65,11 @@ def guard_limit() -> int:
 def check_guard(g: int, force: bool = False) -> None:
     limit = guard_limit()
     if force or g <= limit:
+        if g > MAX_ENUMERATED_GENUS:
+            raise GuardExceeded(
+                f"genus {g} is above {MAX_ENUMERATED_GENUS}, the largest "
+                "whose 8g-4 symbols fit the enumeration's byte arrays"
+            )
         return
     # log10 of root_count(g) = 2^(2g-1) (2g-1)!, which str() may refuse
     digits = ((2 * g - 1) * log(2) + lgamma(2 * g)) / log(10)
@@ -150,29 +162,17 @@ def square_roots(ctx: GenusContext) -> Iterator[Permutation]:
         yield Permutation(C[1:])
 
 
-def _iter_solution_images(
-    ctx: GenusContext, shard: int | None = None
-) -> Iterator[bytes]:
-    """Yield image arrays (as bytes, symbols 1..n) of filling permutations
-    by a depth-first search over the square roots C of iota o tau.
+@lru_cache(maxsize=None)
+def _moves(ctx: GenusContext) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """moves[i][k]: the choices of level i of the solution search.
 
-    Level i interleaves the i-th odd transposition (a,b) with an unused
-    even transposition (c,d) as the 4-cycle (a,c,b,d) or (a,d,b,c),
-    which writes the four arcs x -> iota(C(x)) of sigma = iota o C for
-    x in {a,b,c,d}.  Between levels sigma is a set of disjoint paths;
-    each path end x knows the far end far[x] and the path's arc count.
-    An arc x -> y closes a cycle exactly when y is x's far end, and a
-    prefix that closes a cycle shorter than n is dropped with all of
-    its extensions.  Shard k (0 <= k < 2(2g-1)) fixes the first level
-    to even transposition k // 2 in orientation k % 2; the shards in
-    order list the same solutions as the whole search.
+    Choice k interleaves the i-th odd transposition (a,b) with even
+    transposition j = k // 2 as the 4-cycle (a,c,b,d) or (a,d,b,c) (k % 2
+    picks which); it is stored as j and the four arcs x -> iota(C(x)) of
+    sigma = iota o C that it writes, for x in {a,b,c,d}.
     """
     base = base_involution(ctx)
     iota = equation_tables(ctx)[0]
-    n = ctx.n
-    m = ctx.i_min
-    # moves[i][k]: the index of the even transposition taken and the four
-    # arcs written when level i takes choice k
     moves = []
     for a, b in base.odd:
         row = []
@@ -180,7 +180,30 @@ def _iter_solution_images(
             for c, d in ((c, d), (d, c)):
                 row.append((j, ((a, iota[c]), (c, iota[b]),
                                 (b, iota[d]), (d, iota[a]))))
-        moves.append(row)
+        moves.append(tuple(row))
+    return tuple(moves)
+
+
+def _iter_solution_images(
+    ctx: GenusContext, prefix: Sequence[int] = ()
+) -> Iterator[bytes]:
+    """Yield image arrays (as bytes, symbols 1..n) of filling permutations
+    by a depth-first search over the square roots C of iota o tau.
+
+    Level i takes one choice of `_moves(ctx)[i]`: it interleaves the i-th
+    odd transposition with an unused even transposition and writes four
+    arcs of sigma = iota o C.  Between levels sigma is a set of disjoint
+    paths; each path end x knows the far end far[x] and the path's arc
+    count.  An arc x -> y closes a cycle exactly when y is x's far end,
+    and a prefix that closes a cycle shorter than n is dropped with all
+    of its extensions.  `prefix` fixes level i to choice prefix[i]; the
+    prefixes (k,) for k < 2(2g-1), in order, list the same solutions as
+    the whole search.
+    """
+    n = ctx.n
+    m = ctx.i_min
+    moves = _moves(ctx)
+    rows = [row[k:k + 1] for row, k in zip(moves, prefix)] + list(moves[len(prefix):])
 
     sigma = [0] * (n + 1)
     far = list(range(n + 1))
@@ -201,7 +224,7 @@ def _iter_solution_images(
     # per level: the choices left, the even transposition taken and
     # the trail length before its arcs
     levels = [iter(())] * m
-    levels[0] = iter(moves[0] if shard is None else moves[0][shard:shard + 1])
+    levels[0] = iter(rows[0])
     chosen = [0] * m
     marks = [0] * m
     i = 0
@@ -232,7 +255,7 @@ def _iter_solution_images(
                     chosen[i] = j
                     marks[i] = mark
                     i += 1
-                    levels[i] = iter(moves[i])
+                    levels[i] = iter(rows[i])
                     break
             retract(mark)
         else:
@@ -244,29 +267,75 @@ def _iter_solution_images(
 
 
 def _worker_solutions(args) -> list[bytes]:
-    g, shard = args
-    return list(_iter_solution_images(GenusContext(g), shard))
+    g, prefix = args
+    return list(_iter_solution_images(GenusContext(g), prefix))
+
+
+def _search(ctx: GenusContext, prefixes: Sequence[tuple[int, ...]],
+            jobs: int) -> list[bytes]:
+    """The solutions under each search prefix, joined in prefix order.
+
+    With jobs > 1 the prefixes run in a pool of at most one worker per
+    prefix, so the list does not depend on jobs.
+    """
+    workers = min(max(1, jobs), len(prefixes))
+    out: list[bytes] = []
+    if workers == 1:
+        for prefix in prefixes:
+            out.extend(_iter_solution_images(ctx, prefix))
+        return out
+    import multiprocessing as mp
+
+    with mp.Pool(workers) as pool:
+        for part in pool.imap(_worker_solutions,
+                              [(ctx.g, prefix) for prefix in prefixes]):
+            out.extend(part)
+    return out
 
 
 def _solution_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
-    """All filling-permutation image arrays, in deterministic search order.
+    """All filling-permutation image arrays, in deterministic search order;
+    jobs > 1 splits the search by its 2(2g-1) first-level choices."""
+    return _search(ctx, [(k,) for k in range(2 * ctx.i_min)], jobs)
 
-    With jobs > 1 the first-level shards run in a pool of at most one
-    worker per shard, and their parts are joined in shard order, so the
-    list does not depend on jobs.
+
+def _check_regular_on_evens(ctx: GenusContext, group: Iterable[Permutation]) -> None:
+    """Raise unless the elements of group that fix symbol 1 act regularly
+    on the even symbols: exactly one of them sends 2 to each even symbol.
+
+    Conjugating a solution s by such an h keeps 1 fixed and sends s(1)
+    to h(s(1)).  So every value of s(1), the even symbol that the
+    search's first level chooses, is taken by the same number of
+    solutions of each class, and the lexicographically least member of
+    a class has s(1) = 2.
     """
-    shards = 2 * ctx.i_min
-    workers = min(max(1, jobs), shards)
-    if workers == 1:
-        return list(_iter_solution_images(ctx))
-    import multiprocessing as mp
+    if sorted(h(2) for h in group if h(1) == 1) != list(range(2, ctx.n + 1, 2)):
+        raise ReconstructionError(
+            "the twisting elements that fix 1 do not act regularly on "
+            "the even symbols"
+        )
 
-    out: list[bytes] = []
-    with mp.Pool(workers) as pool:
-        for part in pool.imap(_worker_solutions,
-                              [(ctx.g, k) for k in range(shards)]):
-            out.extend(part)
-    return out
+
+@lru_cache(maxsize=None)
+def _least_shard(ctx: GenusContext) -> int:
+    """The first-level choice of the search that sets s(1) = 2, once the
+    twisting closure is checked to act regularly on the values of s(1)."""
+    _check_regular_on_evens(ctx, twisting_closure(ctx))
+    return next(k for k, (_, arcs) in enumerate(_moves(ctx)[0]) if (1, 2) in arcs)
+
+
+def _least_shard_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
+    """The solutions with s(1) = 2, one (4g-2)-th of all of them, in
+    search order; jobs > 1 splits the search by its second-level
+    choices (genus 1 has a single level)."""
+    first = _least_shard(ctx)
+    moves = _moves(ctx)
+    if len(moves) == 1:
+        prefixes = [(first,)]
+    else:
+        taken = moves[0][first][0]
+        prefixes = [(first, k) for k, (j, _) in enumerate(moves[1]) if j != taken]
+    return _search(ctx, prefixes, jobs)
 
 
 def count_roots_verified(ctx: GenusContext) -> int:
@@ -299,19 +368,29 @@ def enumerate_filling(
 
 
 @lru_cache(maxsize=None)
-def _closure_tables(ctx: GenusContext) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(t, t^-1) image tables, padded at index 0, over the twisting closure."""
-    return tuple(((0,) + t.images, (0,) + t.inverse().images)
-                 for t in twisting_closure(ctx))
+def _closure_tables(ctx: GenusContext) -> tuple[tuple[int, itemgetter, bytes], ...]:
+    """For each t in the twisting closure: the index of t^-1(1) in an
+    image array, a getter of the entries at t^-1(1), ..., t^-1(n), and
+    the 256-byte translation table of t.  The image array of t o s o t^-1
+    is bytes(getter(img)).translate(table), and its first byte is
+    table[img[index]]."""
+    out = []
+    for t in twisting_closure(ctx):
+        inv = t.inverse().images
+        table = bytes((0, *t.images)).ljust(256, b"\0")
+        out.append((inv[0] - 1, itemgetter(*(x - 1 for x in inv)), table))
+    return tuple(out)
 
 
-def _conjugates(ctx: GenusContext, img: bytes) -> Iterator[bytes]:
+def _conjugates(
+    ctx: GenusContext, img: bytes, firsts: Container[int] | None = None
+) -> Iterator[bytes]:
     """Image arrays of t o s o t^-1 for every t in the twisting closure,
-    where img holds the images of s."""
-    sigma = (0,) + tuple(img)
-    symbols = range(1, ctx.n + 1)
-    for timg, tinv in _closure_tables(ctx):
-        yield bytes(timg[sigma[tinv[x]]] for x in symbols)
+    where img holds the images of s.  With firsts, only the conjugates
+    whose first byte t(s(t^-1(1))) is in firsts are built."""
+    for index, getter, table in _closure_tables(ctx):
+        if firsts is None or table[img[index]] in firsts:
+            yield bytes(getter(img)).translate(table)
 
 
 def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
@@ -329,34 +408,48 @@ def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
 
 
 def _class_minima(ctx: GenusContext, images: Sequence[bytes]) -> list[bytes]:
-    """Lexicographically least member of each twisting class, sorted.
+    """Least member of each twisting class among images, sorted.
 
-    Sweeps the sorted solution list: the least remaining solution is the
-    canonical representative of its class; its whole orbit is then
-    discarded.  Independent of how the solutions were produced.
+    images must be a union of whole classes, or all solutions with one
+    value of s(1) (one first-level shard of the search).  The sweep
+    takes the least remaining image as its class's representative and
+    discards the class: only the conjugates whose first byte occurs in
+    images are built, which in a shard is 1 in 4g-2 of them.  On whole
+    classes or the shard where s(1) = 2 the representatives are the
+    canonical ones of `canonical_class_rep`.
     """
     alive = set(images)
+    firsts = {img[0] for img in alive}
     reps: list[bytes] = []
     for img in sorted(alive):
         if img in alive:
             reps.append(img)
             # one at a time: difference_update rebuilds the table once
             # deleted slots pile up, a second copy at peak memory
-            for conj in _conjugates(ctx, img):
+            for conj in _conjugates(ctx, img, firsts):
                 alive.discard(conj)
     return reps
+
+
+def _count_and_classify(
+    ctx: GenusContext, *, jobs: int = 1, force: bool = False
+) -> tuple[int, list[bytes]]:
+    """The number of filling permutations and the canonical representative
+    of every twisting class, sorted, from the one shard where s(1) = 2:
+    every value of s(1) is taken by equally many solutions
+    (`_check_regular_on_evens`), and each class's least member has
+    s(1) = 2.  Holds one (4g-2)-th of the solutions in memory."""
+    check_guard(ctx.g, force)
+    shard = _least_shard_images(ctx, jobs)
+    return 2 * ctx.i_min * len(shard), _class_minima(ctx, shard)
 
 
 def class_representatives(
     ctx: GenusContext, *, jobs: int = 1, force: bool = False
 ) -> list[FillingPermutation]:
     """Canonical representative of every twisting class, sorted."""
-    check_guard(ctx.g, force)
-    images = _solution_images(ctx, jobs)
-    return [
-        FillingPermutation(ctx, Permutation(list(img)))
-        for img in _class_minima(ctx, images)
-    ]
+    _, reps = _count_and_classify(ctx, jobs=jobs, force=force)
+    return [FillingPermutation(ctx, Permutation(list(img))) for img in reps]
 
 
 def classify_solutions(
@@ -372,8 +465,7 @@ def classify_solutions(
 
 def count_classes(ctx: GenusContext, *, jobs: int = 1, force: bool = False) -> int:
     """N(g): the number of twisting classes of filling permutations."""
-    check_guard(ctx.g, force)
-    return len(_class_minima(ctx, _solution_images(ctx, jobs)))
+    return len(_count_and_classify(ctx, jobs=jobs, force=force)[1])
 
 
 # ----------------------------------------------------------------------

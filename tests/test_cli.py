@@ -74,7 +74,10 @@ def test_huge_jobs_starts_one_worker_per_shard(capsys, pool_sizes):
                        "--jobs", "5000")
     assert code == 0
     assert payload(out)["filling_count"] == 600
-    assert pool_sizes == [10]  # 2(2g-1) first-level shards
+    # one worker per task: the search keeps the first-level choice that
+    # sets s(1) = 2 and splits its second level; that level interleaves
+    # one of the 2g-2 even transpositions left, in 2 orientations: 8 at g=3
+    assert pool_sizes == [8]
 
 
 def test_enumerate_limit(capsys):
@@ -106,15 +109,34 @@ def test_guard_refusal_at_a_genus_with_a_huge_root_count(capsys, monkeypatch):
                    "to override.\n")
 
 
+def test_force_stops_at_genus_32(capsys):
+    code, out, err = run(capsys, "enumerate", "--genus", "33", "--force")
+    assert code == 2
+    assert out == ""
+    assert err == ("genus 33 is above 32, the largest whose 8g-4 symbols "
+                   "fit the enumeration's byte arrays\n")
+
+
 def test_jobs_do_not_change_output(capsys):
-    outputs = []
-    for jobs in ("1", "2", "8"):
-        code, out, _ = run(capsys, "enumerate", "--genus", "3", "--jobs", jobs)
-        assert code == 0
-        data = json.loads(out)
-        del data["timing"]
-        outputs.append(json.dumps(data, sort_keys=True))
-    assert outputs[0] == outputs[1] == outputs[2]
+    for genus, count in (("1", 2), ("2", 0), ("3", 600), ("4", 65856)):
+        outputs = []
+        for jobs in ("1", "2", "8"):
+            code, out, _ = run(capsys, "enumerate", "--genus", genus,
+                               "--classes", "--jobs", jobs)
+            assert code == 0
+            data = json.loads(out)
+            assert data["filling_count"] == count
+            del data["timing"]
+            outputs.append(json.dumps(data, sort_keys=True))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_genus_5_counts(capsys):
+    code, out, _ = run(capsys, "enumerate", "--genus", "5", "--count-only")
+    assert code == 0
+    data = payload(out)
+    assert data["filling_count"] == 16_609_536
+    assert data["class_count"] == 25_908
 
 
 def test_python_m_fillperm_version():
@@ -179,7 +201,7 @@ def one_line_usage_error(capsys, *argv):
     return lines[0]
 
 
-@pytest.mark.parametrize("command", [
+GENUS_COMMANDS = [
     ["enumerate"],
     ["reconstruct", "[2,3,4,1]"],
     ["verify", "[2,3,4,1]"],
@@ -187,11 +209,29 @@ def one_line_usage_error(capsys, *argv):
     ["bounds"],
     ["hyp"],
     ["diagram", "[2,3,4,1]"],
-])
+]
+
+
+@pytest.mark.parametrize("command", GENUS_COMMANDS)
 @pytest.mark.parametrize("genus", ["0", "-1"])
 def test_genus_must_be_positive(capsys, command, genus):
     err = one_line_usage_error(capsys, *command, "--genus", genus)
     assert "--genus" in err and "integer >= 1" in err
+
+
+@pytest.mark.parametrize("command", GENUS_COMMANDS)
+@pytest.mark.parametrize("genus", ["2001", "9" * 400], ids=["2001", "400-nines"])
+def test_genus_above_the_limit_is_refused(capsys, monkeypatch, command, genus):
+    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
+    err = one_line_usage_error(capsys, *command, "--genus", genus)
+    assert "--genus" in err and "integer <= 2000" in err
+
+
+@pytest.mark.parametrize("command,code", zip(GENUS_COMMANDS, [2, 65, 65, 65, 0, 0, 65]))
+def test_genus_at_the_limit_is_accepted(capsys, monkeypatch, command, code):
+    # 2 the guard refuses, 65 a permutation of degree 4, not 8g-4
+    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
+    assert run(capsys, *command, "--genus", "2000")[0] == code
 
 
 def test_negative_limit_is_refused(capsys):
@@ -356,7 +396,8 @@ def test_diagram_rejects_invalid(capsys, tmp_path):
     assert code == 1
 
 
-GENERA = st.sampled_from(["3", "1", "2", "6", "801", "2000", "0", "-1", "junk"])
+GENERA = st.sampled_from(["3", "1", "2", "6", "801", "2000", "2001", "9" * 400,
+                          "0", "-1", "junk"])
 PERM_TEXTS = st.one_of(
     st.sampled_from([
         "[2,3,4,1]", "[4,1,2,3]", "[3,4,1,2]", "(1 2 3 4)", "() n=1000000000000000",

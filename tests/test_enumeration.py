@@ -3,16 +3,24 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from fillperm import enumeration
 from fillperm.enumeration import (
     GuardExceeded,
     GuardSettingError,
+    _check_regular_on_evens,
+    _class_minima,
+    _conjugates,
+    _count_and_classify,
     _iter_solution_images,
+    _least_shard_images,
     _roots,
     _solution_images,
     base_involution,
     bounds_report,
     canonical_class_rep,
     check_guard,
+    class_representatives,
+    classify_solutions,
     count_classes,
     count_Lg,
     enumerate_filling,
@@ -26,11 +34,13 @@ from fillperm.enumeration import (
 )
 from fillperm.filling import (
     GenusContext,
+    ReconstructionError,
     canonical_perms,
     is_filling,
+    relabeling_generators,
     twisting_closure,
 )
-from fillperm.perms import Permutation, from_cycles
+from fillperm.perms import Permutation, closure, from_cycles
 
 
 def test_base_involution_matches_displayed_pairs():
@@ -167,6 +177,118 @@ def test_workers_never_exceed_shards(pool_sizes):
     assert pool_sizes == [10, 4, 2]
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_first_level_shards_are_equal(g):
+    # one shard per value of s(1): 4g-2 even symbols, 2(2g-1) choices
+    ctx = GenusContext(g)
+    shards = [list(_iter_solution_images(ctx, (k,))) for k in range(4 * g - 2)]
+    assert len({len(shard) for shard in shards}) == 1
+    total = list(_iter_solution_images(ctx))
+    assert len(shards[0]) * (4 * g - 2) == len(total)
+    assert [img for shard in shards for img in shard] == total
+    assert sorted({shard[0][0] for shard in shards if shard}) == (
+        list(range(2, ctx.n + 1, 2)) if total else [])
+    assert _least_shard_images(ctx) == [img for img in total if img[0] == 2]
+
+
+def full_sweep_class_minima(ctx, images):
+    """The class sweep as it was before the first-byte filter: every
+    conjugate t o s o t^-1 of every representative s is built, from
+    padded image tables of t and t^-1, and discarded."""
+    tables = [((0, *t.images), (0, *t.inverse().images))
+              for t in twisting_closure(ctx)]
+    symbols = range(1, ctx.n + 1)
+    alive = set(images)
+    reps = []
+    for img in sorted(alive):
+        if img in alive:
+            reps.append(img)
+            sigma = (0, *img)
+            for timg, tinv in tables:
+                alive.discard(bytes(timg[sigma[tinv[x]]] for x in symbols))
+    return reps
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_one_shard_representatives_equal_the_full_sweep(g):
+    ctx = GenusContext(g)
+    total = list(_iter_solution_images(ctx))
+    reps = full_sweep_class_minima(ctx, total)
+    assert _count_and_classify(ctx) == (len(total), reps)
+    assert _class_minima(ctx, total) == reps
+    assert [r.perm for r in class_representatives(ctx)] == [
+        Permutation(list(img)) for img in reps]
+    assert count_classes(ctx) == len(reps) == [1, 0, 5, 168][g - 1]
+    assert all(canonical_class_rep(ctx, Permutation(list(img))).images == tuple(img)
+               for img in reps)
+
+
+def test_conjugates_filtered_by_first_byte():
+    ctx = GenusContext(3)
+    for img in _least_shard_images(ctx)[:20]:
+        every = list(_conjugates(ctx, img))
+        assert sorted(_conjugates(ctx, img, {2})) == sorted(
+            c for c in every if c[0] == 2)
+        assert sorted(_conjugates(ctx, img, {2, 4})) == sorted(
+            c for c in every if c[0] in (2, 4))
+
+
+def test_classify_solutions_matches_the_full_sweep(g3_solutions, g3_class_reps):
+    ctx = GenusContext(3)
+    images = [bytes(fp.perm.images) for fp in g3_solutions]
+    expected = [Permutation(list(img)) for img in full_sweep_class_minima(ctx, images)]
+    assert [r.perm for r in classify_solutions(ctx, g3_solutions)] == expected
+    assert [r.perm for r in g3_class_reps] == expected
+
+
+def test_regular_action_check():
+    for g in range(1, 7):
+        ctx = GenusContext(g)
+        _check_regular_on_evens(ctx, twisting_closure(ctx))
+    # the elements of <kappa, delta> that fix 1 are the powers of delta,
+    # which keep the forward even symbols 2..4g-2 apart from the inverse
+    # ones 4g..8g-4: not transitive on the evens, so not regular
+    ctx = GenusContext(3)
+    kappa, delta, _, _ = relabeling_generators(ctx.i_min)
+    with pytest.raises(ReconstructionError, match="regularly"):
+        _check_regular_on_evens(ctx, closure([kappa, delta]))
+
+
+def test_counting_checks_the_regular_action(monkeypatch):
+    # counting from one shard refuses a closure that is not regular on the
+    # evens (<kappa, delta>, as above) before it searches
+    ctx = GenusContext(3)
+    kappa, delta, _, _ = relabeling_generators(ctx.i_min)
+    monkeypatch.setattr(enumeration, "twisting_closure",
+                        lambda ctx: tuple(closure([kappa, delta])))
+    caches = (enumeration._least_shard, enumeration._closure_tables)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(ReconstructionError, match="regularly"):
+            count_classes(ctx)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_least_shard_splits_by_second_level(pool_sizes):
+    # the second level interleaves one of the 2g-2 even transpositions
+    # that the first level left, in either orientation; genus 1 has one
+    # level, so one task and no pool
+    for g in (1, 2, 3, 4):
+        ctx = GenusContext(g)
+        assert _least_shard_images(ctx, jobs=5000) == _least_shard_images(ctx)
+    assert pool_sizes == [4, 8, 12]
+
+
+def test_genus_5_class_count():
+    ctx = GenusContext(5)
+    n5 = count_classes(ctx)
+    assert n5 == 25_908
+    assert lower_bound(5) <= n5 <= upper_bound(5)
+
+
 def test_count_classes_small():
     assert count_classes(GenusContext(1)) == 1
     assert count_classes(GenusContext(2)) == 0
@@ -184,6 +306,15 @@ def test_guard():
         check_guard(6)
     check_guard(6, force=True)
     check_guard(5)
+
+
+def test_no_override_lifts_the_byte_array_limit(monkeypatch):
+    check_guard(32, force=True)
+    with pytest.raises(GuardExceeded, match="above 32"):
+        check_guard(33, force=True)
+    monkeypatch.setenv("FILLPERM_GUARD", "40")
+    with pytest.raises(GuardExceeded, match="above 32"):
+        check_guard(33)
 
 
 def test_guard_env_override(monkeypatch):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .filling import FillingPermutation, GenusContext, _corner_orbits
-from .perms import Permutation
+from .filling import FillingPermutation, GenusContext, corner_orbits
+from .perms import Permutation, table_orbits
 
 # Dart slots at each point: the germ of the incoming/outgoing strand of
 # either curve.
@@ -96,19 +96,7 @@ class PairDiagram:
     def faces(self) -> list[list[int]]:
         """Complementary polygons as cyclic lists of directed arc symbols."""
         nxt = self._next_arc()
-        seen = [False] * len(nxt)
-        out: list[list[int]] = []
-        for start in range(1, len(nxt)):
-            if seen[start]:
-                continue
-            face = []
-            s = start
-            while not seen[s]:
-                seen[s] = True
-                face.append(s)
-                s = nxt[s]
-            out.append(face)
-        return out
+        return table_orbits(nxt, range(1, len(nxt)))[1]
 
     def face_count(self) -> int:
         return len(self.faces())
@@ -148,22 +136,18 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
     """
     ctx = fp.ctx
     m = ctx.i_min
-    word = fp.boundary_word()
-    pos_of, class_of_pos, orbit_lists = _corner_orbits(ctx, word)
+    cls, orbit_lists = corner_orbits(fp, fp.boundary_word())
     if len(orbit_lists) != m or any(len(o) != 4 for o in orbit_lists):
         raise ValueError("corner structure is not 4-valent")
 
     # label classes along alpha: terminal of alpha arc k gets label k
     label_of_class = [0] * m
     for k in range(1, m + 1):
-        cls = class_of_pos[pos_of[2 * k - 1]]
-        if label_of_class[cls]:
+        if label_of_class[cls[2 * k - 1]]:
             raise ValueError("first curve revisits a crossing")
-        label_of_class[cls] = k
+        label_of_class[cls[2 * k - 1]] = k
 
-    beta_seq = tuple(
-        label_of_class[class_of_pos[pos_of[2 * j]]] for j in range(1, m + 1)
-    )
+    beta_seq = tuple(label_of_class[cls[2 * j]] for j in range(1, m + 1))
 
     # classify each corner's incoming arc into a dart slot: odd symbols
     # lie on the first curve, symbols above 4g-2 are inverse arcs
@@ -173,9 +157,8 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
         return (BI if sym % 2 == 0 else AI) + (sym > half)
 
     signs = [0] * m
-    for orbit in orbit_lists:
-        label = label_of_class[class_of_pos[orbit[0]]]
-        slots = [slot_of(word[p]) for p in orbit]
+    for label, orbit in zip(label_of_class, orbit_lists):
+        slots = [slot_of(s) for s in orbit]
         if slots.count(AI) != 1:
             raise ValueError("crossing is not transverse")
         at = slots.index(AI)

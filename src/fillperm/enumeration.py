@@ -132,27 +132,21 @@ def _roots(ctx: GenusContext) -> Iterator[list[int]]:
 
     C[j] is the image of j (index 0 is unused).  One list is rewritten
     in place between yields, so a caller that keeps a root copies it.
-    The i-th odd transposition (a,b) is matched with the i-th even
-    transposition (c,d) of the current matching; bit i (most significant
-    first) chooses the 4-cycle (a,c,b,d) or (a,d,b,c), whose square is
-    (a,b)(c,d) either way.  Matchings come in lexicographic order, so
-    the stream is deterministic.
+    Level i matches the i-th odd transposition with even transposition
+    evens[i] of the current matching and writes C[x] = iota(y) for each
+    arc x -> y of `_moves(ctx)` choice 2 evens[i] + bit i, with bit i
+    counted from the most significant bit.  Matchings come in
+    lexicographic order, so the stream is deterministic.
     """
-    base = base_involution(ctx)
-    odd = base.odd
+    moves = _moves(ctx)
+    iota = equation_tables(ctx)[0]
     m = ctx.i_min
     C = [0] * (ctx.n + 1)
-    for evens in permutations(base.even):
+    for evens in permutations(range(m)):
         for bits in range(1 << m):
             for i in range(m):
-                a, b = odd[i]
-                c, d = evens[i]
-                if (bits >> (m - 1 - i)) & 1:
-                    c, d = d, c
-                C[a] = c
-                C[c] = b
-                C[b] = d
-                C[d] = a
+                for x, y in moves[i][2 * evens[i] + ((bits >> (m - 1 - i)) & 1)][1]:
+                    C[x] = iota[y]
             yield C
 
 

@@ -10,7 +10,12 @@ s of the 8g-4 labels, and s is characterised by three properties: it is an
     s o iota o s = tau
 
 where iota inverts every label and tau advances every label one sub-arc
-along its own curve.  This module owns that characterisation and the
+along its own curve.  Regluing the polygon turns its corners into the
+crossings: the corner at the head of edge s turns a quarter into the
+inverse of the next edge, so the crossings are the orbits of the corner
+map s -> iota(succ(s)) with succ = s.  Gluing patterns of several
+polygons walk the same map with succ the next edge of the same polygon.
+This module owns the characterisation, the corner walk and the
 relabellings ("twistings") that map solutions to solutions.
 """
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .perms import Permutation, closure, from_cycles
+from .perms import Permutation, closure, from_cycles, table_orbits
 
 
 @dataclass(frozen=True)
@@ -191,9 +196,6 @@ class FillingPermutation:
             j = self.perm(j)
         return tuple(word)
 
-    def reconstruct(self) -> "SurfaceReport":
-        return reconstruct(self)
-
 
 @dataclass(frozen=True)
 class SurfaceReport:
@@ -211,37 +213,20 @@ class ReconstructionError(RuntimeError):
     or a twisting relabelling that would leave the solution set."""
 
 
-def _corner_orbits(
-    ctx: GenusContext, word: tuple[int, ...]
-) -> tuple[list[int], list[int], list[list[int]]]:
-    """Orbits of the quarter-turn corner map on polygon edge positions.
+def corner_orbits(
+    fp: FillingPermutation, starts: Iterable[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Orbits of the quarter-turn corner map s -> iota(succ(s)) on the
+    directed-arc symbols, walked from `starts`.
 
-    Corner p sits after the edge at position p (0-based).  The map sends
-    position p to the position of the label inverse to word[p+1]; its
-    orbits are the vertex classes of the glued surface.  Returns
-    (pos_of, class_of_pos, orbits): the position of each symbol, the
-    orbit index of each position, and the orbits in order of their
-    least position.
+    Symbol s stands for the polygon corner at the head of its edge, and
+    succ = fp.perm is the next edge along the polygon; turning a quarter
+    around that corner leaves along the inverse of the next edge.  The
+    orbits are the vertex classes of the glued surface.  Returns the
+    orbit index of each symbol and the orbits (see `table_orbits`).
     """
-    n = ctx.n
-    half = 4 * ctx.g - 2
-    pos_of = [0] * (n + 1)
-    for p, s in enumerate(word):
-        pos_of[s] = p
-    class_of_pos = [-1] * n
-    orbits: list[list[int]] = []
-    for start in range(n):
-        if class_of_pos[start] >= 0:
-            continue
-        orbit = []
-        p = start
-        while class_of_pos[p] < 0:
-            class_of_pos[p] = len(orbits)
-            orbit.append(p)
-            s = word[(p + 1) % n]
-            p = pos_of[s - half if s > half else s + half]
-        orbits.append(orbit)
-    return pos_of, class_of_pos, orbits
+    iota = equation_tables(fp.ctx)[0]
+    return table_orbits((0, *(iota[y] for y in fp.perm.images)), starts)
 
 
 def reconstruct(fp: FillingPermutation) -> SurfaceReport:
@@ -251,27 +236,27 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     2g-1 of them, and the arcs of each curve chain head-to-tail into one
     closed curve.  A validated filling permutation that failed any of
     these would indicate an implementation bug, hence the hard error.
+    Vertex classes list 1-based boundary-word positions, in the order of
+    their first position.
     """
     ctx = fp.ctx
     n = ctx.n
+    iota = equation_tables(ctx)[0]
     word = fp.boundary_word()
-    pos_of, class_of_pos, orbits = _corner_orbits(ctx, word)
+    cls, orbits = corner_orbits(fp, word)
     if any(len(o) != 4 for o in orbits) or len(orbits) != ctx.i_min:
         raise ReconstructionError("corner orbits are not 4-valent")
 
-    # head corner of the directed edge carrying symbol s
-    head = lambda s: class_of_pos[pos_of[s]]
-    # tail corner: the corner before the edge's position
-    tail = lambda s: class_of_pos[(pos_of[s] - 1) % n]
-
+    # the head of edge s is corner s; its tail is the corner before it,
+    # which turns a quarter into the inverse of s
     def single_curve(first_symbol: int) -> bool:
         arcs = ctx.i_min
-        heads = [head(first_symbol + 2 * (k - 1)) for k in range(1, arcs + 1)]
+        heads = [cls[first_symbol + 2 * (k - 1)] for k in range(1, arcs + 1)]
         if len(set(heads)) != arcs:
             return False
         for k in range(1, arcs + 1):
             nxt = first_symbol + 2 * (k % arcs)
-            if heads[k - 1] != tail(nxt):
+            if heads[k - 1] != cls[iota[nxt]]:
                 return False
         return True
 
@@ -281,9 +266,12 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     # V - E + F with E = n/2, F = 1
     chi = len(orbits) - n // 2 + 1
     genus = (2 - chi) // 2
+    pos_of = [0] * (n + 1)
+    for p, s in enumerate(word, 1):
+        pos_of[s] = p
     return SurfaceReport(
         genus=genus,
-        vertex_classes=tuple(tuple(p + 1 for p in o) for o in orbits),
+        vertex_classes=tuple(tuple(pos_of[s] for s in o) for o in orbits),
         alpha_is_single_curve=alpha_ok,
         beta_is_single_curve=beta_ok,
         boundary_word=word,

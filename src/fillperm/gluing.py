@@ -4,10 +4,13 @@ A filling pair crossing i times cuts its surface into i - 2g + 2 even
 polygons whose directed edges project to the 2i arcs.  A pattern lists
 each polygon as a cyclic sequence of signed arc ids: +k is arc k forward
 (1 <= k <= i on the first curve, i < k <= 2i for arc k-i of the second),
--k its reverse.  Validity is certified by the quarter-turn corner map:
-rotating one step around any crossing must return after exactly four
-steps, the strands through each crossing must alternate between the two
-curves, and consecutive arcs of each curve must chain head to tail.
+-k its reverse.  Validation reads the edges as the directed-arc symbols
+of `signed_ids` and walks the quarter-turn corner map s -> iota(succ(s)),
+with succ the next edge of the same polygon.  Each orbit is a crossing:
+it must have exactly four corners whose strands alternate between the
+two curves.  Consecutive arcs of each curve must chain head to tail,
+which is the filling equation succ(iota(succ(s))) = tau(s) on the
+forward arcs s.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 
 from .diagram import PairDiagram
 from .filling import FillingPermutation, relabeling_generators, signed_ids
-from .perms import closure
+from .perms import closure, table_orbits
 
 
 @dataclass(frozen=True)
@@ -60,104 +63,85 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def _slot_index(pat: GluingPattern) -> dict[int, tuple[int, int]] | None:
-    """Map signed id -> (polygon, position); None if ids are not each used once."""
-    where: dict[int, tuple[int, int]] = {}
+def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
+    """Every failed pattern condition, in a fixed order, and the polygon
+    of each directed-arc symbol once each signed arc id is used once."""
+    if pat.i < 1:
+        return ["arc count must be positive"], []
+    if not pat.polygons:
+        return ["no polygons"], []
+    failures = [
+        f"polygon {list(poly)} must have even length >= 2"
+        for poly in pat.polygons
+        if len(poly) < 2 or len(poly) % 2
+    ]
+    i = pat.i
+    n = 4 * i
+    values = [v for poly in pat.polygons for v in poly]
+    # nothing is sized by i before the ids are known to number 4i
+    if len(values) != n or len(set(values)) != n or not all(
+        0 < abs(v) <= 2 * i for v in values
+    ):
+        failures.append("each signed arc id must occur exactly once")
+        return failures, []
+
+    # the edges as the symbols of `signed_ids`, whose negative ids wrap
+    # to the top of `sym`: odd symbols are the first curve's arcs and
+    # s + 2i is the inverse of s
+    ids = signed_ids(i)
+    sym = [0] * (n + 1)
+    for s in range(1, n + 1):
+        sym[ids[s]] = s
+    iota = [0, *range(2 * i + 1, n + 1), *range(1, 2 * i + 1)]
+    succ = [0] * (n + 1)
+    polygon = [0] * (n + 1)
+    position = [0] * (n + 1)
     for pi, poly in enumerate(pat.polygons):
         for qi, v in enumerate(poly):
-            if v == 0 or abs(v) > 2 * pat.i or v in where:
-                return None
-            where[v] = (pi, qi)
-    if len(where) != 4 * pat.i:
-        return None
-    return where
+            succ[sym[v]] = sym[poly[(qi + 1) % len(poly)]]
+            polygon[sym[v]] = pi
+            position[sym[v]] = qi
+        if any(sym[v] % 2 == succ[sym[v]] % 2 for v in poly):
+            failures.append(f"polygon {pi}: consecutive edges on one curve")
 
+    _, orbits = table_orbits([iota[s] for s in succ], [sym[v] for v in values])
+    for orbit in orbits:
+        at = (polygon[orbit[0]], position[orbit[0]])
+        if len(orbit) != 4:
+            failures.append(f"corner orbit of size {len(orbit)} at {at}")
+        elif orbit[0] % 2 == orbit[1] % 2 or orbit[1] % 2 == orbit[2] % 2:
+            failures.append(f"crossing at {at} is not transverse")
+    if len(orbits) != i and not failures:
+        failures.append(f"{len(orbits)} crossings found, expected {i}")
 
-def _corner_map(pat: GluingPattern, where) -> dict[tuple[int, int], tuple[int, int]]:
-    """Quarter turn: step to the next slot clockwise, then to its inverse."""
-    M = {}
-    for pi, poly in enumerate(pat.polygons):
-        size = len(poly)
-        for qi in range(size):
-            succ = poly[(qi + 1) % size]
-            M[(pi, qi)] = where[-succ]
-    return M
+    if not failures:
+        # consecutive arcs of each curve chain head to tail: the filling
+        # equation succ(iota(succ(s))) = tau(s) on the forward arcs,
+        # where tau steps s to s + 2 along its curve
+        for a in range(1, 2 * i + 1):
+            s = sym[a]
+            nxt = s + 2 if s + 2 <= 2 * i else s + 2 - 2 * i
+            if succ[iota[succ[s]]] != nxt:
+                failures.append(f"arc {a} does not continue into arc {ids[nxt]}")
+
+    # connectivity of polygons through arc pairings
+    if not failures and len(pat.polygons) > 1:
+        reached: set[int] = set()
+        grown = {0}
+        while len(grown) > len(reached):
+            reached = grown
+            grown = reached | {
+                polygon[iota[s]] for s in range(1, n + 1) if polygon[s] in reached
+            }
+        if len(reached) != len(pat.polygons):
+            failures.append("glued complex is disconnected")
+
+    return failures, polygon
 
 
 def validate(pat: GluingPattern) -> ValidationReport:
     """Check the full set of pattern conditions, reporting each failure."""
-    failures: list[str] = []
-    if pat.i < 1:
-        return ValidationReport(False, ("arc count must be positive",))
-    if not pat.polygons:
-        return ValidationReport(False, ("no polygons",))
-    for poly in pat.polygons:
-        if len(poly) < 2 or len(poly) % 2:
-            failures.append(f"polygon {list(poly)} must have even length >= 2")
-    where = _slot_index(pat)
-    if where is None:
-        failures.append("each signed arc id must occur exactly once")
-        return ValidationReport(False, tuple(failures))
-
-    on_first = lambda v: abs(v) <= pat.i
-
-    for pi, poly in enumerate(pat.polygons):
-        for qi in range(len(poly)):
-            if on_first(poly[qi]) == on_first(poly[(qi + 1) % len(poly)]):
-                failures.append(f"polygon {pi}: consecutive edges on one curve")
-                break
-
-    M = _corner_map(pat, where)
-    seen: set[tuple[int, int]] = set()
-    orbits = 0
-    for slot in M:
-        if slot in seen:
-            continue
-        orbit = []
-        s = slot
-        while s not in seen:
-            seen.add(s)
-            orbit.append(s)
-            s = M[s]
-        orbits += 1
-        if len(orbit) != 4:
-            failures.append(f"corner orbit of size {len(orbit)} at {orbit[0]}")
-        else:
-            curves = [on_first(pat.polygons[p][q]) for p, q in orbit]
-            if curves[0] == curves[1] or curves[1] == curves[2]:
-                failures.append(f"crossing at {orbit[0]} is not transverse")
-    if orbits != pat.i and not failures:
-        failures.append(f"{orbits} crossings found, expected {pat.i}")
-
-    if not failures:
-        # consecutive arcs of each curve must chain head to tail: two
-        # quarter turns from an arc's head slot land on the next arc's
-        # inverse slot
-        for a in range(1, 2 * pat.i + 1):
-            if a <= pat.i:
-                nxt = a % pat.i + 1
-            else:
-                nxt = (a - pat.i) % pat.i + pat.i + 1
-            if M[M[where[a]]] != where[-nxt]:
-                failures.append(f"arc {a} does not continue into arc {nxt}")
-
-    # connectivity of polygons through arc pairings
-    if not failures and len(pat.polygons) > 1:
-        adj: dict[int, set[int]] = {p: set() for p in range(len(pat.polygons))}
-        for a in range(1, 2 * pat.i + 1):
-            p1, p2 = where[a][0], where[-a][0]
-            adj[p1].add(p2)
-            adj[p2].add(p1)
-        todo = [0]
-        reached = {0}
-        while todo:
-            for q in adj[todo.pop()]:
-                if q not in reached:
-                    reached.add(q)
-                    todo.append(q)
-        if len(reached) != len(pat.polygons):
-            failures.append("glued complex is disconnected")
-
+    failures, _ = _check(pat)
     return ValidationReport(not failures, tuple(failures))
 
 
@@ -178,14 +162,10 @@ def t1(pat: GluingPattern) -> int:
     Each such arc supports exactly one simple closed curve crossing the
     pair once (the chord of that polygon joining the two sides).
     """
-    report = validate(pat)
-    if not report.ok:
-        raise ValueError("invalid pattern: " + "; ".join(report.failures))
-    where = _slot_index(pat)
-    assert where is not None
-    return sum(
-        1 for a in range(1, 2 * pat.i + 1) if where[a][0] == where[-a][0]
-    )
+    failures, polygon = _check(pat)
+    if failures:
+        raise ValueError("invalid pattern: " + "; ".join(failures))
+    return sum(polygon[s] == polygon[s + 2 * pat.i] for s in range(1, 2 * pat.i + 1))
 
 
 def from_filling(fp: FillingPermutation) -> GluingPattern:

@@ -127,20 +127,8 @@ class Permutation:
         Fixed points are included as 1-cycles, so concatenating the
         cycles always recovers the full symbol set.
         """
-        seen = [False] * (self.n + 1)
-        out: list[tuple[int, ...]] = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self._img[start]
-            while j != start:
-                seen[j] = True
-                cyc.append(j)
-                j = self._img[j]
-            out.append(tuple(cyc))
-        return out
+        orbits = table_orbits(self._img, range(1, self.n + 1))[1]
+        return [tuple(c) for c in orbits]
 
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
@@ -301,3 +289,27 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
         frontier = nxt
     return sorted(group)
 
+
+
+def table_orbits(
+    table: Sequence[int], starts: Iterable[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Orbits of j -> table[j] through the given start symbols.
+
+    `table` is an image table padded at index 0.  Returns the orbit index
+    of each symbol (-1 where no start leads) and the orbits, in the order
+    of their first start, each listed from that start along the map.
+    """
+    orbit_of = [-1] * len(table)
+    orbits: list[list[int]] = []
+    for start in starts:
+        if orbit_of[start] >= 0:
+            continue
+        orbit = []
+        j = start
+        while orbit_of[j] < 0:
+            orbit_of[j] = len(orbits)
+            orbit.append(j)
+            j = table[j]
+        orbits.append(orbit)
+    return orbit_of, orbits

@@ -6,6 +6,9 @@ import math
 
 from .filling import FillingPermutation, signed_ids
 
+# width and height of the drawing, in pixels
+SIZE = 640
+
 
 def _edge_label(fp: FillingPermutation, sym: int) -> str:
     i = fp.ctx.i_min
@@ -15,14 +18,14 @@ def _edge_label(fp: FillingPermutation, sym: int) -> str:
     return f"{name}{arc}{tick}"
 
 
-def diagram_svg(fp: FillingPermutation, size: int = 640) -> str:
+def diagram_svg(fp: FillingPermutation) -> str:
     """Regular polygon with directed, labelled edges and one chord per
     identified edge pair."""
     n = fp.ctx.n
     half = 4 * fp.ctx.g - 2
     word = fp.boundary_word()
-    cx = cy = size / 2.0
-    radius = size * 0.40
+    cx = cy = SIZE / 2.0
+    radius = SIZE * 0.40
 
     # polygon vertices, clockwise starting at the top
     verts = []
@@ -39,8 +42,8 @@ def diagram_svg(fp: FillingPermutation, size: int = 640) -> str:
     pos_of = {s: p for p, s in enumerate(word)}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
 
     # chords between identified edges (each pair once)
@@ -78,7 +81,7 @@ def diagram_svg(fp: FillingPermutation, size: int = 640) -> str:
         ly = cy + (my - cy) * 1.12
         parts.append(
             f'<text class="label" x="{lx:.1f}" y="{ly:.1f}" '
-            f'font-size="{max(10, size // 48)}" text-anchor="middle" '
+            f'font-size="{max(10, SIZE // 48)}" text-anchor="middle" '
             f'dominant-baseline="middle">{_edge_label(fp, word[p])}</text>'
         )
 

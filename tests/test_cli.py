@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 
@@ -332,6 +333,19 @@ def test_t1_invalid_pattern_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "t1", str(path))
     assert code == 1
     assert "invalid pattern" in err
+
+
+@pytest.mark.parametrize("command", ["t1", "genus"])
+def test_pattern_with_huge_arc_count_exit_1_at_once(capsys, tmp_path, command):
+    # the id count is checked before any table is sized by i
+    path = tmp_path / "huge.json"
+    path.write_text('{"i": 1000000000000, "polygons": [[1, 2, -1, -2]]}')
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == "invalid pattern: each signed arc id must occur exactly once\n"
 
 
 def test_bounds(capsys):

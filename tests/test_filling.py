@@ -204,6 +204,38 @@ def test_reconstruct_all_g3(g3_solutions):
         assert rep.alpha_is_single_curve and rep.beta_is_single_curve
 
 
+def position_corner_orbits(fp):
+    """Reference: the quarter-turn corner map on boundary-word positions.
+
+    Corner p sits after the edge at position p (0-based) and steps to
+    the position of the label inverse to the next edge.  Orbits are
+    listed by least position, as 1-based positions."""
+    word = fp.boundary_word()
+    n = len(word)
+    half = n // 2
+    pos_of = {s: p for p, s in enumerate(word)}
+    seen = [False] * n
+    orbits = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            orbit.append(p + 1)
+            s = word[(p + 1) % n]
+            p = pos_of[s - half if s > half else s + half]
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("g", [1, 3, 4])
+def test_reconstruct_matches_the_position_walk(g, request):
+    for fp in request.getfixturevalue(f"g{g}_solutions"):
+        assert reconstruct(fp).vertex_classes == position_corner_orbits(fp)
+
+
 def test_twisting_closure_sizes():
     sizes = [len(twisting_closure(GenusContext(g))) for g in range(1, 6)]
     assert sizes == [8, 72, 200, 392, 648]

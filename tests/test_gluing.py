@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fillperm.enumeration import count_classes, enumerate_filling
 from fillperm.filling import FillingPermutation, GenusContext
@@ -13,6 +15,7 @@ from fillperm.gluing import (
     search_patterns,
     t1,
     validate,
+    ValidationReport,
 )
 from fillperm.perms import Permutation
 
@@ -220,3 +223,163 @@ def test_one_polygon_patterns_are_the_twisting_classes(g, classes):
 def test_search_output_is_pinned(g, i, digest):
     text = repr([p.polygons for p in search_patterns(g, i, 10**6)])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# ----------------------------------------------------------------------
+# Reference: validation on (polygon, position) slots
+# ----------------------------------------------------------------------
+
+
+def slot_validate(pat):
+    """The pattern conditions checked on a dict of (polygon, position)
+    slots, with the quarter turn stepping to the next slot of the
+    polygon and then to the slot of its inverse."""
+    failures = []
+    if pat.i < 1:
+        return ValidationReport(False, ("arc count must be positive",))
+    if not pat.polygons:
+        return ValidationReport(False, ("no polygons",))
+    for poly in pat.polygons:
+        if len(poly) < 2 or len(poly) % 2:
+            failures.append(f"polygon {list(poly)} must have even length >= 2")
+    where = {}
+    for pi, poly in enumerate(pat.polygons):
+        for qi, v in enumerate(poly):
+            if v == 0 or abs(v) > 2 * pat.i or v in where:
+                where = None
+                break
+            where[v] = (pi, qi)
+        if where is None:
+            break
+    if where is None or len(where) != 4 * pat.i:
+        failures.append("each signed arc id must occur exactly once")
+        return ValidationReport(False, tuple(failures))
+
+    on_first = lambda v: abs(v) <= pat.i
+
+    for pi, poly in enumerate(pat.polygons):
+        for qi in range(len(poly)):
+            if on_first(poly[qi]) == on_first(poly[(qi + 1) % len(poly)]):
+                failures.append(f"polygon {pi}: consecutive edges on one curve")
+                break
+
+    M = {}
+    for pi, poly in enumerate(pat.polygons):
+        for qi in range(len(poly)):
+            M[(pi, qi)] = where[-poly[(qi + 1) % len(poly)]]
+    seen = set()
+    orbits = 0
+    for slot in M:
+        if slot in seen:
+            continue
+        orbit = []
+        s = slot
+        while s not in seen:
+            seen.add(s)
+            orbit.append(s)
+            s = M[s]
+        orbits += 1
+        if len(orbit) != 4:
+            failures.append(f"corner orbit of size {len(orbit)} at {orbit[0]}")
+        else:
+            curves = [on_first(pat.polygons[p][q]) for p, q in orbit]
+            if curves[0] == curves[1] or curves[1] == curves[2]:
+                failures.append(f"crossing at {orbit[0]} is not transverse")
+    if orbits != pat.i and not failures:
+        failures.append(f"{orbits} crossings found, expected {pat.i}")
+
+    if not failures:
+        for a in range(1, 2 * pat.i + 1):
+            if a <= pat.i:
+                nxt = a % pat.i + 1
+            else:
+                nxt = (a - pat.i) % pat.i + pat.i + 1
+            if M[M[where[a]]] != where[-nxt]:
+                failures.append(f"arc {a} does not continue into arc {nxt}")
+
+    if not failures and len(pat.polygons) > 1:
+        adj = {p: set() for p in range(len(pat.polygons))}
+        for a in range(1, 2 * pat.i + 1):
+            p1, p2 = where[a][0], where[-a][0]
+            adj[p1].add(p2)
+            adj[p2].add(p1)
+        todo = [0]
+        reached = {0}
+        while todo:
+            for q in adj[todo.pop()]:
+                if q not in reached:
+                    reached.add(q)
+                    todo.append(q)
+        if len(reached) != len(pat.polygons):
+            failures.append("glued complex is disconnected")
+
+    return ValidationReport(not failures, tuple(failures))
+
+
+SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
+
+
+def split_polygons(draw, values):
+    """values cut into 1-3 consecutive polygons (some may be empty)."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=2)))
+    bounds = [0, *cuts, len(values)]
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def random_patterns(draw):
+    """All 4i ids in random order, perhaps with one id duplicated,
+    dropped or replaced, cut into 1-3 polygons."""
+    i = draw(st.integers(1, 5))
+    values = draw(st.permutations(
+        [v for k in range(1, 2 * i + 1) for v in (k, -k)]))
+    edit = draw(st.sampled_from(["none", "duplicate", "drop", "replace"]))
+    at = draw(st.integers(0, len(values) - 1))
+    if edit == "duplicate":
+        values.insert(at, values[draw(st.integers(0, len(values) - 1))])
+    elif edit == "drop":
+        del values[at]
+    elif edit == "replace":
+        values[at] = draw(st.integers(-2 * i - 1, 2 * i + 1))
+    return GluingPattern.make(i, split_polygons(draw, values))
+
+
+@st.composite
+def swapped_patterns(draw):
+    """A searched valid pattern with two of its entries exchanged."""
+    pats = search_patterns(*draw(st.sampled_from(SEARCH_SIZES[:4])), 10**6)
+    pat = draw(st.sampled_from(pats))
+    slots = [(p, q) for p, poly in enumerate(pat.polygons)
+             for q in range(len(poly))]
+    (p1, q1), (p2, q2) = draw(st.lists(st.sampled_from(slots), min_size=2,
+                                       max_size=2, unique=True))
+    polygons = [list(poly) for poly in pat.polygons]
+    polygons[p1][q1], polygons[p2][q2] = polygons[p2][q2], polygons[p1][q1]
+    return GluingPattern.make(pat.i, polygons)
+
+
+@st.composite
+def renamed_patterns(draw):
+    """A searched valid pattern with the arcs of each curve renumbered at
+    random: the corners keep their shape but the arcs may no longer
+    chain head to tail."""
+    pat = draw(st.sampled_from(
+        search_patterns(*draw(st.sampled_from(SEARCH_SIZES[:4])), 10**6)))
+    i = pat.i
+    first = draw(st.permutations(range(1, i + 1)))
+    second = draw(st.permutations(range(i + 1, 2 * i + 1)))
+    new = [0, *first, *second]
+    return GluingPattern.make(
+        i, [[new[v] if v > 0 else -new[-v] for v in poly] for poly in pat.polygons])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(random_patterns(), swapped_patterns(), renamed_patterns()))
+def test_validate_matches_the_slot_reference(pat):
+    assert validate(pat) == slot_validate(pat)
+
+
+@pytest.mark.parametrize("g, i", SEARCH_SIZES)
+def test_validate_matches_the_slot_reference_on_searched_patterns(g, i):
+    for pat in search_patterns(g, i, 10**6):
+        assert validate(pat) == slot_validate(pat) == ValidationReport(True, ())

@@ -31,7 +31,7 @@ from .filling import (
     reconstruct,
     twisting_closure,
 )
-from .gluing import GluingPattern, euler_genus, t1, validate
+from .gluing import GluingPattern, _valid_genus, euler_genus, t1
 from .hyperbolic import report as hyperbolic_report
 from .perms import DegreeError, Permutation, format_perm, parse
 from .svg import diagram_svg
@@ -216,23 +216,25 @@ def cmd_extend(args) -> int:
 def cmd_t1(args) -> int:
     started = time.time()
     pat = _load_pattern(args.pattern)
-    rep = validate(pat)
-    if not rep.ok:
-        print("invalid pattern: " + "; ".join(rep.failures), file=sys.stderr)
+    try:
+        count = t1(pat)  # validates the pattern, once
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EX_VALIDATION
-    _emit({"command": "t1", "i": pat.i, "t1": t1(pat),
-           "genus": euler_genus(pat)}, started)
+    _emit({"command": "t1", "i": pat.i, "t1": count, "genus": _valid_genus(pat)},
+          started)
     return 0
 
 
 def cmd_genus(args) -> int:
     started = time.time()
     pat = _load_pattern(args.pattern)
-    rep = validate(pat)
-    if not rep.ok:
-        print("invalid pattern: " + "; ".join(rep.failures), file=sys.stderr)
+    try:
+        genus = euler_genus(pat)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EX_VALIDATION
-    _emit({"command": "genus", "i": pat.i, "genus": euler_genus(pat),
+    _emit({"command": "genus", "i": pat.i, "genus": genus,
            "polygons": len(pat.polygons)}, started)
     return 0
 

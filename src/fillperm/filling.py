@@ -189,11 +189,12 @@ class FillingPermutation:
         This is the cycle of the permutation starting at symbol 1; every
         symbol appears exactly once.
         """
+        img = (0, *self.perm.images)
         word = [1]
-        j = self.perm(1)
+        j = img[1]
         while j != 1:
             word.append(j)
-            j = self.perm(j)
+            j = img[j]
         return tuple(word)
 
 

@@ -150,6 +150,11 @@ def euler_genus(pat: GluingPattern) -> int:
     report = validate(pat)
     if not report.ok:
         raise ValueError("invalid pattern: " + "; ".join(report.failures))
+    return _valid_genus(pat)
+
+
+def _valid_genus(pat: GluingPattern) -> int:
+    """`euler_genus` of a pattern already validated."""
     chi = pat.i - 2 * pat.i + len(pat.polygons)
     if (2 - chi) % 2:
         raise ValueError("non-orientable or malformed")

@@ -49,20 +49,6 @@ class ZTemplate:
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1/-1")
 
-    @property
-    def incidence(self) -> tuple[tuple[int, int, int], ...]:
-        """(crossing index along a, index along b, relative sign) triples."""
-        along_b = {a: m for m, a in enumerate(self.order, start=1)}
-        return tuple((i, along_b[i], self.signs[i - 1]) for i in range(1, 6))
-
-    def swap_dual(self) -> "ZTemplate":
-        """The same piece with the roles of the two arcs exchanged."""
-        inv = [0] * 5
-        for m, a in enumerate(self.order, start=1):
-            inv[a - 1] = m
-        dual_signs = tuple(-self.signs[self.order[m - 1] - 1] for m in range(1, 6))
-        return ZTemplate(tuple(inv), dual_signs)
-
     def to_json(self) -> dict:
         return {"order": list(self.order), "signs": list(self.signs)}
 
@@ -178,69 +164,65 @@ def detect_zpieces(fp: FillingPermutation, t: ZTemplate) -> list[ZMatch]:
     around the whole curve, and even embedded occurrences may have the
     a-run's exit point equal to the b-run's entry point when the excised
     vertex's neighbours coincided that way in the parent pair.
+
+    The visit order anchors the check: a run of five crossings on one
+    curve can only be matched by the run on the other curve that starts
+    at its order[0]-th crossing, so each of the 2m runs costs one index
+    lookup and at most four comparisons, O(m) in all.  Both framings are
+    read in the pair's own curve orientations, so reversing a curve can
+    make a piece appear or disappear.
     """
     d = diagram_of(fp)
     m = d.m
     if m < 5:
         return []
-    wrap = lambda x: (x - 1) % m + 1
-    bpos = {label: j for j, label in enumerate(d.beta_seq)}  # 0-based position
+    # doubled arrays instead of modulo: wrap[x] is label x reduced into
+    # 1..m for 0 <= x <= 2m, and bseq[j] the label at 0-based position
+    # j of the second curve for -1 <= j < 2m
+    wrap = (m, *range(1, m + 1), *range(1, m + 1))
+    bseq = d.beta_seq * 2
+    bpos = [0] * (m + 1)
+    for j, label in enumerate(d.beta_seq):
+        bpos[label] = j
+    o0, o1, o2, o3, o4 = (o - 1 for o in t.order)  # 0-based run offsets
+    chirality = {tuple(t.signs): 1, tuple(-s for s in t.signs): -1}
     found: dict[tuple[frozenset[int], frozenset[int]], ZMatch] = {}
-
-    def pattern_match(order_obs, signs_obs) -> int | None:
-        for chir in (1, -1):
-            if order_obs == t.order and signs_obs == tuple(chir * s for s in t.signs):
-                return chir
-        return None
 
     def record(alpha_start: int, beta_start: int, orientation: str, chir: int,
                interior: Sequence[int], ends: tuple[int, int, int, int]) -> None:
-        a_int = frozenset(wrap(alpha_start + i) for i in range(1, 5))
-        b_int = frozenset(wrap(beta_start + i) for i in range(1, 5))
-        key = (a_int, b_int)
+        a_int = wrap[alpha_start + 1:alpha_start + 5]
+        b_int = wrap[beta_start + 1:beta_start + 5]
+        key = (frozenset(a_int), frozenset(b_int))
         if key not in found:
             found[key] = ZMatch(
                 position=alpha_start, orientation=orientation, chirality=chir,
-                beta_start=beta_start,
-                alpha_interior=tuple(wrap(alpha_start + i) for i in range(1, 5)),
-                beta_interior=tuple(wrap(beta_start + i) for i in range(1, 5)),
-                interior_points=frozenset(interior),
-                endpoints=ends,
+                beta_start=beta_start, alpha_interior=a_int, beta_interior=b_int,
+                interior_points=frozenset(interior), endpoints=ends,
             )
 
-    # direct: the first curve carries the a role, run = arcs k..k+5
+    # direct: the first curve carries the a role on labels k..k+4, so the
+    # second curve's run starts at position j, where it visits k + o0
     for k in range(1, m + 1):
-        u = [wrap(k + i) for i in range(5)]
-        positions = {bpos[x] for x in u}
-        for j0 in positions:
-            if not all((j0 + i) % m in positions for i in range(5)):
-                continue
-            visit = [d.beta_seq[(j0 + i) % m] for i in range(5)]
-            order_obs = tuple(u.index(x) + 1 for x in visit)
-            signs_obs = tuple(d.signs[x - 1] for x in u)
-            chir = pattern_match(order_obs, signs_obs)
-            if chir is None:
-                continue
-            ends = (wrap(k - 1), d.beta_seq[(j0 - 1) % m],
-                    d.beta_seq[(j0 + 5) % m], wrap(k + 5))
-            record(k, j0 + 1, "direct", chir, u, ends)
+        j = bpos[wrap[k + o0]]
+        if (bseq[j + 1] == wrap[k + o1] and bseq[j + 2] == wrap[k + o2]
+                and bseq[j + 3] == wrap[k + o3] and bseq[j + 4] == wrap[k + o4]):
+            u = wrap[k:k + 5]
+            chir = chirality.get(tuple(d.signs[x - 1] for x in u))
+            if chir is not None:
+                ends = (wrap[k - 1], bseq[j - 1], bseq[j + 5], wrap[k + 5])
+                record(k, j + 1, "direct", chir, u, ends)
 
-    # swapped: the second curve carries the a role, run = beta arcs r..r+5
-    for r in range(1, m + 1):
-        u = [d.beta_seq[(r - 1 + i) % m] for i in range(5)]
-        uset = set(u)
-        for c in u:
-            if not all(wrap(c + i) in uset for i in range(5)):
-                continue
-            visit = [wrap(c + i) for i in range(5)]
-            order_obs = tuple(u.index(x) + 1 for x in visit)
-            signs_obs = tuple(-d.signs[x - 1] for x in u)
-            chir = pattern_match(order_obs, signs_obs)
-            if chir is None:
-                continue
-            ends = (d.beta_seq[(r - 2) % m], wrap(c - 1),
-                    wrap(c + 5), d.beta_seq[(r + 4) % m])
-            record(c, r, "swapped", chir, u, ends)
+    # swapped: the second curve carries the a role from 0-based position
+    # j on, so the first curve's run starts at label c, visited at j + o0
+    for j in range(m):
+        c = bseq[j + o0]
+        if (bseq[j + o1] == wrap[c + 1] and bseq[j + o2] == wrap[c + 2]
+                and bseq[j + o3] == wrap[c + 3] and bseq[j + o4] == wrap[c + 4]):
+            u = bseq[j:j + 5]
+            chir = chirality.get(tuple(-d.signs[x - 1] for x in u))
+            if chir is not None:
+                ends = (bseq[j - 1], wrap[c - 1], wrap[c + 5], bseq[j + 5])
+                record(c, j + 1, "swapped", chir, u, ends)
 
     return sorted(found.values(), key=lambda z: (z.position, z.orientation))
 
@@ -295,11 +277,3 @@ def derive_template() -> ZTemplate:
         if _passes(t, torus, g3_diagrams, g3_set):
             return t
     raise RuntimeError("template derivation failed")
-
-
-def derive_all_templates() -> list[ZTemplate]:
-    """Every decoration passing the full validity sweep, in sort order."""
-    g3_diagrams, g3_set = _g3_data()
-    torus = _torus_diagram()
-    return [t for t in _candidate_templates()
-            if _passes(t, torus, g3_diagrams, g3_set)]

@@ -33,6 +33,12 @@ def g3_class_reps(ctx3):
 
 
 @pytest.fixture(scope="session")
+def g5_class_reps():
+    """The 25,908 genus-5 class representatives (a sweep of about 14 s)."""
+    return class_representatives(GenusContext(5))
+
+
+@pytest.fixture(scope="session")
 def g4_solutions():
     return enumerate_filling(GenusContext(4))
 

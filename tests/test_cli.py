@@ -16,6 +16,7 @@ from fillperm.cli import main
 from fillperm.enumeration import lower_bound, root_count, upper_bound
 from fillperm.filling import GenusContext, twisting_closure
 from fillperm.perms import Permutation
+from fillperm import gluing
 from fillperm.gluing import GluingPattern
 from fillperm.svg import diagram_svg
 from fillperm.zpiece import derive_template
@@ -298,6 +299,20 @@ def test_t1_and_genus_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "genus", str(path))
     assert code == 0
     assert payload(out)["genus"] == 1
+
+
+@pytest.mark.parametrize("polygon, code", [([1, 2, -1, -2], 0), ([1, -1, 2, -2], 1)],
+                         ids=["valid", "invalid"])
+@pytest.mark.parametrize("command", ["t1", "genus"])
+def test_pattern_commands_check_the_pattern_once(capsys, tmp_path, monkeypatch,
+                                                 command, polygon, code):
+    calls = []
+    check = gluing._check
+    monkeypatch.setattr(gluing, "_check", lambda pat: calls.append(pat) or check(pat))
+    path = tmp_path / "torus.json"
+    path.write_text(GluingPattern.make(1, [polygon]).to_json())
+    assert run(capsys, command, str(path))[0] == code
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["t1", "genus"])

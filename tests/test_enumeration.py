@@ -282,9 +282,8 @@ def test_least_shard_splits_by_second_level(pool_sizes):
     assert pool_sizes == [4, 8, 12]
 
 
-def test_genus_5_class_count():
-    ctx = GenusContext(5)
-    n5 = count_classes(ctx)
+def test_genus_5_class_count(g5_class_reps):
+    n5 = len(g5_class_reps)
     assert n5 == 25_908
     assert lower_bound(5) <= n5 <= upper_bound(5)
 

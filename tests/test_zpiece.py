@@ -1,16 +1,29 @@
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Sequence
 
 import pytest
 
-from fillperm.enumeration import count_Lg, enumerate_filling
-from fillperm.filling import FillingPermutation, GenusContext, canonical_perms
+from fillperm.enumeration import canonical_class_rep, count_Lg
+from fillperm.filling import (
+    FillingPermutation,
+    GenusContext,
+    alpha_reversal,
+    beta_reversal,
+    canonical_perms,
+)
 from fillperm.perms import Permutation
 from fillperm.zpiece import (
     LSequence,
+    ZMatch,
     ZTemplate,
+    _candidate_templates,
+    _g3_data,
+    _passes,
+    _torus_diagram,
     build_from_sequence,
     derive_template,
     detect_zpieces,
+    diagram_of,
     splice,
 )
 
@@ -29,6 +42,119 @@ def all_L7_sequences():
     ]
 
 
+def incidence(t: ZTemplate) -> tuple[tuple[int, int, int], ...]:
+    """(crossing index along a, index along b, relative sign) triples."""
+    along_b = {a: m for m, a in enumerate(t.order, start=1)}
+    return tuple((i, along_b[i], t.signs[i - 1]) for i in range(1, 6))
+
+
+def swap_dual(t: ZTemplate) -> ZTemplate:
+    """The same piece with the roles of the two arcs exchanged."""
+    inv = [0] * 5
+    for m, a in enumerate(t.order, start=1):
+        inv[a - 1] = m
+    dual_signs = tuple(-t.signs[t.order[m - 1] - 1] for m in range(1, 6))
+    return ZTemplate(tuple(inv), dual_signs)
+
+
+def derive_all_templates() -> list[ZTemplate]:
+    """Every decoration passing the full validity sweep, in sort order."""
+    g3_diagrams, g3_set = _g3_data()
+    torus = _torus_diagram()
+    return [t for t in _candidate_templates()
+            if _passes(t, torus, g3_diagrams, g3_set)]
+
+
+# The set-based detector that the order-anchored `detect_zpieces`
+# replaced, kept verbatim as its reference.
+def reference_detect_zpieces(fp: FillingPermutation, t: ZTemplate) -> list[ZMatch]:
+    """All occurrences of the piece's crossing pattern, either framing.
+
+    A direct match puts the a-role on the first curve; a swapped match
+    (the piece's arc-exchange symmetry) puts it on the second.  A match
+    may be mirrored, which flips all five signs at once.  Matches are
+    deduplicated by their arc footprint, so the two framings of one
+    occurrence collapse to a single record.
+
+    Matching is purely by the crossing pattern (consecutive runs on both
+    curves, visit order, signs).  The four run endpoints are reported on
+    each match but not required to be distinct: at genus 3 the runs wrap
+    around the whole curve, and even embedded occurrences may have the
+    a-run's exit point equal to the b-run's entry point when the excised
+    vertex's neighbours coincided that way in the parent pair.
+    """
+    d = diagram_of(fp)
+    m = d.m
+    if m < 5:
+        return []
+    wrap = lambda x: (x - 1) % m + 1
+    bpos = {label: j for j, label in enumerate(d.beta_seq)}  # 0-based position
+    found: dict[tuple[frozenset[int], frozenset[int]], ZMatch] = {}
+
+    def pattern_match(order_obs, signs_obs) -> int | None:
+        for chir in (1, -1):
+            if order_obs == t.order and signs_obs == tuple(chir * s for s in t.signs):
+                return chir
+        return None
+
+    def record(alpha_start: int, beta_start: int, orientation: str, chir: int,
+               interior: Sequence[int], ends: tuple[int, int, int, int]) -> None:
+        a_int = frozenset(wrap(alpha_start + i) for i in range(1, 5))
+        b_int = frozenset(wrap(beta_start + i) for i in range(1, 5))
+        key = (a_int, b_int)
+        if key not in found:
+            found[key] = ZMatch(
+                position=alpha_start, orientation=orientation, chirality=chir,
+                beta_start=beta_start,
+                alpha_interior=tuple(wrap(alpha_start + i) for i in range(1, 5)),
+                beta_interior=tuple(wrap(beta_start + i) for i in range(1, 5)),
+                interior_points=frozenset(interior),
+                endpoints=ends,
+            )
+
+    # direct: the first curve carries the a role, run = arcs k..k+5
+    for k in range(1, m + 1):
+        u = [wrap(k + i) for i in range(5)]
+        positions = {bpos[x] for x in u}
+        for j0 in positions:
+            if not all((j0 + i) % m in positions for i in range(5)):
+                continue
+            visit = [d.beta_seq[(j0 + i) % m] for i in range(5)]
+            order_obs = tuple(u.index(x) + 1 for x in visit)
+            signs_obs = tuple(d.signs[x - 1] for x in u)
+            chir = pattern_match(order_obs, signs_obs)
+            if chir is None:
+                continue
+            ends = (wrap(k - 1), d.beta_seq[(j0 - 1) % m],
+                    d.beta_seq[(j0 + 5) % m], wrap(k + 5))
+            record(k, j0 + 1, "direct", chir, u, ends)
+
+    # swapped: the second curve carries the a role, run = beta arcs r..r+5
+    for r in range(1, m + 1):
+        u = [d.beta_seq[(r - 1 + i) % m] for i in range(5)]
+        uset = set(u)
+        for c in u:
+            if not all(wrap(c + i) in uset for i in range(5)):
+                continue
+            visit = [wrap(c + i) for i in range(5)]
+            order_obs = tuple(u.index(x) + 1 for x in visit)
+            signs_obs = tuple(-d.signs[x - 1] for x in u)
+            chir = pattern_match(order_obs, signs_obs)
+            if chir is None:
+                continue
+            ends = (d.beta_seq[(r - 2) % m], wrap(c - 1),
+                    wrap(c + 5), d.beta_seq[(r + 4) % m])
+            record(c, r, "swapped", chir, u, ends)
+
+    return sorted(found.values(), key=lambda z: (z.position, z.orientation))
+
+
+@pytest.fixture(scope="module")
+def g5_splices(template, g3_solutions):
+    """One splice of every genus-3 solution at each of its five vertices."""
+    return [splice(fp, k, template) for fp in g3_solutions for k in range(1, 6)]
+
+
 def assert_pairwise_disjoint(matches):
     for z1, z2 in combinations(matches, 2):
         assert not (set(z1.alpha_interior) & set(z2.alpha_interior))
@@ -38,7 +164,7 @@ def assert_pairwise_disjoint(matches):
 def test_template_shape(template):
     assert sorted(template.order) == [1, 2, 3, 4, 5]
     assert len(template.signs) == 5
-    assert len(template.incidence) == 5
+    assert len(incidence(template)) == 5
 
 
 def test_template_json_round_trip(template):
@@ -47,7 +173,7 @@ def test_template_json_round_trip(template):
 
 
 def test_swap_dual_is_an_involution(template):
-    assert template.swap_dual().swap_dual() == template
+    assert swap_dual(swap_dual(template)) == template
 
 
 def test_torus_splice_is_valid_genus3(template, g3_solutions):
@@ -150,9 +276,46 @@ def test_derivation_is_deterministic(template):
 
 
 def test_all_valid_decorations_recorded(template):
-    from fillperm.zpiece import derive_all_templates
-
     everything = derive_all_templates()
     assert everything
     assert everything[0] == template
     assert len(set(everything)) == len(everything)
+
+
+def test_detect_matches_the_reference_detector(template, g3_solutions,
+                                               g4_solutions, g5_splices):
+    builds = [build_from_sequence(s, template)
+              for s in all_L5_sequences() + all_L7_sequences()]
+    for fp in [*g3_solutions, *g5_splices, *builds, *g4_solutions[::8]]:
+        assert detect_zpieces(fp, template) == reference_detect_zpieces(fp, template)
+    # other decorations, on pairs where they match now and then
+    pairs = [*g3_solutions[::20], *g5_splices[::100]]
+    matches = 0
+    for t in islice(_candidate_templates(), 0, None, 61):
+        for fp in pairs:
+            found = detect_zpieces(fp, t)
+            assert found == reference_detect_zpieces(fp, t)
+            matches += len(found)
+    assert matches
+
+
+def test_genus5_pieces_mark_the_classes_one_splice_reaches(
+        template, g5_splices, g5_class_reps):
+    # detection reads the pair in its own curve orientations, so a class
+    # shows a piece in some orientation of its representative, not
+    # necessarily in the representative itself
+    ctx = GenusContext(5)
+    reached = {canonical_class_rep(ctx, fp.perm) for fp in g5_splices}
+    ra, rb = alpha_reversal(ctx), beta_reversal(ctx)
+    flips = (ra, rb, ra.compose(rb))
+    plain, oriented = set(), set()
+    for rep in g5_class_reps:
+        if detect_zpieces(rep, template):
+            plain.add(rep.perm)
+            oriented.add(rep.perm)
+        elif any(detect_zpieces(FillingPermutation(ctx, rep.perm.conjugate_by(f)),
+                                template) for f in flips):
+            oriented.add(rep.perm)
+    assert len(reached) == 56
+    assert oriented == reached
+    assert len(plain) == 12

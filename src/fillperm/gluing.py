@@ -211,16 +211,18 @@ def _relabeling_tables(i: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _normalize(polygons: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Rotate each polygon to its least phase and sort the polygons."""
+    """Start each polygon at its least id (its least rotation) and sort them."""
     normed = []
     for poly in polygons:
-        best = None
-        for r in range(len(poly)):
-            cand = tuple(poly[r:]) + tuple(poly[:r])
-            if best is None or cand < best:
-                best = cand
-        normed.append(best)
+        k = poly.index(min(poly))
+        normed.append(tuple(poly[k:]) + tuple(poly[:k]))
     return tuple(sorted(normed))
+
+
+def _orbit(pat: GluingPattern) -> set[tuple[tuple[int, ...], ...]]:
+    """The normalized forms of a pattern under every arc relabeling."""
+    tables = _relabeling_tables(pat.i)
+    return {_normalize([[t[v] for v in p] for p in pat.polygons]) for t in tables}
 
 
 def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
@@ -229,39 +231,37 @@ def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
     Polygon rotations are absorbed by the normalization; the polygon
     order is sorted away.  Full surface homeomorphism is deliberately
     not quotiented, so the count may split some topological classes.
+    ValueError if a signed id repeats or is not one of +-1..+-2i.
     """
-    best = None
-    for table in _relabeling_tables(pat.i):
-        cand = _normalize([[table[v] for v in poly] for poly in pat.polygons])
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    values = [v for poly in pat.polygons for v in poly]
+    if len(set(values) & set(signed_ids(pat.i)[1:])) < len(values):
+        raise ValueError("signed arc ids must be distinct and in range")
+    return min(_orbit(pat))
 
 
 @lru_cache(maxsize=None)
 def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
+    """Orbit sweep: a diagram of a seen class is skipped; a new class
+    adds its whole orbit to `seen` and its least form to the output."""
     m = intersections
     want_faces = intersections - 2 * genus + 2
     if want_faces < 1:
         return ()
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    out: list[tuple[tuple, GluingPattern]] = []
-    for rest in permutations(range(2, m + 1)):
-        bseq = (1,) + rest
-        for signs in product((-1, 1), repeat=m):
-            d = PairDiagram(m, bseq, signs)
-            faces = d.faces()
-            if len(faces) != want_faces or any(len(f) == 2 for f in faces):
-                continue
-            pat = pattern_of_diagram(d)
-            key = canonical_key(pat)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((key, GluingPattern.make(m, key)))
-    out.sort(key=lambda kp: kp[0])
-    return tuple(pat for _, pat in out)
+    keys = []
+    orders = permutations(range(2, m + 1))
+    for rest, signs in product(orders, product((-1, 1), repeat=m)):
+        d = PairDiagram(m, (1, *rest), signs)
+        faces = d.faces()
+        if len(faces) != want_faces or any(len(f) == 2 for f in faces):
+            continue
+        pat = pattern_of_diagram(d)
+        if _normalize(pat.polygons) in seen:
+            continue
+        orbit = _orbit(pat)
+        seen |= orbit
+        keys.append(min(orbit))
+    return tuple(GluingPattern.make(m, key) for key in sorted(keys))
 
 
 def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPattern]:
@@ -278,9 +278,9 @@ def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPa
     number.
     """
     if genus < 1 or intersections < 1 or limit < 0:
-        raise ValueError("genus, intersections and limit must be positive")
+        raise ValueError("limit must be non-negative, genus and intersections positive")
     if intersections < 2 * genus - 1:
         return []
-    if 4 * intersections > 24:
+    if 4 * intersections > 28:
         raise ValueError("search space too large")
     return list(_search_all(genus, intersections)[:limit])

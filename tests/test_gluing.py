@@ -20,6 +20,7 @@ from fillperm.gluing import (
 from fillperm.perms import Permutation
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
+SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
 
 
 def test_torus_square_valid():
@@ -142,7 +143,20 @@ def test_search_g3_i6_bound():
 
 def test_search_guard():
     with pytest.raises(ValueError, match="search space too large"):
-        search_patterns(3, 7, 1)
+        search_patterns(4, 8, 1)
+    # seven crossings are admitted: three polygons at genus 3
+    res = search_patterns(3, 7, 10**6)
+    assert res
+    for pat in res:
+        assert validate(pat).ok
+        assert euler_genus(pat) == 3
+        assert len(pat.polygons) == 3
+
+
+def test_search_rejects_a_negative_limit():
+    with pytest.raises(ValueError, match="non-negative"):
+        search_patterns(2, 4, -1)
+    assert search_patterns(2, 4, 0) == []
 
 
 def test_search_below_minimum_returns_empty():
@@ -213,6 +227,15 @@ def test_one_polygon_patterns_are_the_twisting_classes(g, classes):
     assert len(keys) == count_classes(ctx) == classes
 
 
+def test_search_reproduces_the_genus_4_class_count():
+    res = search_patterns(4, 7, 10**6)
+    assert len(res) == count_classes(GenusContext(4)) == 168
+    for pat in res:
+        assert validate(pat).ok
+        assert len(pat.polygons) == 1
+        assert euler_genus(pat) == 4
+
+
 @pytest.mark.parametrize("g, i, digest", [
     (1, 1, "2ffd82ff4bfcfcc9"),
     (2, 4, "dba7097ac6e859f0"),
@@ -223,6 +246,81 @@ def test_one_polygon_patterns_are_the_twisting_classes(g, classes):
 def test_search_output_is_pinned(g, i, digest):
     text = repr([p.polygons for p in search_patterns(g, i, 10**6)])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# ----------------------------------------------------------------------
+# Reference: the canonical key as least rotation over every relabeling
+# ----------------------------------------------------------------------
+
+
+def reference_normalize(polygons):
+    """Rotate each polygon to its least phase and sort the polygons."""
+    normed = []
+    for poly in polygons:
+        best = None
+        for r in range(len(poly)):
+            cand = tuple(poly[r:]) + tuple(poly[:r])
+            if best is None or cand < best:
+                best = cand
+        normed.append(best)
+    return tuple(sorted(normed))
+
+
+def reference_canonical_key(pat):
+    """Least normalized form over the arc relabelings, each polygon
+    tried at every phase."""
+    best = None
+    for table in _relabeling_tables(pat.i):
+        cand = reference_normalize([[table[v] for v in poly] for poly in pat.polygons])
+        if best is None or cand < best:
+            best = cand
+    assert best is not None
+    return best
+
+
+@pytest.mark.parametrize("g, i", SEARCH_SIZES)
+def test_canonical_key_matches_the_reference_on_searched_patterns(g, i):
+    for pat in search_patterns(g, i, 10**6):
+        assert canonical_key(pat) == reference_canonical_key(pat) == pat.polygons
+
+
+def test_canonical_key_matches_the_reference_on_genus_3_pairs(g3_solutions):
+    assert len(g3_solutions) == 600
+    for fp in g3_solutions:
+        pat = from_filling(fp)
+        assert canonical_key(pat) == reference_canonical_key(pat)
+
+
+@st.composite
+def moved_patterns(draw):
+    """A searched pattern and a copy under a random relabeling, with each
+    polygon rotated at random and the polygons shuffled."""
+    pat = draw(st.sampled_from(
+        search_patterns(*draw(st.sampled_from(SEARCH_SIZES)), 10**6)))
+    table = draw(st.sampled_from(_relabeling_tables(pat.i)))
+    moved = []
+    for poly in pat.polygons:
+        r = draw(st.integers(0, len(poly) - 1))
+        moved.append([table[v] for v in poly[r:] + poly[:r]])
+    return pat, GluingPattern.make(pat.i, draw(st.permutations(moved)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(moved_patterns())
+def test_canonical_key_is_invariant_on_the_orbit(pair):
+    pat, moved = pair
+    assert canonical_key(moved) == canonical_key(pat)
+
+
+@pytest.mark.parametrize("polygons", [
+    [[1, 2, 1, -2]],
+    [[1, 2, -1], [-2, 2]],
+    [[1, 2, -1, -3]],
+    [[0, 2, -1, -2]],
+])
+def test_canonical_key_rejects_repeated_or_foreign_ids(polygons):
+    with pytest.raises(ValueError, match="distinct"):
+        canonical_key(GluingPattern.make(1, polygons))
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +412,6 @@ def slot_validate(pat):
             failures.append("glued complex is disconnected")
 
     return ValidationReport(not failures, tuple(failures))
-
-
-SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
 
 
 def split_polygons(draw, values):

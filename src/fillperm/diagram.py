@@ -1,4 +1,4 @@
-"""Crossing diagrams: the combinatorial map of a pair of curves.
+"""Crossing diagrams: a pair of curves as the quarter-turn corner map.
 
 A pair of closed curves (a, b) meeting transversely in m points, with the
 points labelled 1..m along a, is captured by:
@@ -7,11 +7,15 @@ points labelled 1..m along a, is captured by:
                  terminal point of b's arc j),
   * signs     -- the local crossing chirality at each point.
 
-Each point carries four darts (the germs of the in/out strands of the two
-curves); the sign chooses between the two possible rotations.  Faces of
-the resulting map are the complementary polygons of the pair; a single
-face with m odd is exactly an oriented minimally intersecting filling
-pair, which converts losslessly to and from a filling permutation.
+The directed arcs carry the filling symbols: 2k-1 is alpha arc k, 2k is
+beta arc k and s+2m is the inverse of s.  The heads of four arcs meet at
+each point, and a quarter turn around the point is the corner map of
+`filling.corner_orbits`; the sign chooses its direction.  The face walk
+leaves each corner along the inverse of the arc it turns to, so its
+successor is s -> iota(corner(s)).  Faces of the map are the
+complementary polygons of the pair; a single face with m odd is exactly
+an oriented minimally intersecting filling pair, and then the successor
+is its filling permutation.
 
 The module is internal machinery shared by surface reconstruction, the
 splice construction and the small-pattern search.
@@ -23,10 +27,6 @@ from dataclasses import dataclass
 
 from .filling import FillingPermutation, GenusContext, corner_orbits
 from .perms import Permutation, table_orbits
-
-# Dart slots at each point: the germ of the incoming/outgoing strand of
-# either curve.
-AI, AO, BI, BO = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -45,51 +45,24 @@ class PairDiagram:
         if len(self.signs) != self.m or any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1/-1 per point")
 
-    # -- dart bookkeeping ----------------------------------------------
-
-    def _rotation(self) -> list[int]:
-        """rho[dart] = next dart around the same point (fixed direction)."""
-        rho = [0] * (4 * self.m)
-        for p in range(1, self.m + 1):
-            base = 4 * (p - 1)
-            if self.signs[p - 1] > 0:
-                order = (AI, BI, AO, BO)
-            else:
-                order = (AI, BO, AO, BI)
-            for a, b in zip(order, order[1:] + order[:1]):
-                rho[base + a] = base + b
-        return rho
-
-    def _arcs(self):
-        """Head and tail dart of each directed arc, padded at index 0.
-
-        Arcs are indexed by their filling symbols: 2k-1 is alpha arc k,
-        2k is beta arc k and s+2m is the inverse of s.
-        """
-        m = self.m
-        bseq = self.beta_seq
-        head = [0] * (4 * m + 1)
-        tail = [0] * (4 * m + 1)
-        for k in range(1, m + 1):
-            # alpha arc k ends at point k; beta arc k ends at bseq[k-1]
-            prev = k - 1 if k > 1 else m
-            for s, h, t in (
-                (2 * k - 1, 4 * (k - 1) + AI, 4 * (prev - 1) + AO),
-                (2 * k, 4 * (bseq[k - 1] - 1) + BI, 4 * (bseq[k - 2] - 1) + BO),
-            ):
-                head[s] = tail[s + 2 * m] = h
-                tail[s] = head[s + 2 * m] = t
-        return head, tail
-
     def _next_arc(self) -> list[int]:
-        """The face-walk successor on directed arc symbols, padded at 0."""
-        head, tail = self._arcs()
-        rho = self._rotation()
-        n = 4 * self.m
-        leaving = [0] * n
-        for s in range(1, n + 1):
-            leaving[tail[s]] = s
-        return [0] + [leaving[rho[head[s]]] for s in range(1, n + 1)]
+        """The face-walk successor on directed arc symbols, padded at 0.
+
+        At point p, the end of beta arc j, the arc heads are alpha arc p
+        (ai), beta arc j (bi) and the inverses of alpha arc p+1 (ao) and
+        beta arc j+1 (bo).  A quarter turn visits them ai, bi, ao, bo, or
+        ai, bo, ao, bi when the sign is -1.
+        """
+        m, half = self.m, 2 * self.m
+        nxt = [0] * (2 * half + 1)
+        for j, p in enumerate(self.beta_seq, 1):
+            ai, bi = 2 * p - 1, 2 * j
+            ao, bo = 2 * (p % m) + 1 + half, 2 * (j % m) + 2 + half
+            if self.signs[p - 1] < 0:
+                bi, bo = bo, bi
+            for s, t in ((ai, bi), (bi, ao), (ao, bo), (bo, ai)):
+                nxt[s] = t + half if t <= half else t - half
+        return nxt
 
     # -- faces -----------------------------------------------------------
 
@@ -131,42 +104,22 @@ class PairDiagram:
 def diagram_of(fp: FillingPermutation) -> PairDiagram:
     """Extract the crossing diagram of a filling permutation.
 
-    Points are labelled along the first curve; the rotation at each point
-    is read off the quarter-turn corner map of the glued polygon.
+    The points are the corner orbits, labelled along the first curve: the
+    head of alpha arc k is point k.  Beta arc j ends at the point of
+    symbol 2j, and the sign at point k is +1 exactly when the corner map
+    turns alpha arc k into a forward arc, iota(s(2k-1)) <= 2m.
+    ValueError unless the diagram read off this way walks back to fp.
     """
-    ctx = fp.ctx
-    m = ctx.i_min
-    cls, orbit_lists = corner_orbits(fp, fp.boundary_word())
-    if len(orbit_lists) != m or any(len(o) != 4 for o in orbit_lists):
-        raise ValueError("corner structure is not 4-valent")
-
-    # label classes along alpha: terminal of alpha arc k gets label k
-    label_of_class = [0] * m
+    m = fp.ctx.i_min
+    s = fp.perm.images
+    cls, orbits = corner_orbits(fp, range(1, 4 * m + 1))
+    label = [0] * len(orbits)
     for k in range(1, m + 1):
-        if label_of_class[cls[2 * k - 1]]:
-            raise ValueError("first curve revisits a crossing")
-        label_of_class[cls[2 * k - 1]] = k
-
-    beta_seq = tuple(label_of_class[cls[2 * j]] for j in range(1, m + 1))
-
-    # classify each corner's incoming arc into a dart slot: odd symbols
-    # lie on the first curve, symbols above 4g-2 are inverse arcs
-    half = 4 * ctx.g - 2
-
-    def slot_of(sym: int) -> int:
-        return (BI if sym % 2 == 0 else AI) + (sym > half)
-
-    signs = [0] * m
-    for label, orbit in zip(label_of_class, orbit_lists):
-        slots = [slot_of(s) for s in orbit]
-        if slots.count(AI) != 1:
-            raise ValueError("crossing is not transverse")
-        at = slots.index(AI)
-        ring = slots[at:] + slots[:at]
-        if ring == [AI, BI, AO, BO]:
-            signs[label - 1] = 1
-        elif ring == [AI, BO, AO, BI]:
-            signs[label - 1] = -1
-        else:
-            raise ValueError("crossing is not transverse")
-    return PairDiagram(m, beta_seq, tuple(signs))
+        label[cls[2 * k - 1]] = k
+    beta_seq = tuple(label[cls[2 * j]] for j in range(1, m + 1))
+    # iota(x) <= 2m exactly when x > 2m
+    signs = tuple(1 if s[2 * k - 2] > 2 * m else -1 for k in range(1, m + 1))
+    d = PairDiagram(m, beta_seq, signs)
+    if d._next_arc()[1:] != list(s):
+        raise ValueError("corner structure is not a transverse 4-valent pair")
+    return d

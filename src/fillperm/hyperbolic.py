@@ -31,14 +31,6 @@ def edge_length(g: int) -> float:
     return m_g(g) / (8 * g - 4)
 
 
-def edge_length_oracle(g: int) -> float:
-    """Independent side length via cosh(len/2) = sqrt(2) cos(pi/n)."""
-    if g < 2:
-        raise ValueError("perimeter defined for g >= 2")
-    n = 8 * g - 4
-    return 2.0 * math.acosh(math.sqrt(2.0) * math.cos(math.pi / n))
-
-
 def min_pair_length(g: int) -> float:
     """Least total length of a minimally intersecting filling pair."""
     return m_g(g) / 2.0

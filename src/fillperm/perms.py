@@ -130,9 +130,6 @@ class Permutation:
         orbits = table_orbits(self._img, range(1, self.n + 1))[1]
         return [tuple(c) for c in orbits]
 
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 

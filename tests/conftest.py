@@ -1,9 +1,14 @@
+import contextlib
+import io
+import json
 import multiprocessing
 
 import pytest
 
+from fillperm.cli import main
 from fillperm.enumeration import class_representatives, enumerate_filling
-from fillperm.filling import GenusContext
+from fillperm.filling import FillingPermutation, GenusContext
+from fillperm.perms import Permutation
 from fillperm.zpiece import derive_template
 
 
@@ -33,9 +38,22 @@ def g3_class_reps(ctx3):
 
 
 @pytest.fixture(scope="session")
-def g5_class_reps():
-    """The 25,908 genus-5 class representatives (a sweep of about 14 s)."""
-    return class_representatives(GenusContext(5))
+def g5_listing():
+    """Exit code and parsed output of `fillperm enumerate --genus 5`, which
+    lists the class representatives (one shard search and sweep, about
+    15 s); the session's only genus-5 search."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["enumerate", "--genus", "5"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="session")
+def g5_class_reps(g5_listing):
+    """The 25,908 genus-5 class representatives, from the listing."""
+    ctx = GenusContext(5)
+    return [FillingPermutation(ctx, Permutation(entry["images"]))
+            for entry in g5_listing[1]["results"]]
 
 
 @pytest.fixture(scope="session")

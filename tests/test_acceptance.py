@@ -37,7 +37,6 @@ from fillperm.filling import (
 from fillperm.gluing import from_filling, search_patterns, t1, validate
 from fillperm.hyperbolic import (
     edge_length,
-    edge_length_oracle,
     inj_radius_lower,
     lambda_g,
     lambda_limit,
@@ -49,6 +48,7 @@ from fillperm.hyperbolic import (
 )
 from fillperm.perms import Permutation, identity
 from fillperm.zpiece import LSequence, build_from_sequence, detect_zpieces, splice
+from test_hyperbolic import edge_length_oracle
 
 JOBS = min(8, os.cpu_count() or 1)
 

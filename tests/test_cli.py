@@ -133,10 +133,10 @@ def test_jobs_do_not_change_output(capsys):
         assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_genus_5_counts(capsys):
-    code, out, _ = run(capsys, "enumerate", "--genus", "5", "--count-only")
+def test_genus_5_counts(g5_listing):
+    code, data = g5_listing
     assert code == 0
-    data = payload(out)
+    assert data["schema"] == 1
     assert data["filling_count"] == 16_609_536
     assert data["class_count"] == 25_908
 

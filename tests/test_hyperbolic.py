@@ -4,7 +4,6 @@ import pytest
 
 from fillperm.hyperbolic import (
     edge_length,
-    edge_length_oracle,
     inj_radius_lower,
     lambda_g,
     lambda_limit,
@@ -15,6 +14,14 @@ from fillperm.hyperbolic import (
     polygon_area_coefficient,
     report,
 )
+
+
+def edge_length_oracle(g: int) -> float:
+    """Independent side length via cosh(len/2) = sqrt(2) cos(pi/n)."""
+    if g < 2:
+        raise ValueError("perimeter defined for g >= 2")
+    n = 8 * g - 4
+    return 2.0 * math.acosh(math.sqrt(2.0) * math.cos(math.pi / n))
 
 
 def test_m3_value():

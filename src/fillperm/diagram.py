@@ -82,8 +82,15 @@ class PairDiagram:
         return (2 - chi) // 2
 
     def is_filling_pair(self) -> bool:
-        """Single complementary disk (and hence minimal intersection)."""
-        return self.m % 2 == 1 and self.face_count() == 1
+        """Single complementary disk (and hence minimal intersection).
+
+        Only the face through symbol 1 is walked: it is the only face
+        exactly when it uses all 4m arc sides.
+        """
+        if self.m % 2 == 0:
+            return False
+        face = table_orbits(self._next_arc(), (1,))[1][0]
+        return len(face) == 4 * self.m
 
     # -- conversion to the polygon encoding ------------------------------
 

@@ -182,8 +182,14 @@ def from_filling(fp: FillingPermutation) -> GluingPattern:
 
 def pattern_of_diagram(d: PairDiagram) -> GluingPattern:
     """Cut a crossing diagram along its curves into a gluing pattern."""
-    ids = signed_ids(d.m)
-    return GluingPattern.make(d.m, [[ids[s] for s in face] for face in d.faces()])
+    return _pattern_of_faces(d.m, d.faces())
+
+
+def _pattern_of_faces(m: int, faces: list[list[int]]) -> GluingPattern:
+    """The pattern whose polygons are the given faces of an m-crossing
+    diagram, read from arc symbols into signed arc ids."""
+    ids = signed_ids(m)
+    return GluingPattern.make(m, [[ids[s] for s in face] for face in faces])
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +261,7 @@ def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
         faces = d.faces()
         if len(faces) != want_faces or any(len(f) == 2 for f in faces):
             continue
-        pat = pattern_of_diagram(d)
+        pat = _pattern_of_faces(m, faces)
         if _normalize(pat.polygons) in seen:
             continue
         orbit = _orbit(pat)

@@ -95,6 +95,11 @@ class ZMatch:
 # ----------------------------------------------------------------------
 
 
+# The crossing diagram of the torus pair [2, 3, 4, 1], where every
+# attachment-sequence build starts.
+TORUS_DIAGRAM = PairDiagram(1, (1,), (-1,))
+
+
 def _splice_diagram(d: PairDiagram, k: int, t: ZTemplate) -> PairDiagram:
     vsign = d.signs[k - 1]
     relabel = lambda x: x if x < k else x + 4
@@ -136,10 +141,24 @@ def build_from_sequence(seq: LSequence, t: ZTemplate) -> FillingPermutation:
     Stage i excises the crossing labelled seq.entries[i-1]; the caps
     4i - 3 guarantee the label exists at each stage.  Distinct sequences
     give distinct oriented pairs.
+
+    The stages splice crossing diagrams, starting from `TORUS_DIAGRAM`.
+    Each stage must leave a filling pair, as `splice` would require: a
+    later stage can merge the faces of an earlier one back into a single
+    disk, so checking only the result would accept builds that pass
+    through a non-filling stage.  ValueError names the failing stage and
+    vertex.  Only the final diagram is converted to a (validated)
+    filling permutation.
     """
-    fp = FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
-    for a in seq.entries:
-        fp = splice(fp, a, t)
+    d = TORUS_DIAGRAM
+    for stage, a in enumerate(seq.entries, start=1):
+        if not 1 <= a <= d.m:
+            raise ValueError(f"vertex out of range at stage {stage} (vertex {a})")
+        d = _splice_diagram(d, a, t)
+        if not d.is_filling_pair():
+            raise ValueError(
+                f"complement is not a single disk at stage {stage} (vertex {a})")
+    fp = d.to_filling_permutation()
     assert fp.ctx.g == seq.g
     return fp
 

@@ -195,3 +195,14 @@ def test_diagram_of_matches_the_reference(g3_solutions, g4_solutions):
     assert len(g3_solutions) == 600
     for fp in [*g3_solutions, *g4_solutions[::8]]:
         assert diagram_of(fp) == reference_diagram_of(fp)
+
+
+def test_is_filling_pair_walks_one_face_to_the_face_count_answer():
+    diagrams = [d for m in range(1, 6) for d in all_diagrams(m)]
+    diagrams += all_diagrams(6, anchored=True)
+    filling = 0
+    for d in diagrams:
+        expected = d.m % 2 == 1 and d.face_count() == 1
+        assert d.is_filling_pair() == expected
+        filling += expected
+    assert filling

@@ -1,8 +1,11 @@
+import random
 from itertools import combinations, islice
 from typing import Sequence
 
 import pytest
 
+import fillperm.diagram
+import fillperm.zpiece
 from fillperm.enumeration import canonical_class_rep, count_Lg
 from fillperm.filling import (
     FillingPermutation,
@@ -13,12 +16,14 @@ from fillperm.filling import (
 )
 from fillperm.perms import Permutation
 from fillperm.zpiece import (
+    TORUS_DIAGRAM,
     LSequence,
     ZMatch,
     ZTemplate,
     _candidate_templates,
     _g3_data,
     _passes,
+    _splice_diagram,
     _torus_diagram,
     build_from_sequence,
     derive_template,
@@ -319,3 +324,113 @@ def test_genus5_pieces_mark_the_classes_one_splice_reaches(
     assert len(reached) == 56
     assert oriented == reached
     assert len(plain) == 12
+
+
+# The per-stage round trip through the permutation encoding that the
+# diagram-side `build_from_sequence` replaced, kept verbatim as its
+# reference.
+def reference_build_from_sequence(seq: LSequence, t: ZTemplate) -> FillingPermutation:
+    """Iterate the splice along an attachment sequence, torus upward.
+
+    Stage i excises the crossing labelled seq.entries[i-1]; the caps
+    4i - 3 guarantee the label exists at each stage.  Distinct sequences
+    give distinct oriented pairs.
+    """
+    fp = FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
+    for a in seq.entries:
+        fp = splice(fp, a, t)
+    assert fp.ctx.g == seq.g
+    return fp
+
+
+def all_L9_sequences():
+    return [
+        LSequence(9, (1, a2, a3, a4))
+        for a2 in range(2, 6)
+        for a3 in range(a2 + 1, 10)
+        for a4 in range(a3 + 1, 14)
+    ]
+
+
+def seeded_sequences(g: int, k: int, seed: int) -> list[LSequence]:
+    """k random attachment sequences at genus g, each entry drawn
+    uniformly above its predecessor and under its cap."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(k):
+        entries = [1]
+        for i in range(2, (g - 1) // 2 + 1):
+            entries.append(rng.randint(entries[-1] + 1, 4 * i - 3))
+        out.append(LSequence(g, tuple(entries)))
+    return out
+
+
+def build_outcome(build, seq: LSequence, t: ZTemplate):
+    """The built permutation, or None when the build raises ValueError."""
+    try:
+        return build(seq, t).perm
+    except ValueError:
+        return None
+
+
+def test_torus_diagram_is_the_torus_pair():
+    assert TORUS_DIAGRAM == diagram_of(TORUS())
+    assert TORUS_DIAGRAM.to_filling_permutation().perm == TORUS().perm
+
+
+def test_build_matches_the_reference_build(template):
+    seqs = all_L5_sequences() + all_L7_sequences() + all_L9_sequences()
+    assert len(all_L9_sequences()) == count_Lg(9)
+    seqs += seeded_sequences(21, 200, seed=2013)
+    for seq in seqs:
+        fp = build_from_sequence(seq, template)
+        assert fp.ctx.g == seq.g
+        assert fp.perm == reference_build_from_sequence(seq, template).perm
+
+
+def test_build_fails_where_the_reference_build_fails():
+    seqs = all_L5_sequences() + all_L7_sequences()
+    built = failed = 0
+    for t in islice(_candidate_templates(), 0, None, 61):
+        for seq in seqs:
+            out = build_outcome(build_from_sequence, seq, t)
+            assert out == build_outcome(reference_build_from_sequence, seq, t)
+            built += out is not None
+            failed += out is None
+    assert built and failed
+
+
+def test_build_checks_every_stage():
+    # the second stage has three faces, yet the third stage closes them
+    # back into one disk: only a check at every stage rejects the build
+    t = ZTemplate((1, 3, 2, 5, 4), (-1,) * 5)
+    seq = LSequence(7, (1, 2, 7))
+    d = TORUS_DIAGRAM
+    for a in seq.entries:
+        d = _splice_diagram(d, a, t)
+    assert d.is_filling_pair()
+    with pytest.raises(ValueError, match="stage 2 .vertex 2."):
+        build_from_sequence(seq, t)
+    with pytest.raises(ValueError):
+        reference_build_from_sequence(seq, t)
+
+
+def test_build_converts_to_a_permutation_once(template, monkeypatch):
+    calls = {"FillingPermutation": 0, "diagram_of": 0, "splice": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(fillperm.diagram, "FillingPermutation")
+    count(fillperm.zpiece, "FillingPermutation")
+    count(fillperm.zpiece, "diagram_of")
+    count(fillperm.zpiece, "splice")
+    seq = seeded_sequences(21, 1, seed=2013)[0]
+    assert build_from_sequence(seq, template).ctx.g == 21
+    assert calls == {"FillingPermutation": 1, "diagram_of": 0, "splice": 0}

@@ -17,6 +17,13 @@ complementary polygons of the pair; a single face with m odd is exactly
 an oriented minimally intersecting filling pair, and then the successor
 is its filling permutation.
 
+`crossing_steps` is the one place where the quarter turn is written out:
+the successor table of a whole diagram and the crossing-by-crossing
+pattern search both take their entries from it.  A filling permutation
+made by `PairDiagram.to_filling_permutation` keeps the diagram it was
+made from, and `diagram_of` hands that back instead of reading the
+corner orbits again, so splice and build results carry their diagram.
+
 The module is internal machinery shared by surface reconstruction, the
 splice construction and the small-pattern search.
 """
@@ -27,6 +34,25 @@ from dataclasses import dataclass
 
 from .filling import FillingPermutation, GenusContext, corner_orbits
 from .perms import Permutation, table_orbits
+
+
+def crossing_steps(m: int, j: int, p: int, sign: int
+                   ) -> tuple[tuple[int, int], ...]:
+    """The four face-walk steps (s, successor of s) at point p, the end
+    of beta arc j, in an m-crossing diagram.
+
+    The arc heads at p are alpha arc p (symbol a), beta arc j (b) and
+    the inverses of alpha arc p+1 (a2 + 2m) and beta arc j+1 (b2 + 2m).
+    A quarter turn visits them a, b, a2 + 2m, b2 + 2m, or a, b2 + 2m,
+    a2 + 2m, b when the sign is -1, and each corner steps to the inverse
+    of the next one.
+    """
+    half = 2 * m
+    a, b = 2 * p - 1, 2 * j
+    a2, b2 = 2 * (p % m) + 1, 2 * (j % m) + 2
+    if sign > 0:
+        return (a, b + half), (b, a2), (a2 + half, b2), (b2 + half, a + half)
+    return (a, b2), (b2 + half, a2), (a2 + half, b + half), (b, a + half)
 
 
 @dataclass(frozen=True)
@@ -46,22 +72,16 @@ class PairDiagram:
             raise ValueError("signs must be +1/-1 per point")
 
     def _next_arc(self) -> list[int]:
-        """The face-walk successor on directed arc symbols, padded at 0.
-
-        At point p, the end of beta arc j, the arc heads are alpha arc p
-        (ai), beta arc j (bi) and the inverses of alpha arc p+1 (ao) and
-        beta arc j+1 (bo).  A quarter turn visits them ai, bi, ao, bo, or
-        ai, bo, ao, bi when the sign is -1.
-        """
-        m, half = self.m, 2 * self.m
-        nxt = [0] * (2 * half + 1)
+        """The face-walk successor on directed arc symbols, padded at 0."""
+        m, signs = self.m, self.signs
+        nxt = [0] * (4 * m + 1)
         for j, p in enumerate(self.beta_seq, 1):
-            ai, bi = 2 * p - 1, 2 * j
-            ao, bo = 2 * (p % m) + 1 + half, 2 * (j % m) + 2 + half
-            if self.signs[p - 1] < 0:
-                bi, bo = bo, bi
-            for s, t in ((ai, bi), (bi, ao), (ao, bo), (bo, ai)):
-                nxt[s] = t + half if t <= half else t - half
+            (s1, t1), (s2, t2), (s3, t3), (s4, t4) = crossing_steps(
+                m, j, p, signs[p - 1])
+            nxt[s1] = t1
+            nxt[s2] = t2
+            nxt[s3] = t3
+            nxt[s4] = t4
         return nxt
 
     # -- faces -----------------------------------------------------------
@@ -99,13 +119,16 @@ class PairDiagram:
 
         The face-walk successor on the arc symbols is the permutation.
         Requires a single complementary face; raises ValueError otherwise.
+        The result keeps this diagram for `diagram_of`.
         """
         if self.m % 2 == 0:
             raise ValueError("a filling pair has an odd crossing count")
         p = Permutation(self._next_arc()[1:])
         if not p.is_n_cycle():  # the face at symbol 1 is not every arc
             raise ValueError("complement is not a single disk")
-        return FillingPermutation(GenusContext((self.m + 1) // 2), p)
+        fp = FillingPermutation(GenusContext((self.m + 1) // 2), p)
+        object.__setattr__(fp, "_diagram", self)
+        return fp
 
 
 def diagram_of(fp: FillingPermutation) -> PairDiagram:
@@ -116,7 +139,13 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
     symbol 2j, and the sign at point k is +1 exactly when the corner map
     turns alpha arc k into a forward arc, iota(s(2k-1)) <= 2m.
     ValueError unless the diagram read off this way walks back to fp.
+
+    A permutation made by `PairDiagram.to_filling_permutation` gives
+    back the diagram it was made from, without reading.  Nothing is
+    written back to fp, so pairs from other sources keep no diagram.
     """
+    if fp._diagram is not None:
+        return fp._diagram
     m = fp.ctx.i_min
     s = fp.perm.images
     cls, orbits = corner_orbits(fp, range(1, 4 * m + 1))

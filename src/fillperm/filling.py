@@ -178,6 +178,11 @@ class FillingPermutation:
     ctx: GenusContext
     perm: Permutation
 
+    # The crossing diagram this permutation was made from, when
+    # `PairDiagram.to_filling_permutation` made it.  Not a field: it
+    # takes no part in ==, hash or repr.
+    _diagram = None
+
     def __post_init__(self):
         ok, why = is_filling(self.ctx, self.perm)
         if not ok:

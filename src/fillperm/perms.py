@@ -133,9 +133,6 @@ class Permutation:
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 
-    def is_identity(self) -> bool:
-        return all(self._img[j] == j for j in range(1, self.n + 1))
-
     def is_n_cycle(self) -> bool:
         """True iff the permutation is a single cycle of full length."""
         count = 1

@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+import fillperm.diagram
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.filling import FillingPermutation, GenusContext, corner_orbits
 from fillperm.perms import Permutation
@@ -28,6 +29,20 @@ def test_round_trip_all_g3(g3_solutions):
         assert d.m == 5
         assert d.is_filling_pair()
         assert d.to_filling_permutation().perm == fp.perm
+
+
+def test_diagram_of_writes_nothing_back(g3_solutions, monkeypatch):
+    fp = g3_solutions[0]
+    reads = []
+
+    def counted(*args):
+        reads.append(args)
+        return corner_orbits(*args)
+
+    monkeypatch.setattr(fillperm.diagram, "corner_orbits", counted)
+    assert diagram_of(fp) == diagram_of(fp)
+    assert len(reads) == 2
+    assert vars(fp) == {"ctx": fp.ctx, "perm": fp.perm}
 
 
 def unvalidated(g, images):

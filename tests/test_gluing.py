@@ -1,14 +1,23 @@
 import hashlib
+from collections import Counter
+from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fillperm.diagram import PairDiagram
 from fillperm.enumeration import count_classes, enumerate_filling
 from fillperm.filling import FillingPermutation, GenusContext
 from fillperm.gluing import (
     GluingPattern,
+    _leaves,
+    _normalize,
+    _orbit,
+    _pattern_of_faces,
     _relabeling_tables,
+    _search_all,
     canonical_key,
     euler_genus,
     from_filling,
@@ -236,6 +245,29 @@ def test_search_reproduces_the_genus_4_class_count():
         assert euler_genus(pat) == 4
 
 
+# t1 counts over the patterns of each size: {t1: number of patterns}
+T1_TABLE = {
+    (1, 1): {2: 1},
+    (2, 4): {4: 2},
+    (2, 6): {0: 3, 1: 2, 2: 5, 3: 2, 4: 1},
+    (3, 5): {10: 5},
+    (3, 6): {0: 2, 4: 15, 6: 15, 8: 17},
+    (4, 7): {14: 168},
+    (3, 7): {0: 8, 1: 8, 2: 46, 3: 48, 4: 80, 5: 50, 6: 59, 7: 22, 8: 6},
+    (2, 7): {0: 5, 1: 8, 2: 7},
+    (1, 7): {0: 3},
+}
+
+
+@pytest.mark.parametrize("g, i", T1_TABLE)
+def test_t1_table_is_pinned(g, i):
+    res = search_patterns(g, i, 10**6)
+    assert Counter(t1(pat) for pat in res) == T1_TABLE[g, i]
+    # only the one-polygon patterns reach t1 = 2i, the paper's optimum
+    for pat in res:
+        assert (t1(pat) == 2 * i) == (len(pat.polygons) == 1)
+
+
 @pytest.mark.parametrize("g, i, digest", [
     (1, 1, "2ffd82ff4bfcfcc9"),
     (2, 4, "dba7097ac6e859f0"),
@@ -246,6 +278,75 @@ def test_search_reproduces_the_genus_4_class_count():
 def test_search_output_is_pinned(g, i, digest):
     text = repr([p.polygons for p in search_patterns(g, i, 10**6)])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# ----------------------------------------------------------------------
+# Reference: the brute-force search over every complete diagram
+# ----------------------------------------------------------------------
+
+
+# The loop that the pruned depth-first `_leaves` replaced in
+# `_search_all`, kept verbatim as its reference.
+@lru_cache(maxsize=None)
+def reference_search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
+    """Orbit sweep: a diagram of a seen class is skipped; a new class
+    adds its whole orbit to `seen` and its least form to the output."""
+    m = intersections
+    want_faces = intersections - 2 * genus + 2
+    if want_faces < 1:
+        return ()
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    keys = []
+    orders = permutations(range(2, m + 1))
+    for rest, signs in product(orders, product((-1, 1), repeat=m)):
+        d = PairDiagram(m, (1, *rest), signs)
+        faces = d.faces()
+        if len(faces) != want_faces or any(len(f) == 2 for f in faces):
+            continue
+        pat = _pattern_of_faces(m, faces)
+        if _normalize(pat.polygons) in seen:
+            continue
+        orbit = _orbit(pat)
+        seen |= orbit
+        keys.append(min(orbit))
+    return tuple(GluingPattern.make(m, key) for key in sorted(keys))
+
+
+def reference_leaves(m, want_faces):
+    """(beta_seq, signs) of every complete diagram anchored at point 1
+    that passes the filter of `reference_search_all`."""
+    for rest, signs in product(permutations(range(2, m + 1)),
+                               product((-1, 1), repeat=m)):
+        d = PairDiagram(m, (1, *rest), signs)
+        faces = d.faces()
+        if len(faces) == want_faces and all(len(f) > 2 for f in faces):
+            yield d.beta_seq, d.signs
+
+
+@pytest.mark.parametrize("g, i", SEARCH_SIZES)
+def test_pruned_search_keeps_every_leaf(g, i):
+    want_faces = i - 2 * g + 2
+    leaves = [(beta_seq, signs) for beta_seq, signs, _ in _leaves(i, want_faces)]
+    assert len(leaves) == len(set(leaves))
+    assert set(leaves) == set(reference_leaves(i, want_faces))
+
+
+@pytest.mark.parametrize("g, i", SEARCH_SIZES)
+def test_search_matches_the_brute_force_search(g, i):
+    assert search_patterns(g, i, 10**6) == list(reference_search_all(g, i))
+
+
+def test_leaves_yield_the_diagram_successor_table():
+    for beta_seq, signs, nxt in _leaves(6, 2):
+        assert nxt == PairDiagram(6, beta_seq, signs)._next_arc()
+
+
+def test_search_builds_no_diagram(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a PairDiagram was built")
+
+    monkeypatch.setattr(PairDiagram, "__post_init__", refuse)
+    assert len(_search_all.__wrapped__(3, 6)) == 49
 
 
 # ----------------------------------------------------------------------

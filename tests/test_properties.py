@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fillperm.diagram import PairDiagram, diagram_of
-from fillperm.filling import reconstruct
+from fillperm.filling import FillingPermutation, reconstruct
 from fillperm.gluing import euler_genus, from_filling, pattern_of_diagram
 from fillperm.perms import Permutation, format_perm, parse
 from fillperm.zpiece import LSequence, build_from_sequence, detect_zpieces, splice
@@ -27,6 +27,8 @@ def test_one_face_diagram_round_trip(d):
     assume(d.is_filling_pair())
     fp = d.to_filling_permutation()
     assert diagram_of(fp) == d
+    # fp keeps d, so read the diagram afresh from the permutation too
+    assert diagram_of(FillingPermutation(fp.ctx, fp.perm)) == d
     assert diagram_of(fp).to_filling_permutation() == fp
     rep = reconstruct(fp)
     assert rep.genus == (d.m + 1) // 2

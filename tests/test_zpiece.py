@@ -13,6 +13,7 @@ from fillperm.filling import (
     alpha_reversal,
     beta_reversal,
     canonical_perms,
+    corner_orbits,
 )
 from fillperm.perms import Permutation
 from fillperm.zpiece import (
@@ -434,3 +435,27 @@ def test_build_converts_to_a_permutation_once(template, monkeypatch):
     seq = seeded_sequences(21, 1, seed=2013)[0]
     assert build_from_sequence(seq, template).ctx.g == 21
     assert calls == {"FillingPermutation": 1, "diagram_of": 0, "splice": 0}
+
+
+def test_splices_and_builds_keep_their_diagram(template, g5_splices, monkeypatch):
+    seqs = all_L5_sequences() + all_L7_sequences() + all_L9_sequences()
+    results = g5_splices + [build_from_sequence(seq, template) for seq in seqs]
+    assert len(g5_splices) == 3000
+    fresh = [diagram_of(FillingPermutation(fp.ctx, fp.perm)) for fp in results]
+    reads = []
+
+    def counted(*args):
+        reads.append(args)
+        return corner_orbits(*args)
+
+    monkeypatch.setattr(fillperm.diagram, "corner_orbits", counted)
+    assert [diagram_of(fp) for fp in results] == fresh
+    assert reads == []
+
+
+def test_a_kept_diagram_is_not_part_of_the_value(g5_splices):
+    for fp in g5_splices:
+        plain = FillingPermutation(fp.ctx, fp.perm)
+        assert fp == plain
+        assert hash(fp) == hash(plain)
+        assert repr(fp) == repr(plain)

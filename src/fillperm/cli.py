@@ -153,7 +153,7 @@ def cmd_enumerate(args) -> int:
         listed = reps if args.limit is None else reps[: args.limit]
         # validated here, for the listed representatives only
         results = [
-            _perm_payload(FillingPermutation(ctx, Permutation(list(img))).perm)
+            _perm_payload(FillingPermutation(ctx, Permutation(img)).perm)
             for img in listed
         ]
         if args.classes:

@@ -36,6 +36,10 @@ from .filling import (
 from .perms import Permutation
 
 DEFAULT_GUARD = 5
+# `enumerate_filling` keeps every solution as a FillingPermutation, about
+# 417 B each (tracemalloc: 26.2 MiB for the 65,856 of genus 4), so genus 5
+# and its 16,609,536 solutions would take about 6.9 GB.
+LISTED_GENUS = 4
 # Solutions are byte strings of their n = 8g-4 images, so n < 256; no
 # override lifts this.
 MAX_ENUMERATED_GENUS = 32
@@ -353,10 +357,21 @@ def count_roots_verified(ctx: GenusContext) -> int:
 def enumerate_filling(
     ctx: GenusContext, *, jobs: int = 1, force: bool = False
 ) -> list[FillingPermutation]:
-    """All filling permutations at the given genus, deterministic order."""
+    """All filling permutations at the given genus, deterministic order.
+
+    The list holds every solution, so above genus `LISTED_GENUS` it is
+    refused unless force is set."""
     check_guard(ctx.g, force)
+    if ctx.g > LISTED_GENUS and not force:
+        raise GuardExceeded(
+            f"genus {ctx.g} exceeds {LISTED_GENUS}, the largest genus "
+            "enumerate_filling lists: it holds every solution at about "
+            "417 B each, and genus 5 alone has 16,609,536 (about 6.9 GB). "
+            "count_classes and class_representatives hold one shard; "
+            "pass force=True to override."
+        )
     return [
-        FillingPermutation(ctx, Permutation(list(img)))
+        FillingPermutation(ctx, Permutation(img))
         for img in _solution_images(ctx, jobs)
     ]
 
@@ -443,7 +458,7 @@ def class_representatives(
 ) -> list[FillingPermutation]:
     """Canonical representative of every twisting class, sorted."""
     _, reps = _count_and_classify(ctx, jobs=jobs, force=force)
-    return [FillingPermutation(ctx, Permutation(list(img))) for img in reps]
+    return [FillingPermutation(ctx, Permutation(img)) for img in reps]
 
 
 def classify_solutions(
@@ -452,7 +467,7 @@ def classify_solutions(
     """Class representatives of an already-enumerated solution list."""
     images = [bytes(fp.perm.images) for fp in solutions]
     return [
-        FillingPermutation(ctx, Permutation(list(img)))
+        FillingPermutation(ctx, Permutation(img))
         for img in _class_minima(ctx, images)
     ]
 

@@ -144,24 +144,54 @@ def beta_reversal(ctx: GenusContext) -> Permutation:
 def equation_tables(ctx: GenusContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Image tables of iota and tau, padded at index 0."""
     cp = canonical_perms(ctx)
-    return (0, *cp.iota.images), (0, *cp.tau.images)
+    return cp.iota.padded, cp.tau.padded
 
 
 def is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
     """Test the three filling conditions; on failure name the first broken one.
 
-    The equation is checked on the image tuples, s(iota(s(j))) = tau(j)
-    for every j, without building the products as permutations.
+    One walk of the cycle through symbol 1 decides all three.  A
+    permutation of the n = 8g-4 symbols respects parity when it maps the
+    odd symbols all to odd ones or all to even ones.  An n-cycle cannot
+    do the first: the cycle through 1 would stay among the n/2 odd
+    symbols.  So an n-cycle respects parity exactly when every step of
+    the walk, the closing step back to 1 included, changes parity: the
+    walk goes odd, even, odd, ... and the n-cycle condition is that it
+    takes n steps.  On an n-cycle the walk visits every j, so it also
+    checks the equation s(iota(s(j))) = tau(j) on the padded image
+    tables, without building the products as permutations.
     """
-    if p.n != ctx.n:
+    n = ctx.n
+    if p.n != n:
         raise ValueError("degree mismatch")
-    if not p.is_n_cycle():
-        return False, "not an n-cycle"
-    if not p.is_parity_respecting():
-        return False, "not parity respecting"
     iota, tau = equation_tables(ctx)
-    s = (0, *p.images)
-    if any(s[iota[s[j]]] != tau[j] for j in range(1, ctx.n + 1)):
+    s = p.padded
+    steps = 0
+    flips = solves = True
+    j = 1
+    while True:
+        # two steps a turn, from odd j to even k and on to odd s[k]
+        k = s[j]
+        steps += 1
+        if k & 1:
+            flips = False
+        if s[iota[k]] != tau[j]:
+            solves = False
+        if k == 1:
+            break
+        j = s[k]
+        steps += 1
+        if not j & 1:
+            flips = False
+        if s[iota[j]] != tau[k]:
+            solves = False
+        if j == 1:
+            break
+    if steps != n:
+        return False, "not an n-cycle"
+    if not flips:
+        return False, "not parity respecting"
+    if not solves:
         return False, "does not solve the filling equation"
     return True, None
 
@@ -194,7 +224,7 @@ class FillingPermutation:
         This is the cycle of the permutation starting at symbol 1; every
         symbol appears exactly once.
         """
-        img = (0, *self.perm.images)
+        img = self.perm.padded
         word = [1]
         j = img[1]
         while j != 1:
@@ -232,7 +262,7 @@ def corner_orbits(
     orbit index of each symbol and the orbits (see `table_orbits`).
     """
     iota = equation_tables(fp.ctx)[0]
-    return table_orbits((0, *(iota[y] for y in fp.perm.images)), starts)
+    return table_orbits([iota[y] for y in fp.perm.padded], starts)
 
 
 def reconstruct(fp: FillingPermutation) -> SurfaceReport:

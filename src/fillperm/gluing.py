@@ -62,9 +62,30 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
+@lru_cache(maxsize=None)
+def _check_tables(i: int) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:
+    """The tables `_check` reads at i arcs per curve: the symbol of each
+    signed arc id (indexed by the id, negative ids wrapping to the top),
+    the image table of iota (padded at 0) and the set of the 4i ids."""
+    n = 4 * i
+    ids = signed_ids(i)
+    sym = [0] * (n + 1)
+    for s in range(1, n + 1):
+        sym[ids[s]] = s
+    iota = (0, *range(2 * i + 1, n + 1), *range(1, 2 * i + 1))
+    return tuple(sym), iota, frozenset(ids[1:])
+
+
 def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
     """Every failed pattern condition, in a fixed order, and the polygon
-    of each directed-arc symbol once each signed arc id is used once."""
+    of each directed-arc symbol once each signed arc id is used once.
+
+    The edges are read as the symbols of `signed_ids`, through the
+    per-i tables of `_check_tables`: odd symbols are the first curve's
+    arcs and s + 2i is the inverse of s.  One pass over each polygon
+    writes its successor and polygon entries and checks that the curves
+    alternate; the position of a corner in its polygon is looked up only
+    to name a failure."""
     if pat.i < 1:
         return ["arc count must be positive"], []
     if not pat.polygons:
@@ -78,37 +99,35 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
     n = 4 * i
     values = [v for poly in pat.polygons for v in poly]
     # nothing is sized by i before the ids are known to number 4i
-    if len(values) != n or len(set(values)) != n or not all(
-        0 < abs(v) <= 2 * i for v in values
-    ):
+    if len(values) != n or set(values) != _check_tables(i)[2]:
         failures.append("each signed arc id must occur exactly once")
         return failures, []
+    sym, iota, _ = _check_tables(i)
 
-    # the edges as the symbols of `signed_ids`, whose negative ids wrap
-    # to the top of `sym`: odd symbols are the first curve's arcs and
-    # s + 2i is the inverse of s
-    ids = signed_ids(i)
-    sym = [0] * (n + 1)
-    for s in range(1, n + 1):
-        sym[ids[s]] = s
-    iota = [0, *range(2 * i + 1, n + 1), *range(1, 2 * i + 1)]
     succ = [0] * (n + 1)
     polygon = [0] * (n + 1)
-    position = [0] * (n + 1)
     for pi, poly in enumerate(pat.polygons):
-        for qi, v in enumerate(poly):
-            succ[sym[v]] = sym[poly[(qi + 1) % len(poly)]]
-            polygon[sym[v]] = pi
-            position[sym[v]] = qi
-        if any(sym[v] % 2 == succ[sym[v]] % 2 for v in poly):
+        if not poly:
+            continue
+        prev = sym[poly[-1]]
+        alternates = True
+        for v in poly:
+            s = sym[v]
+            succ[prev] = s
+            polygon[s] = pi
+            if not (prev ^ s) & 1:
+                alternates = False
+            prev = s
+        if not alternates:
             failures.append(f"polygon {pi}: consecutive edges on one curve")
 
     _, orbits = table_orbits([iota[s] for s in succ], [sym[v] for v in values])
     for orbit in orbits:
-        at = (polygon[orbit[0]], position[orbit[0]])
         if len(orbit) != 4:
+            at = _corner_at(pat, polygon, orbit[0])
             failures.append(f"corner orbit of size {len(orbit)} at {at}")
         elif orbit[0] % 2 == orbit[1] % 2 or orbit[1] % 2 == orbit[2] % 2:
+            at = _corner_at(pat, polygon, orbit[0])
             failures.append(f"crossing at {at} is not transverse")
     if len(orbits) != i and not failures:
         failures.append(f"{len(orbits)} crossings found, expected {i}")
@@ -121,7 +140,8 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
             s = sym[a]
             nxt = s + 2 if s + 2 <= 2 * i else s + 2 - 2 * i
             if succ[iota[succ[s]]] != nxt:
-                failures.append(f"arc {a} does not continue into arc {ids[nxt]}")
+                failures.append(
+                    f"arc {a} does not continue into arc {signed_ids(i)[nxt]}")
 
     # connectivity of polygons through arc pairings
     if not failures and len(pat.polygons) > 1:
@@ -136,6 +156,11 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
             failures.append("glued complex is disconnected")
 
     return failures, polygon
+
+
+def _corner_at(pat: GluingPattern, polygon: list[int], s: int) -> tuple[int, int]:
+    """(polygon, position) of the edge whose symbol is s."""
+    return polygon[s], pat.polygons[polygon[s]].index(signed_ids(pat.i)[s])
 
 
 def validate(pat: GluingPattern) -> ValidationReport:

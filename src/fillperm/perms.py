@@ -64,6 +64,11 @@ class Permutation:
         """Images of 1..n as a plain tuple (no padding)."""
         return self._img[1:]
 
+    @property
+    def padded(self) -> tuple[int, ...]:
+        """The image table padded at index 0: padded[j] is the image of j."""
+        return self._img
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._img == other._img
 

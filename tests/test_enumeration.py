@@ -307,6 +307,26 @@ def test_guard():
     check_guard(5)
 
 
+def test_enumerate_filling_refuses_genus_5_before_searching(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(enumeration, "_solution_images", refuse)
+    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
+    with pytest.raises(GuardExceeded) as exc:
+        enumerate_filling(GenusContext(5))
+    message = str(exc.value)
+    assert "\n" not in message
+    for part in ("genus 5 exceeds 4", "417 B", "16,609,536", "6.9 GB", "force=True"):
+        assert part in message
+    # lifting the genus guard does not lift the listing guard
+    monkeypatch.setenv("FILLPERM_GUARD", "6")
+    with pytest.raises(GuardExceeded, match="genus 6 exceeds 4"):
+        enumerate_filling(GenusContext(6))
+    monkeypatch.setattr(enumeration, "_solution_images", lambda ctx, jobs: iter(()))
+    assert enumerate_filling(GenusContext(5), force=True) == []
+
+
 def test_no_override_lifts_the_byte_array_limit(monkeypatch):
     check_guard(32, force=True)
     with pytest.raises(GuardExceeded, match="above 32"):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,6 +11,7 @@ from fillperm.filling import (
     alpha_reversal,
     beta_reversal,
     canonical_perms,
+    equation_tables,
     is_filling,
     reconstruct,
     relabeling_generators,
@@ -164,6 +166,90 @@ def test_is_filling_matches_the_composed_equation(g3_solutions):
     assert {why for _, why in verdicts} == {
         None, "not an n-cycle", "not parity respecting",
         "does not solve the filling equation"}
+
+
+# `is_filling` before the one-walk check, kept verbatim as its reference.
+def reference_is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
+    """Test the three filling conditions; on failure name the first broken one.
+
+    The equation is checked on the image tuples, s(iota(s(j))) = tau(j)
+    for every j, without building the products as permutations.
+    """
+    if p.n != ctx.n:
+        raise ValueError("degree mismatch")
+    if not p.is_n_cycle():
+        return False, "not an n-cycle"
+    if not p.is_parity_respecting():
+        return False, "not parity respecting"
+    iota, tau = equation_tables(ctx)
+    s = (0, *p.images)
+    if any(s[iota[s[j]]] != tau[j] for j in range(1, ctx.n + 1)):
+        return False, "does not solve the filling equation"
+    return True, None
+
+
+def sampled_perms(ctx, solutions, rng, rounds):
+    """Permutations of degree n = ctx.n around the filling conditions:
+    solutions and their parity-respecting relabellings, random n-cycles
+    (which mostly break parity, some at just two steps), alternating
+    n-cycles, parity-respecting products of two alternating cycles,
+    random permutations, and parity-respecting permutations s that solve
+    the equation on the odd symbols only."""
+    n = ctx.n
+    iota, tau = equation_tables(ctx)
+    odds, evens = list(range(1, n + 1, 2)), list(range(2, n + 1, 2))
+    perms = [fp.perm for fp in solutions]
+    for _ in range(rounds):
+        rng.shuffle(odds)
+        rng.shuffle(evens)
+        relabel = [0] * n
+        for old, new in zip(range(1, n + 1, 2), odds):
+            relabel[old - 1] = new
+        for old, new in zip(range(2, n + 1, 2), evens):
+            relabel[old - 1] = new
+        if solutions:
+            perms.append(rng.choice(solutions).perm.conjugate_by(Permutation(relabel)))
+        cycle = [x for pair in zip(odds, evens) for x in pair]
+        perms.append(from_cycles([cycle], n))
+        a, b = rng.sample(range(n), 2)
+        cycle[a], cycle[b] = cycle[b], cycle[a]
+        perms.append(from_cycles([cycle], n))
+        perms.append(from_cycles([rng.sample(range(1, n + 1), n)], n))
+        cut = 2 * rng.randrange(1, n // 2)
+        perms.append(from_cycles([cycle[:cut], cycle[cut:]], n))
+        perms.append(Permutation(rng.sample(range(1, n + 1), n)))
+        # C = iota o s maps the odd symbols to the even ones at random;
+        # on the even ones it is then forced by C(C(j)) = iota(tau(j))
+        # for odd j, which is the equation at j
+        C = [0] * (n + 1)
+        for j, k in zip(range(1, n + 1, 2), evens):
+            C[j] = k
+            C[k] = iota[tau[j]]
+        perms.append(Permutation([iota[C[j]] for j in range(1, n + 1)]))
+    return perms
+
+
+def test_is_filling_matches_the_reference_on_every_degree_4_permutation():
+    ctx = GenusContext(1)
+    perms = [Permutation(list(p)) for p in permutations(range(1, 5))]
+    assert len(perms) == 24
+    verdicts = [is_filling(ctx, p) for p in perms]
+    assert verdicts == [reference_is_filling(ctx, p) for p in perms]
+    assert {why for _, why in verdicts} == {
+        None, "not an n-cycle", "not parity respecting"}
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_is_filling_matches_the_reference(g, g3_solutions, g4_solutions):
+    ctx = GenusContext(g)
+    rng = random.Random(1300 + g)
+    solutions = {2: [], 3: g3_solutions, 4: rng.sample(g4_solutions, 300)}[g]
+    perms = sampled_perms(ctx, solutions, rng, 300)
+    verdicts = [is_filling(ctx, p) for p in perms]
+    assert verdicts == [reference_is_filling(ctx, p) for p in perms]
+    reasons = {"not an n-cycle", "not parity respecting",
+               "does not solve the filling equation"}
+    assert {why for _, why in verdicts} == reasons | ({None} if solutions else set())
 
 
 def test_filling_equation_holds_for_solutions(g3_solutions):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from fillperm.diagram import PairDiagram
 from fillperm.enumeration import count_classes, enumerate_filling
 from fillperm.filling import FillingPermutation, GenusContext
+from fillperm.filling import signed_ids
 from fillperm.gluing import (
     GluingPattern,
+    _check,
     _leaves,
     _normalize,
     _orbit,
@@ -26,7 +29,7 @@ from fillperm.gluing import (
     validate,
     ValidationReport,
 )
-from fillperm.perms import Permutation
+from fillperm.perms import Permutation, table_orbits
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
@@ -579,3 +582,192 @@ def test_validate_matches_the_slot_reference(pat):
 def test_validate_matches_the_slot_reference_on_searched_patterns(g, i):
     for pat in search_patterns(g, i, 10**6):
         assert validate(pat) == slot_validate(pat) == ValidationReport(True, ())
+
+
+# ----------------------------------------------------------------------
+# Reference: pattern validation before the cached tables
+# ----------------------------------------------------------------------
+
+
+# `_check` before it read its tables from a per-i cache and wrote each
+# polygon in one pass, kept verbatim as its reference.
+def reference_check(pat: GluingPattern) -> tuple[list[str], list[int]]:
+    """Every failed pattern condition, in a fixed order, and the polygon
+    of each directed-arc symbol once each signed arc id is used once."""
+    if pat.i < 1:
+        return ["arc count must be positive"], []
+    if not pat.polygons:
+        return ["no polygons"], []
+    failures = [
+        f"polygon {list(poly)} must have even length >= 2"
+        for poly in pat.polygons
+        if len(poly) < 2 or len(poly) % 2
+    ]
+    i = pat.i
+    n = 4 * i
+    values = [v for poly in pat.polygons for v in poly]
+    # nothing is sized by i before the ids are known to number 4i
+    if len(values) != n or len(set(values)) != n or not all(
+        0 < abs(v) <= 2 * i for v in values
+    ):
+        failures.append("each signed arc id must occur exactly once")
+        return failures, []
+
+    # the edges as the symbols of `signed_ids`, whose negative ids wrap
+    # to the top of `sym`: odd symbols are the first curve's arcs and
+    # s + 2i is the inverse of s
+    ids = signed_ids(i)
+    sym = [0] * (n + 1)
+    for s in range(1, n + 1):
+        sym[ids[s]] = s
+    iota = [0, *range(2 * i + 1, n + 1), *range(1, 2 * i + 1)]
+    succ = [0] * (n + 1)
+    polygon = [0] * (n + 1)
+    position = [0] * (n + 1)
+    for pi, poly in enumerate(pat.polygons):
+        for qi, v in enumerate(poly):
+            succ[sym[v]] = sym[poly[(qi + 1) % len(poly)]]
+            polygon[sym[v]] = pi
+            position[sym[v]] = qi
+        if any(sym[v] % 2 == succ[sym[v]] % 2 for v in poly):
+            failures.append(f"polygon {pi}: consecutive edges on one curve")
+
+    _, orbits = table_orbits([iota[s] for s in succ], [sym[v] for v in values])
+    for orbit in orbits:
+        at = (polygon[orbit[0]], position[orbit[0]])
+        if len(orbit) != 4:
+            failures.append(f"corner orbit of size {len(orbit)} at {at}")
+        elif orbit[0] % 2 == orbit[1] % 2 or orbit[1] % 2 == orbit[2] % 2:
+            failures.append(f"crossing at {at} is not transverse")
+    if len(orbits) != i and not failures:
+        failures.append(f"{len(orbits)} crossings found, expected {i}")
+
+    if not failures:
+        # consecutive arcs of each curve chain head to tail: the filling
+        # equation succ(iota(succ(s))) = tau(s) on the forward arcs,
+        # where tau steps s to s + 2 along its curve
+        for a in range(1, 2 * i + 1):
+            s = sym[a]
+            nxt = s + 2 if s + 2 <= 2 * i else s + 2 - 2 * i
+            if succ[iota[succ[s]]] != nxt:
+                failures.append(f"arc {a} does not continue into arc {ids[nxt]}")
+
+    # connectivity of polygons through arc pairings
+    if not failures and len(pat.polygons) > 1:
+        reached: set[int] = set()
+        grown = {0}
+        while len(grown) > len(reached):
+            reached = grown
+            grown = reached | {
+                polygon[iota[s]] for s in range(1, n + 1) if polygon[s] in reached
+            }
+        if len(reached) != len(pat.polygons):
+            failures.append("glued complex is disconnected")
+
+    return failures, polygon
+
+
+def leaf_patterns(g, i):
+    """The pattern of every `_leaves` diagram at one search size."""
+    return [_pattern_of_faces(i, table_orbits(nxt, range(1, 4 * i + 1))[1])
+            for _, _, nxt in _leaves(i, i - 2 * g + 2)]
+
+
+FAILURE_KINDS = (
+    "arc count must be positive", "no polygons", "must have even length",
+    "each signed arc id", "consecutive edges on one curve",
+    "corner orbit of size", "is not transverse", "crossings found",
+    "does not continue into", "disconnected")
+
+
+def assert_check_matches_the_reference(pats):
+    """_check gives the reference's failures, in order, and polygon table;
+    the kinds of failure met."""
+    kinds = set()
+    for pat in pats:
+        failures, polygon = _check(pat)
+        assert (failures, polygon) == reference_check(pat), pat
+        kinds.update(k for f in failures for k in FAILURE_KINDS if k in f)
+    return kinds
+
+
+@pytest.mark.parametrize("g", [1, 3, 4])
+def test_check_matches_the_reference_on_one_polygon_patterns(
+        g, g1_solutions, g3_solutions, g4_solutions):
+    sols = {1: g1_solutions, 3: g3_solutions, 4: g4_solutions}[g]
+    sample = random.Random(1310 + g).sample(sols, min(len(sols), 400))
+    assert assert_check_matches_the_reference(
+        from_filling(fp) for fp in sample) == set()
+
+
+@pytest.mark.parametrize("g, i", SEARCH_SIZES)
+def test_check_matches_the_reference_on_every_leaf(g, i):
+    pats = leaf_patterns(g, i)
+    assert pats
+    assert assert_check_matches_the_reference(pats) == set()
+
+
+def mutated(pat, rng):
+    """pat under one random edit: entries swapped, an arc reversed or
+    moved to the other curve, the polygons rotated and shuffled, a
+    polygon split or two merged, an id duplicated or out of range, an
+    entry moved to another polygon, or the arcs renumbered."""
+    i = pat.i
+    polygons = [list(poly) for poly in pat.polygons]
+    slots = [(p, q) for p, poly in enumerate(polygons) for q in range(len(poly))]
+    (p1, q1), (p2, q2) = rng.sample(slots, 2)
+    v = polygons[p1][q1]
+    where = {polygons[p][q]: (p, q) for p, q in slots}
+    edit = rng.choice(["swap", "reverse", "other curve", "shuffle", "split",
+                       "merge", "duplicate", "out of range", "move", "renumber"])
+    if edit == "swap":
+        polygons[p1][q1], polygons[p2][q2] = polygons[p2][q2], v
+    elif edit in ("reverse", "other curve"):
+        other = abs(v) + i if abs(v) <= i else abs(v) - i
+        w = -v if edit == "reverse" else other if v > 0 else -other
+        p3, q3 = where[w]
+        polygons[p1][q1], polygons[p3][q3] = w, v
+    elif edit == "shuffle":
+        polygons = [poly[r:] + poly[:r] for poly in polygons
+                    for r in [rng.randrange(len(poly))]]
+        rng.shuffle(polygons)
+    elif edit == "split":
+        poly = polygons.pop(p1)
+        polygons += [poly[:q1 + 1], poly[q1 + 1:]]
+    elif edit == "merge" and len(polygons) > 1:
+        polygons[0] += polygons.pop()
+    elif edit == "duplicate":
+        polygons[p1][q1] = polygons[p2][q2]
+    elif edit == "out of range":
+        polygons[p1][q1] = rng.choice([0, 2 * i + 1, -2 * i - 1])
+    elif edit == "move":
+        polygons[p1].pop(q1)
+        if p1 == p2 or rng.random() < 0.5:
+            polygons.append([v])
+        else:
+            polygons[p2].insert(q2, v)
+    elif edit == "renumber":
+        first = rng.sample(range(1, i + 1), i)
+        second = rng.sample(range(i + 1, 2 * i + 1), i)
+        new = [0, *first, *second]
+        polygons = [[new[w] if w > 0 else -new[-w] for w in poly]
+                    for poly in polygons]
+    return GluingPattern.make(i, polygons)
+
+
+def test_check_matches_the_reference_on_mutations(g3_solutions):
+    rng = random.Random(1313)
+    valid = [pat for g, i in SEARCH_SIZES if i > 1 for pat in leaf_patterns(g, i)]
+    valid += [from_filling(fp) for fp in g3_solutions]
+    pats = [mutated(rng.choice(valid), rng) for _ in range(3000)]
+    # two squares glued apart, a four-corner orbit on one curve, the arc
+    # count and polygon list checks, and an arc count no table can hold
+    pats += [GluingPattern.make(2, [[1, 3, -1, -3], [2, 4, -2, -4]]),
+             GluingPattern.make(2, [[3, -1, 4, -4], [-2], [2, -3, 1]]),
+             GluingPattern.make(0, [[1, -1]]), GluingPattern.make(2, []),
+             GluingPattern.make(10**12, [[1, 2, -1, -2]])]
+    # a wrong crossing count is reported only when every corner orbit has
+    # four corners, and then the 4i corners make i crossings; no input
+    # here that chains head to tail is disconnected
+    assert assert_check_matches_the_reference(pats) == set(FAILURE_KINDS) - {
+        "crossings found", "disconnected"}

@@ -24,8 +24,8 @@ made by `PairDiagram.to_filling_permutation` keeps the diagram it was
 made from, and `diagram_of` hands that back instead of reading the
 corner orbits again, so splice and build results carry their diagram.
 
-The module is internal machinery shared by surface reconstruction, the
-splice construction and the small-pattern search.
+The module is internal machinery shared by the splice construction and
+the small-pattern search.
 """
 
 from __future__ import annotations

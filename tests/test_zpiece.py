@@ -1,12 +1,16 @@
+import os
 import random
-from itertools import combinations, islice
-from typing import Sequence
+import subprocess
+import sys
+from itertools import combinations, islice, permutations, product
+from typing import Iterable, Sequence
 
 import pytest
 
 import fillperm.diagram
 import fillperm.zpiece
-from fillperm.enumeration import canonical_class_rep, count_Lg
+from fillperm.diagram import PairDiagram
+from fillperm.enumeration import canonical_class_rep, count_Lg, enumerate_filling
 from fillperm.filling import (
     FillingPermutation,
     GenusContext,
@@ -21,11 +25,7 @@ from fillperm.zpiece import (
     LSequence,
     ZMatch,
     ZTemplate,
-    _candidate_templates,
-    _g3_data,
-    _passes,
     _splice_diagram,
-    _torus_diagram,
     build_from_sequence,
     derive_template,
     detect_zpieces,
@@ -63,10 +63,53 @@ def swap_dual(t: ZTemplate) -> ZTemplate:
     return ZTemplate(tuple(inv), dual_signs)
 
 
+# The search for the least decoration passing the defining sweep: the
+# oracle for the template constant.
+def _candidate_templates() -> Iterable[ZTemplate]:
+    for order in permutations(range(1, 6)):
+        for signs in product((-1, 1), repeat=5):
+            yield ZTemplate(order, signs)
+
+
+def _passes(t: ZTemplate, torus: PairDiagram, g3_diagrams: list[PairDiagram],
+            g3_set: set[Permutation]) -> bool:
+    d3 = _splice_diagram(torus, 1, t)
+    if not d3.is_filling_pair():
+        return False
+    if d3.to_filling_permutation().perm not in g3_set:
+        return False
+    for d in g3_diagrams:
+        for k in range(1, 6):
+            if not _splice_diagram(d, k, t).is_filling_pair():
+                return False
+    return True
+
+
+def _g3_data():
+    # a fixed-size sweep of the library's own, not a user-requested genus
+    sols = enumerate_filling(GenusContext(3), force=True)
+    return [diagram_of(s) for s in sols], {s.perm for s in sols}
+
+
+def reference_derive_template() -> ZTemplate:
+    """Search the 3840 candidate decorations for the least valid one.
+
+    Validity is checked against the independently enumerated genus-3
+    solution set: the torus splice must land in it, and every genus-3
+    solution must splice at every vertex.
+    """
+    g3_diagrams, g3_set = _g3_data()
+    torus = TORUS_DIAGRAM
+    for t in _candidate_templates():
+        if _passes(t, torus, g3_diagrams, g3_set):
+            return t
+    raise RuntimeError("template derivation failed")
+
+
 def derive_all_templates() -> list[ZTemplate]:
     """Every decoration passing the full validity sweep, in sort order."""
     g3_diagrams, g3_set = _g3_data()
-    torus = _torus_diagram()
+    torus = TORUS_DIAGRAM
     return [t for t in _candidate_templates()
             if _passes(t, torus, g3_diagrams, g3_set)]
 
@@ -277,8 +320,41 @@ def test_genus4_solutions_contain_no_pieces(template, g4_solutions):
 
 
 def test_derivation_is_deterministic(template):
-    # a fresh search, bypassing the per-process cache
-    assert derive_template.__wrapped__() == template
+    assert reference_derive_template() == template
+
+
+# Run in a fresh process, so that nothing computed earlier in this one
+# can stand in for a search.
+SPLICE_WITHOUT_ENUMERATION = """
+import contextlib, io, json
+import fillperm.enumeration
+from fillperm.cli import main
+from fillperm.filling import FillingPermutation, GenusContext
+from fillperm.perms import Permutation
+from fillperm.zpiece import ZTemplate, derive_template, splice
+
+def refuse(*args, **kwargs):
+    raise AssertionError("enumeration called")
+
+fillperm.enumeration._solution_images = refuse
+template = derive_template()
+assert isinstance(template, ZTemplate)
+torus = FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
+assert splice(torus, 1, template).ctx.g == 3
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["extend", "[2,3,4,1]", "--genus", "1", "--vertex", "1"])
+assert code == 0
+assert json.loads(out.getvalue())["genus"] == 3
+"""
+
+
+def test_splicing_needs_no_enumeration():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fillperm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", SPLICE_WITHOUT_ENUMERATION],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_all_valid_decorations_recorded(template):

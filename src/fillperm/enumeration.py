@@ -8,9 +8,11 @@ matched pair interleaved into a 4-cycle in one of two ways: 2^(2g-1) *
 (2g-1)! candidates.  The solutions are the roots for which iota o C is
 an n-cycle; a depth-first search builds C one odd transposition at a
 time and drops every prefix on which iota o C already closes a shorter
-cycle.  Counting and classifying search only the roots whose first
-level sets s(1) = 2, one (4g-2)-th of the search: the twisting closure
-spreads every class evenly over the values of s(1).
+cycle.  It is `perms.grow_cycles`, the same search that finds the
+crossing diagrams of `gluing.search_patterns`.  Counting and
+classifying search only the roots whose first level sets s(1) = 2, one
+(4g-2)-th of the search: the twisting closure spreads every class
+evenly over the values of s(1).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .filling import (
     is_filling,
     twisting_closure,
 )
-from .perms import Permutation
+from .perms import Permutation, grow_cycles
 
 DEFAULT_GUARD = 5
 # `enumerate_filling` keeps every solution as a FillingPermutation, about
@@ -188,80 +190,18 @@ def _iter_solution_images(
     """Yield image arrays (as bytes, symbols 1..n) of filling permutations
     by a depth-first search over the square roots C of iota o tau.
 
-    Level i takes one choice of `_moves(ctx)[i]`: it interleaves the i-th
-    odd transposition with an unused even transposition and writes four
-    arcs of sigma = iota o C.  Between levels sigma is a set of disjoint
-    paths; each path end x knows the far end far[x] and the path's arc
-    count.  An arc x -> y closes a cycle exactly when y is x's far end,
-    and a prefix that closes a cycle shorter than n is dropped with all
-    of its extensions.  `prefix` fixes level i to choice prefix[i]; the
-    prefixes (k,) for k < 2(2g-1), in order, list the same solutions as
-    the whole search.
+    The search is `perms.grow_cycles` with one cycle: level i takes one
+    choice of `_moves(ctx)[i]`, which interleaves the i-th odd
+    transposition with an unused even transposition and writes four arcs
+    of sigma = iota o C, and a prefix on which sigma closes a cycle
+    shorter than n is dropped with all of its extensions.  `prefix`
+    fixes level i to choice prefix[i]; the prefixes (k,) for
+    k < 2(2g-1), in order, list the same solutions as the whole search.
     """
-    n = ctx.n
-    m = ctx.i_min
     moves = _moves(ctx)
     rows = [row[k:k + 1] for row, k in zip(moves, prefix)] + list(moves[len(prefix):])
-
-    sigma = [0] * (n + 1)
-    far = list(range(n + 1))
-    length = [0] * (n + 1)
-    used = [False] * m
-    # path merges to undo, as (s, x, lx, e, y, ly): s and e regain their
-    # old far ends x and y and their old lengths
-    trail: list[tuple[int, int, int, int, int, int]] = []
-
-    def retract(mark: int) -> None:
-        while len(trail) > mark:
-            s, x, lx, e, y, ly = trail.pop()
-            far[s] = x
-            far[e] = y
-            length[s] = lx
-            length[e] = ly
-
-    # per level: the choices left, the even transposition taken and
-    # the trail length before its arcs
-    levels = [iter(())] * m
-    levels[0] = iter(rows[0])
-    chosen = [0] * m
-    marks = [0] * m
-    i = 0
-    while True:
-        for j, arcs in levels[i]:
-            if used[j]:
-                continue
-            mark = len(trail)
-            for x, y in arcs:
-                sigma[x] = y
-                s = far[x]
-                lx = length[x]
-                if y == s:
-                    if lx + 1 < n:
-                        break
-                    continue
-                e = far[y]
-                ly = length[y]
-                trail.append((s, x, lx, e, y, ly))
-                far[s] = e
-                far[e] = s
-                length[s] = length[e] = lx + ly + 1
-            else:
-                if i + 1 == m:
-                    yield bytes(sigma[1:])
-                else:
-                    used[j] = True
-                    chosen[i] = j
-                    marks[i] = mark
-                    i += 1
-                    levels[i] = iter(rows[i])
-                    break
-            retract(mark)
-        else:
-            i -= 1
-            if i < 0:
-                return
-            used[chosen[i]] = False
-            retract(marks[i])
+    for sigma in grow_cycles(ctx.n, rows, 1):
+        yield bytes(sigma[1:])
 
 
 def _worker_solutions(args) -> list[bytes]:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .diagram import PairDiagram, crossing_steps
 from .filling import FillingPermutation, relabeling_generators, signed_ids
-from .perms import closure, table_orbits
+from .perms import closure, grow_cycles, table_orbits
 
 
 @dataclass(frozen=True)
@@ -269,100 +269,37 @@ def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
     return min(_orbit(pat))
 
 
-def _leaves(m: int, want_faces: int
-            ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int]]]:
-    """The m-crossing diagrams with exactly want_faces faces and no
-    bigon, as (beta_seq, signs, successor table) with beta_seq[0] = 1.
+@lru_cache(maxsize=None)
+def _crossing_rows(m: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """The choices of the m-crossing diagram search, one row per beta arc.
 
-    A depth-first search places beta arc j = 1..m at one unused end
-    point p and one sign at p, and writes the four `crossing_steps` of
-    that crossing into the successor table.  Between crossings the table
-    is a set of disjoint paths and closed faces; each path end x knows
-    the far end far[x] and the path's arc count, with an undo trail, as
-    in the filling-permutation search of `enumeration`.  A step x -> y
-    closes a face exactly when y is x's far end.  A prefix is dropped
-    with all its extensions as soon as a bigon closes or the closed
-    faces reach want_faces while steps are left to write: the unwritten
-    steps would close at least one more face.  So no prefix ever holds
-    more than want_faces closed faces, and at i = 2g - 1 any face that
-    closes short of all 4m steps ends the prefix.  The successor table
-    is yielded live and changes when the search resumes.
+    Choice (p - 1, steps) of row j - 1 ends beta arc j at point p with
+    one sign and holds the four `crossing_steps` of that crossing, the
+    sign -1 first; beta arc 1 ends at point 1.
     """
-    n = 4 * m
-    nxt = [0] * (n + 1)
-    far = list(range(n + 1))
-    length = [0] * (n + 1)
-    beta = [0] * m
-    signs = [0] * m
-    used = [False] * (m + 1)
-    # path merges to undo, as (s, x, lx, e, y, ly): s and e regain their
-    # old far ends x and y and their old lengths
-    trail: list[tuple[int, int, int, int, int, int]] = []
-    closed = 0
-
-    def place(j: int, p: int, sign: int) -> bool:
-        """Write the steps of beta arc j ending at p; False on a prune."""
-        nonlocal closed
-        left = n - 4 * (j - 1)
-        for x, y in crossing_steps(m, j, p, sign):
-            left -= 1
-            nxt[x] = y
-            s = far[x]
-            lx = length[x]
-            if y == s:
-                closed += 1
-                if lx == 1 or (closed == want_faces and left):
-                    return False
-            else:
-                e = far[y]
-                ly = length[y]
-                trail.append((s, x, lx, e, y, ly))
-                far[s] = e
-                far[e] = s
-                length[s] = length[e] = lx + ly + 1
-        return True
-
-    def descend(j: int):
-        nonlocal closed
-        for p in range(1, m + 1) if j > 1 else (1,):
-            if used[p]:
-                continue
-            beta[j - 1] = p
-            used[p] = True
-            for sign in (-1, 1):
-                signs[p - 1] = sign
-                mark, before = len(trail), closed
-                if place(j, p, sign):
-                    if j < m:
-                        yield from descend(j + 1)
-                    elif closed == want_faces:
-                        yield tuple(beta), tuple(signs), nxt
-                while len(trail) > mark:
-                    s, x, lx, e, y, ly = trail.pop()
-                    far[s] = x
-                    far[e] = y
-                    length[s] = lx
-                    length[e] = ly
-                closed = before
-            used[p] = False
-
-    return descend(1)
+    return tuple(
+        tuple((p - 1, crossing_steps(m, j, p, sign))
+              for p in (range(1, m + 1) if j > 1 else (1,)) for sign in (-1, 1))
+        for j in range(1, m + 1))
 
 
 @lru_cache(maxsize=None)
 def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
     """Every pattern class at one size, sorted by canonical key.
 
-    The diagrams come from the pruned depth-first search `_leaves`.
-    Orbit sweep: a diagram of a seen class is skipped; a new class adds
-    its whole orbit to `seen` and its least form to the output."""
+    The diagrams come from `perms.grow_cycles` over `_crossing_rows`,
+    the pruned depth-first search that also enumerates filling
+    permutations, as successor tables with want_faces faces and no
+    bigon.  Orbit sweep: a diagram of a seen class is skipped; a new
+    class adds its whole orbit to `seen` and its least form to the
+    output."""
     m = intersections
     want_faces = intersections - 2 * genus + 2
     if want_faces < 1:
         return ()
     seen: set[tuple[tuple[int, ...], ...]] = set()
     keys = []
-    for _, _, nxt in _leaves(m, want_faces):
+    for nxt in grow_cycles(4 * m, _crossing_rows(m), want_faces):
         pat = _pattern_of_faces(m, table_orbits(nxt, range(1, 4 * m + 1))[1])
         if _normalize(pat.polygons) in seen:
             continue
@@ -379,6 +316,8 @@ def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPa
     the first crossing, with a sign at each crossing) depth first, one
     crossing at a time, for those whose face count matches the genus;
     a prefix that closes a bigon or too many faces is dropped at once.
+    The search is `perms.grow_cycles`, as in the filling-permutation
+    enumeration.
     The diagrams found are deduplicated up to polygon rotation and arc
     relabeling.  Deterministic output order, cached per size.
 

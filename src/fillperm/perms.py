@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class PermutationError(ValueError):
@@ -289,7 +289,6 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
     return sorted(group)
 
 
-
 def table_orbits(
     table: Sequence[int], starts: Iterable[int]
 ) -> tuple[list[int], list[list[int]]]:
@@ -312,3 +311,86 @@ def table_orbits(
             j = table[j]
         orbits.append(orbit)
     return orbit_of, orbits
+
+
+def grow_cycles(
+    n: int, rows: Sequence[Sequence[tuple[int, Sequence[tuple[int, int]]]]],
+    cycles: int,
+) -> Iterator[list[int]]:
+    """Permutation tables on {1..n} with exactly `cycles` cycles and no
+    2-cycle, grown depth first a few arcs at a time.
+
+    Level i takes a choice (key, arcs) of rows[i] whose key, one of
+    0..len(rows)-1, no earlier level took, and writes its arcs x -> y
+    into the table.  The unclosed arcs form disjoint paths; each path
+    end x knows its far end far[x] and the path's arc count, with an
+    undo trail.  x -> y closes a cycle exactly when y is far[x]; every
+    arc merges two paths or closes one, so len(trail) + closed arcs are
+    written.  A prefix is dropped as soon as a 2-cycle closes or
+    `cycles` cycles have closed with arcs left, which would close one
+    more.  The table, padded at index 0, is yielded live in choice
+    order and changes when the search resumes.
+    """
+    depth = len(rows)
+    table = [0] * (n + 1)
+    far = list(range(n + 1))
+    length = [0] * (n + 1)
+    used = [False] * depth
+    # path merges to undo, as (s, x, lx, e, y, ly): s and e regain their
+    # old far ends x and y and their old lengths
+    trail: list[tuple[int, int, int, int, int, int]] = []
+    closed = 0
+
+    def retract(mark: int) -> None:
+        while len(trail) > mark:
+            s, x, lx, e, y, ly = trail.pop()
+            far[s] = x
+            far[e] = y
+            length[s] = lx
+            length[e] = ly
+
+    # per level: the choices left, and the key taken with the trail
+    # length and closed count before its arcs
+    levels = [iter(())] * depth
+    levels[0] = iter(rows[0])
+    marks = [(0, 0, 0)] * depth
+    i = 0
+    while True:
+        for key, arcs in levels[i]:
+            if used[key]:
+                continue
+            mark, before = len(trail), closed
+            for x, y in arcs:
+                table[x] = y
+                s = far[x]
+                lx = length[x]
+                if y == s:
+                    closed += 1
+                    if lx == 1 or (closed == cycles and len(trail) + closed < n):
+                        break
+                    continue
+                e = far[y]
+                ly = length[y]
+                trail.append((s, x, lx, e, y, ly))
+                far[s] = e
+                far[e] = s
+                length[s] = length[e] = lx + ly + 1
+            else:
+                if i + 1 == depth:
+                    if closed == cycles:
+                        yield table
+                else:
+                    used[key] = True
+                    marks[i] = key, mark, before
+                    i += 1
+                    levels[i] = iter(rows[i])
+                    break
+            retract(mark)
+            closed = before
+        else:
+            i -= 1
+            if i < 0:
+                return
+            key, mark, closed = marks[i]
+            used[key] = False
+            retract(mark)

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillperm.diagram import PairDiagram
-from fillperm.enumeration import count_classes, enumerate_filling
+from fillperm.enumeration import _least_shard_images, count_classes, enumerate_filling
 from fillperm.filling import FillingPermutation, GenusContext
 from fillperm.filling import signed_ids
 from fillperm.gluing import (
     GluingPattern,
     _check,
-    _leaves,
+    _crossing_rows,
     _normalize,
     _orbit,
     _pattern_of_faces,
@@ -29,7 +29,7 @@ from fillperm.gluing import (
     validate,
     ValidationReport,
 )
-from fillperm.perms import Permutation, table_orbits
+from fillperm.perms import Permutation, grow_cycles, table_orbits
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
@@ -288,8 +288,8 @@ def test_search_output_is_pinned(g, i, digest):
 # ----------------------------------------------------------------------
 
 
-# The loop that the pruned depth-first `_leaves` replaced in
-# `_search_all`, kept verbatim as its reference.
+# The loop that the pruned depth-first search replaced in `_search_all`,
+# kept verbatim as its reference.
 @lru_cache(maxsize=None)
 def reference_search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
     """Orbit sweep: a diagram of a seen class is skipped; a new class
@@ -326,10 +326,56 @@ def reference_leaves(m, want_faces):
             yield d.beta_seq, d.signs
 
 
+def search_leaves(m, want_faces):
+    """(beta_seq, signs, successor table) of each diagram that
+    `_search_all` gets from `grow_cycles`, read off the table: alpha arc
+    p steps to 2j + 2m at a +1 point and to 2(j mod m) + 2 at a -1
+    point, where p is the end of beta arc j."""
+    half = 2 * m
+    for nxt in grow_cycles(4 * m, _crossing_rows(m), want_faces):
+        beta_seq = [0] * m
+        signs = []
+        for p in range(1, m + 1):
+            y = nxt[2 * p - 1]
+            signs.append(1 if y > half else -1)
+            j = (y - half) // 2 if y > half else (y - 2) // 2 or m
+            beta_seq[j - 1] = p
+        yield tuple(beta_seq), tuple(signs), nxt
+
+
+@pytest.mark.parametrize("m, cycles", [
+    (m, c) for m in range(1, 6) for c in range(1, m + 3)])
+def test_grow_cycles_yields_each_diagram_with_that_face_count(m, cycles):
+    """Every anchored diagram with `cycles` faces and no bigon, once,
+    also at face counts that no searched genus asks for: the sphere's
+    m + 2 and counts of the wrong parity, whose answer is empty."""
+    tables = [tuple(nxt) for nxt in grow_cycles(4 * m, _crossing_rows(m), cycles)]
+    assert len(tables) == len(set(tables))
+    assert set(tables) == {tuple(PairDiagram(m, beta_seq, signs)._next_arc())
+                           for beta_seq, signs in reference_leaves(m, cycles)}
+    if (cycles - m) % 2 or (m, cycles) == (3, 1):  # genus 2 has no minimal pair
+        assert tables == []
+
+
+def test_both_searches_run_through_grow_cycles(monkeypatch):
+    calls = Counter()
+
+    def counting(n, rows, cycles):
+        calls[n, cycles] += 1
+        return grow_cycles(n, rows, cycles)
+
+    monkeypatch.setattr("fillperm.enumeration.grow_cycles", counting)
+    monkeypatch.setattr("fillperm.gluing.grow_cycles", counting)
+    assert len(_least_shard_images(GenusContext(3))) == 600 // 10
+    assert calls[20, 1] == 8  # one call per second-level prefix
+    assert len(_search_all.__wrapped__(3, 6)) == 49
+    assert calls[24, 2] == 1
+
+
 @pytest.mark.parametrize("g, i", SEARCH_SIZES)
 def test_pruned_search_keeps_every_leaf(g, i):
     want_faces = i - 2 * g + 2
-    leaves = [(beta_seq, signs) for beta_seq, signs, _ in _leaves(i, want_faces)]
+    leaves = [(beta_seq, signs) for beta_seq, signs, _ in search_leaves(i, want_faces)]
     assert len(leaves) == len(set(leaves))
     assert set(leaves) == set(reference_leaves(i, want_faces))
 
@@ -340,7 +386,7 @@ def test_search_matches_the_brute_force_search(g, i):
 
 
 def test_leaves_yield_the_diagram_successor_table():
-    for beta_seq, signs, nxt in _leaves(6, 2):
+    for beta_seq, signs, nxt in search_leaves(6, 2):
         assert nxt == PairDiagram(6, beta_seq, signs)._next_arc()
 
 
@@ -668,9 +714,9 @@ def reference_check(pat: GluingPattern) -> tuple[list[str], list[int]]:
 
 
 def leaf_patterns(g, i):
-    """The pattern of every `_leaves` diagram at one search size."""
+    """The pattern of every `search_leaves` diagram at one search size."""
     return [_pattern_of_faces(i, table_orbits(nxt, range(1, 4 * i + 1))[1])
-            for _, _, nxt in _leaves(i, i - 2 * g + 2)]
+            for _, _, nxt in search_leaves(i, i - 2 * g + 2)]
 
 
 FAILURE_KINDS = (

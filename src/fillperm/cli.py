@@ -124,7 +124,11 @@ def _load_pattern(path: str) -> GluingPattern:
     """Exit 74 if path (- for stdin) cannot be read, 65 if it is not
     UTF-8 JSON of the pattern schema or is nested too deep to decode."""
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         return GluingPattern.from_json(text)
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)

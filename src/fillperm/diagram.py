@@ -10,19 +10,20 @@ points labelled 1..m along a, is captured by:
 The directed arcs carry the filling symbols: 2k-1 is alpha arc k, 2k is
 beta arc k and s+2m is the inverse of s.  The heads of four arcs meet at
 each point, and a quarter turn around the point is the corner map of
-`filling.corner_orbits`; the sign chooses its direction.  The face walk
-leaves each corner along the inverse of the arc it turns to, so its
-successor is s -> iota(corner(s)).  Faces of the map are the
+the glued polygon (see `filling`); the sign chooses its direction.  The
+face walk leaves each corner along the inverse of the arc it turns to,
+so its successor is s -> iota(corner(s)).  Faces of the map are the
 complementary polygons of the pair; a single face with m odd is exactly
 an oriented minimally intersecting filling pair, and then the successor
 is its filling permutation.
 
 `crossing_steps` is the one place where the quarter turn is written out:
 the successor table of a whole diagram and the crossing-by-crossing
-pattern search both take their entries from it.  A filling permutation
-made by `PairDiagram.to_filling_permutation` keeps the diagram it was
-made from, and `diagram_of` hands that back instead of reading the
-corner orbits again, so splice and build results carry their diagram.
+pattern search both take their entries from it, and `diagram_of` reads
+a diagram back from the first of its steps, the image of each alpha
+arc.  A filling permutation made by `PairDiagram.to_filling_permutation`
+keeps the diagram it was made from, and `diagram_of` hands that back
+without reading, so splice and build results carry their diagram.
 
 The module is internal machinery shared by the splice construction and
 the small-pattern search.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .filling import FillingPermutation, GenusContext, corner_orbits
+from .filling import FillingPermutation, GenusContext
 from .perms import Permutation, table_orbits
 
 
@@ -134,11 +135,13 @@ class PairDiagram:
 def diagram_of(fp: FillingPermutation) -> PairDiagram:
     """Extract the crossing diagram of a filling permutation.
 
-    The points are the corner orbits, labelled along the first curve: the
-    head of alpha arc k is point k.  Beta arc j ends at the point of
-    symbol 2j, and the sign at point k is +1 exactly when the corner map
-    turns alpha arc k into a forward arc, iota(s(2k-1)) <= 2m.
-    ValueError unless the diagram read off this way walks back to fp.
+    The points are labelled along the first curve: the head of alpha arc
+    k is point k.  If beta arc j ends there, the first step of
+    `crossing_steps` makes the image x = s(2k-1) of alpha arc k either
+    2j + 2m, at a +1 crossing, or 2(j mod m) + 2, the inverse of the
+    corner at beta arc j+1, at a -1 crossing.  One pass over the alpha
+    images reads beta_seq and signs back from x.  The one check is that
+    the diagram read off this way walks back to fp, ValueError otherwise.
 
     A permutation made by `PairDiagram.to_filling_permutation` gives
     back the diagram it was made from, without reading.  Nothing is
@@ -147,15 +150,19 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
     if fp._diagram is not None:
         return fp._diagram
     m = fp.ctx.i_min
+    half = 2 * m
     s = fp.perm.images
-    cls, orbits = corner_orbits(fp, range(1, 4 * m + 1))
-    label = [0] * len(orbits)
+    ends = [0] * (m + 1)  # ends[j]: the point where beta arc j ends
+    signs = []
     for k in range(1, m + 1):
-        label[cls[2 * k - 1]] = k
-    beta_seq = tuple(label[cls[2 * j]] for j in range(1, m + 1))
-    # iota(x) <= 2m exactly when x > 2m
-    signs = tuple(1 if s[2 * k - 2] > 2 * m else -1 for k in range(1, m + 1))
-    d = PairDiagram(m, beta_seq, signs)
+        x = s[2 * k - 2]
+        if x > half:
+            ends[(x - half) // 2] = k
+            signs.append(1)
+        else:
+            ends[(x // 2 - 2) % m + 1] = k
+            signs.append(-1)
+    d = PairDiagram(m, tuple(ends[1:]), tuple(signs))
     if d._next_arc()[1:] != list(s):
         raise ValueError("corner structure is not a transverse 4-valent pair")
     return d

@@ -276,19 +276,6 @@ def _least_shard_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
     return _search(ctx, prefixes, jobs)
 
 
-def count_roots_verified(ctx: GenusContext) -> int:
-    """Generate every admissible root, assert C*C = iota o tau, and count."""
-    invol = (0,) + base_involution(ctx).perm.images
-    symbols = range(1, ctx.n + 1)
-    count = 0
-    for C in _roots(ctx):
-        for j in symbols:
-            if C[C[j]] != invol[j]:
-                raise AssertionError("square root identity violated")
-        count += 1
-    return count
-
-
 # ----------------------------------------------------------------------
 # Public enumeration API
 # ----------------------------------------------------------------------
@@ -506,10 +493,3 @@ def excluded_roots(ctx: GenusContext, force: bool = False) -> Iterator[Permutati
     for C in _roots(ctx):
         if iota[C[iota[C[1]]]] == 1:
             yield Permutation(C[1:])
-
-
-def excluded_root_count(g: int) -> int:
-    """Size of the exclusion family: 2^(2g-2) * (2g-1) * (2g-3)!."""
-    if g < 3:
-        raise ValueError("exclusion family needs g >= 3")
-    return 2 ** (2 * g - 2) * (2 * g - 1) * factorial(2 * g - 3)

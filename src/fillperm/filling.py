@@ -124,22 +124,6 @@ def canonical_perms(ctx: GenusContext) -> CanonicalPerms:
     return CanonicalPerms(Q, iota, tau, kappa, delta, eta, mu)
 
 
-def alpha_reversal(ctx: GenusContext) -> Permutation:
-    """Relabelling induced by reversing the first curve's direction.
-
-    This is the form that commutes with tau and hence maps solutions of
-    the filling equation to solutions; the index-preserving eta does not
-    for g >= 2.
-    """
-    return relabeling_generators(ctx.i_min)[2]
-
-
-def beta_reversal(ctx: GenusContext) -> Permutation:
-    """Relabelling induced by reversing the second curve's direction."""
-    _, _, rho, mu = relabeling_generators(ctx.i_min)
-    return rho.conjugate_by(mu)
-
-
 @lru_cache(maxsize=None)
 def equation_tables(ctx: GenusContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Image tables of iota and tau, padded at index 0."""

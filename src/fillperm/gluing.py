@@ -85,7 +85,10 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
     arcs and s + 2i is the inverse of s.  One pass over each polygon
     writes its successor and polygon entries and checks that the curves
     alternate; the position of a corner in its polygon is looked up only
-    to name a failure."""
+    to name a failure.  Then the corner orbits must be transverse
+    crossings of four corners, and consecutive arcs must chain.  These
+    conditions already give i crossings and a connected complex, so
+    neither is checked again (see the comments below)."""
     if pat.i < 1:
         return ["arc count must be positive"], []
     if not pat.polygons:
@@ -129,8 +132,8 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
         elif orbit[0] % 2 == orbit[1] % 2 or orbit[1] % 2 == orbit[2] % 2:
             at = _corner_at(pat, polygon, orbit[0])
             failures.append(f"crossing at {at} is not transverse")
-    if len(orbits) != i and not failures:
-        failures.append(f"{len(orbits)} crossings found, expected {i}")
+    # with no failure so far the 4i symbols fall into orbits of four
+    # corners, so there are exactly i crossings
 
     if not failures:
         # consecutive arcs of each curve chain head to tail: the filling
@@ -143,18 +146,10 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
                 failures.append(
                     f"arc {a} does not continue into arc {signed_ids(i)[nxt]}")
 
-    # connectivity of polygons through arc pairings
-    if not failures and len(pat.polygons) > 1:
-        reached: set[int] = set()
-        grown = {0}
-        while len(grown) > len(reached):
-            reached = grown
-            grown = reached | {
-                polygon[iota[s]] for s in range(1, n + 1) if polygon[s] in reached
-            }
-        if len(reached) != len(pat.polygons):
-            failures.append("glued complex is disconnected")
-
+    # the glued complex is connected: a union of polygons closed under
+    # arc pairing holds an edge of each curve, as every polygon
+    # alternates, and so a forward arc of each; chaining then brings in
+    # every forward arc of both curves, and pairing every symbol
     return failures, polygon
 
 
@@ -253,20 +248,6 @@ def _orbit(pat: GluingPattern) -> set[tuple[tuple[int, ...], ...]]:
     """The normalized forms of a pattern under every arc relabeling."""
     tables = _relabeling_tables(pat.i)
     return {_normalize([[t[v] for v in p] for p in pat.polygons]) for t in tables}
-
-
-def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
-    """Least normalized form over the arc relabelings.
-
-    Polygon rotations are absorbed by the normalization; the polygon
-    order is sorted away.  Full surface homeomorphism is deliberately
-    not quotiented, so the count may split some topological classes.
-    ValueError if a signed id repeats or is not one of +-1..+-2i.
-    """
-    values = [v for poly in pat.polygons for v in poly]
-    if len(set(values) & set(signed_ids(pat.i)[1:])) < len(values):
-        raise ValueError("signed arc ids must be distinct and in range")
-    return min(_orbit(pat))
 
 
 @lru_cache(maxsize=None)

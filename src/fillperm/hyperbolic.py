@@ -75,18 +75,6 @@ def max_coincident(g: int) -> int:
     return 42 * (2 * g - 2)
 
 
-def polygon_area(g: int) -> float:
-    """Area of the regular right-angled (8g-4)-gon by angle deficit."""
-    n = 8 * g - 4
-    return (n - 2) * math.pi - n * (math.pi / 2.0)
-
-
-def polygon_area_coefficient(g: int) -> int:
-    """The exact multiple of pi in the polygon area: (n-2) - n/2 = 4g-4."""
-    n = 8 * g - 4
-    return (n - 2) - n // 2
-
-
 @dataclass(frozen=True)
 class HyperbolicReport:
     genus: int

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 
@@ -297,6 +298,18 @@ def test_t1_and_genus_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "genus", str(path))
     assert code == 0
     assert payload(out)["genus"] == 1
+
+
+def test_pattern_commands_close_the_pattern_file(capsys, tmp_path):
+    path = tmp_path / "torus.json"
+    path.write_text(GluingPattern.make(1, [[1, 2, -1, -2]]).to_json(),
+                    encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["t1", str(path)]) == 0
+        assert main(["genus", str(path)]) == 0
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 @pytest.mark.parametrize("polygon, code", [([1, 2, -1, -2], 0), ([1, -1, 2, -2], 1)],

@@ -3,6 +3,8 @@ import re
 import sys
 from pathlib import Path
 
+import fillperm
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fillperm"
 PYPROJECT = ROOT / "pyproject.toml"
@@ -62,3 +64,55 @@ def test_library_modules_import_only_names_they_use():
     unused = {path.name: names for path in sources
               if (names := unreferenced_imports(path))}
     assert unused == TRACER_HELD
+
+
+BENCH = ROOT / "bench"
+
+
+def referenced_names(node):
+    """Names an ast node mentions: names, attributes and import aliases."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.asname or sub.name.split(".")[-1]
+
+
+def bench_words():
+    """Every name and every word of a string constant in the benchmark
+    sources, its own tests left out."""
+    words = set()
+    for path in sorted(BENCH.glob("*.py")):
+        if path.name == "test_bench.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        words.update(referenced_names(tree))
+        words.update(word for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     for word in re.findall(r"\w+", node.value))
+    return words
+
+
+def test_every_library_definition_has_a_caller():
+    """Each top-level def and class is exported, used by library code
+    outside its own body, or named by the benchmark."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 10
+    callers = set(fillperm.__all__) | bench_words()
+    uncalled = []
+    for name, tree in trees.items():
+        if name in ("__init__.py", "__main__.py"):
+            continue
+        elsewhere = {ref for other, t in trees.items() if other != name
+                     for ref in referenced_names(t)}
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            in_module = {ref for top in tree.body if top is not node
+                         for ref in referenced_names(top)}
+            if node.name not in callers | elsewhere | in_module:
+                uncalled.append(f"{name[:-3]}.{node.name}")
+    assert uncalled == []

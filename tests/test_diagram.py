@@ -2,7 +2,6 @@ from itertools import permutations, product
 
 import pytest
 
-import fillperm.diagram
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.filling import FillingPermutation, GenusContext, corner_orbits
 from fillperm.perms import Permutation
@@ -34,12 +33,14 @@ def test_round_trip_all_g3(g3_solutions):
 def test_diagram_of_writes_nothing_back(g3_solutions, monkeypatch):
     fp = g3_solutions[0]
     reads = []
+    walk_back = PairDiagram._next_arc
 
-    def counted(*args):
-        reads.append(args)
-        return corner_orbits(*args)
+    def counted(d):
+        reads.append(d)
+        return walk_back(d)
 
-    monkeypatch.setattr(fillperm.diagram, "corner_orbits", counted)
+    # every fresh read checks that its diagram walks back to fp
+    monkeypatch.setattr(PairDiagram, "_next_arc", counted)
     assert diagram_of(fp) == diagram_of(fp)
     assert len(reads) == 2
     assert vars(fp) == {"ctx": fp.ctx, "perm": fp.perm}
@@ -53,16 +54,24 @@ def unvalidated(g, images):
 
 
 def test_diagram_of_rejects_a_permutation_that_is_not_a_solution(g3_solutions):
-    # labels that are no visit order
+    # two alpha images swapped: a visit order whose diagram does not
+    # walk back to the permutation
     for j in range(0, 18, 2):
         images = list(g3_solutions[0].perm.images)
         images[j], images[j + 2] = images[j + 2], images[j]
-        with pytest.raises(ValueError, match="beta_seq"):
+        with pytest.raises(ValueError, match="not a transverse 4-valent pair"):
             diagram_of(unvalidated(3, images))
-    # a visit order whose diagram does not walk back to the permutation
+    # alpha images that end some beta arc twice: no visit order
     bad = unvalidated(2, [12, 1, 2, 9, 8, 6, 11, 5, 3, 4, 10, 7])
-    with pytest.raises(ValueError, match="not a transverse 4-valent pair"):
+    with pytest.raises(ValueError, match="beta_seq"):
         diagram_of(bad)
+    # an odd alpha image, s(1) = 2m + 1 = 11, reads as beta arc 0
+    images = list(g3_solutions[0].perm.images)
+    k = images.index(11)
+    images[0], images[k] = images[k], images[0]
+    with pytest.raises(ValueError,
+                       match="^beta_seq must visit each point exactly once$"):
+        diagram_of(unvalidated(3, images))
 
 
 def test_face_count_euler():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
@@ -24,7 +25,6 @@ from fillperm.enumeration import (
     count_classes,
     count_Lg,
     enumerate_filling,
-    excluded_root_count,
     excluded_roots,
     guard_limit,
     lower_bound,
@@ -41,6 +41,14 @@ from fillperm.filling import (
     twisting_closure,
 )
 from fillperm.perms import Permutation, closure, from_cycles
+
+
+# The closed-form size of `excluded_roots`, a test oracle.
+def excluded_root_count(g: int) -> int:
+    """Size of the exclusion family: 2^(2g-2) * (2g-1) * (2g-3)!."""
+    if g < 3:
+        raise ValueError("exclusion family needs g >= 3")
+    return 2 ** (2 * g - 2) * (2 * g - 1) * factorial(2 * g - 3)
 
 
 def test_base_involution_matches_displayed_pairs():

@@ -8,8 +8,6 @@ from fillperm.filling import (
     GenusContext,
     ReconstructionError,
     _check_twisting_generators,
-    alpha_reversal,
-    beta_reversal,
     canonical_perms,
     equation_tables,
     is_filling,
@@ -20,6 +18,23 @@ from fillperm.filling import (
 )
 from fillperm.enumeration import canonical_class_rep
 from fillperm.perms import Permutation, closure, from_cycles, identity
+
+
+# The curve reversals as relabellings, oracles of the twisting tests.
+def alpha_reversal(ctx: GenusContext) -> Permutation:
+    """Relabelling induced by reversing the first curve's direction.
+
+    This is the form that commutes with tau and hence maps solutions of
+    the filling equation to solutions; the index-preserving eta does not
+    for g >= 2.
+    """
+    return relabeling_generators(ctx.i_min)[2]
+
+
+def beta_reversal(ctx: GenusContext) -> Permutation:
+    """Relabelling induced by reversing the second curve's direction."""
+    _, _, rho, mu = relabeling_generators(ctx.i_min)
+    return rho.conjugate_by(mu)
 
 
 def test_context_derived_fields():

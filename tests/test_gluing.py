@@ -21,7 +21,6 @@ from fillperm.gluing import (
     _pattern_of_faces,
     _relabeling_tables,
     _search_all,
-    canonical_key,
     euler_genus,
     from_filling,
     search_patterns,
@@ -33,6 +32,22 @@ from fillperm.perms import Permutation, grow_cycles, table_orbits
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
+
+
+# The least relabelled form of one pattern, an oracle of the search's
+# orbit sweep.
+def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
+    """Least normalized form over the arc relabelings.
+
+    Polygon rotations are absorbed by the normalization; the polygon
+    order is sorted away.  Full surface homeomorphism is deliberately
+    not quotiented, so the count may split some topological classes.
+    ValueError if a signed id repeats or is not one of +-1..+-2i.
+    """
+    values = [v for poly in pat.polygons for v in poly]
+    if len(set(values) & set(signed_ids(pat.i)[1:])) < len(values):
+        raise ValueError("signed arc ids must be distinct and in range")
+    return min(_orbit(pat))
 
 
 def test_torus_square_valid():

@@ -10,8 +10,6 @@ from fillperm.hyperbolic import (
     m_g,
     max_coincident,
     min_pair_length,
-    polygon_area,
-    polygon_area_coefficient,
     report,
 )
 
@@ -22,6 +20,19 @@ def edge_length_oracle(g: int) -> float:
         raise ValueError("perimeter defined for g >= 2")
     n = 8 * g - 4
     return 2.0 * math.acosh(math.sqrt(2.0) * math.cos(math.pi / n))
+
+
+# The polygon area by angle deficit, an oracle of the Gauss-Bonnet tests.
+def polygon_area(g: int) -> float:
+    """Area of the regular right-angled (8g-4)-gon by angle deficit."""
+    n = 8 * g - 4
+    return (n - 2) * math.pi - n * (math.pi / 2.0)
+
+
+def polygon_area_coefficient(g: int) -> int:
+    """The exact multiple of pi in the polygon area: (n-2) - n/2 = 4g-4."""
+    n = 8 * g - 4
+    return (n - 2) - n // 2
 
 
 def test_m3_value():

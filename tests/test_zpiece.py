@@ -14,10 +14,7 @@ from fillperm.enumeration import canonical_class_rep, count_Lg, enumerate_fillin
 from fillperm.filling import (
     FillingPermutation,
     GenusContext,
-    alpha_reversal,
-    beta_reversal,
     canonical_perms,
-    corner_orbits,
 )
 from fillperm.perms import Permutation
 from fillperm.zpiece import (
@@ -32,6 +29,7 @@ from fillperm.zpiece import (
     diagram_of,
     splice,
 )
+from test_filling import alpha_reversal, beta_reversal
 
 TORUS = lambda: FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
 
@@ -519,12 +517,14 @@ def test_splices_and_builds_keep_their_diagram(template, g5_splices, monkeypatch
     assert len(g5_splices) == 3000
     fresh = [diagram_of(FillingPermutation(fp.ctx, fp.perm)) for fp in results]
     reads = []
+    walk_back = PairDiagram._next_arc
 
-    def counted(*args):
-        reads.append(args)
-        return corner_orbits(*args)
+    def counted(d):
+        reads.append(d)
+        return walk_back(d)
 
-    monkeypatch.setattr(fillperm.diagram, "corner_orbits", counted)
+    # a fresh read would check its diagram by walking it back
+    monkeypatch.setattr(PairDiagram, "_next_arc", counted)
     assert [diagram_of(fp) for fp in results] == fresh
     assert reads == []
 

@@ -9,10 +9,10 @@ matched pair interleaved into a 4-cycle in one of two ways: 2^(2g-1) *
 an n-cycle; a depth-first search builds C one odd transposition at a
 time and drops every prefix on which iota o C already closes a shorter
 cycle.  It is `perms.grow_cycles`, the same search that finds the
-crossing diagrams of `gluing.search_patterns`.  Counting and
+crossing diagrams of `gluing.search_patterns`.  Listing, counting and
 classifying search only the roots whose first level sets s(1) = 2, one
-(4g-2)-th of the search: the twisting closure spreads every class
-evenly over the values of s(1).
+(4g-2)-th of the search: the twisting elements that fix 1 act regularly
+on the values of s(1) and carry that shard onto each of the others.
 """
 
 from __future__ import annotations
@@ -231,12 +231,6 @@ def _search(ctx: GenusContext, prefixes: Sequence[tuple[int, ...]],
     return out
 
 
-def _solution_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
-    """All filling-permutation image arrays, in deterministic search order;
-    jobs > 1 splits the search by its 2(2g-1) first-level choices."""
-    return _search(ctx, [(k,) for k in range(2 * ctx.i_min)], jobs)
-
-
 def _check_regular_on_evens(ctx: GenusContext, group: Iterable[Permutation]) -> None:
     """Raise unless the elements of group that fix symbol 1 act regularly
     on the even symbols: exactly one of them sends 2 to each even symbol.
@@ -284,10 +278,13 @@ def _least_shard_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
 def enumerate_filling(
     ctx: GenusContext, *, jobs: int = 1, force: bool = False
 ) -> list[FillingPermutation]:
-    """All filling permutations at the given genus, deterministic order.
+    """All filling permutations at the given genus, each validated, grouped
+    by s(1) in increasing order, each group in search order for any jobs.
 
-    The list holds every solution, so above genus `LISTED_GENUS` it is
-    refused unless force is set."""
+    The shard with s(1) = 2 is searched and conjugated by each twisting
+    element t with t(1) = 1, in increasing order of t(2), which gives the
+    solutions with s(1) = t(2).  The list holds every solution, so above
+    genus `LISTED_GENUS` it is refused unless force is set."""
     check_guard(ctx.g, force)
     if ctx.g > LISTED_GENUS and not force:
         raise GuardExceeded(
@@ -297,9 +294,11 @@ def enumerate_filling(
             "count_classes and class_representatives hold one shard; "
             "pass force=True to override."
         )
+    shard = _least_shard_images(ctx, jobs)
     return [
-        FillingPermutation(ctx, Permutation(img))
-        for img in _solution_images(ctx, jobs)
+        FillingPermutation(ctx, Permutation(bytes(getter(img)).translate(table)))
+        for _, getter, table in _closure_tables(ctx) if table[1] == 1
+        for img in shard
     ]
 
 

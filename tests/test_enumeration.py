@@ -13,9 +13,10 @@ from fillperm.enumeration import (
     _conjugates,
     _count_and_classify,
     _iter_solution_images,
+    _least_shard,
     _least_shard_images,
     _roots,
-    _solution_images,
+    _search,
     base_involution,
     bounds_report,
     canonical_class_rep,
@@ -135,11 +136,32 @@ def test_enumeration_closed_under_twisting(g3_solutions):
         assert {p.conjugate_by(t) for p in solset} == solset
 
 
-def test_enumeration_deterministic_across_jobs():
-    ctx = GenusContext(3)
-    one = [fp.perm for fp in enumerate_filling(ctx, jobs=1)]
-    two = [fp.perm for fp in enumerate_filling(ctx, jobs=2)]
-    assert one == two
+def test_enumeration_deterministic_across_jobs(g3_solutions, g4_solutions):
+    # the session listings ran with jobs=1
+    for g, one in ((3, g3_solutions), (4, g4_solutions)):
+        two = enumerate_filling(GenusContext(g), jobs=2)
+        assert [fp.perm for fp in two] == [fp.perm for fp in one]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_listing_conjugates_the_least_shard(g, monkeypatch):
+    ctx = GenusContext(g)
+    prefixes = []
+
+    def recording_search(ctx, shard_prefixes, jobs):
+        prefixes.extend(shard_prefixes)
+        return _search(ctx, shard_prefixes, jobs)
+
+    monkeypatch.setattr(enumeration, "_search", recording_search)
+    listed = [bytes(fp.perm.images) for fp in enumerate_filling(ctx)]
+    assert prefixes and all(p[0] == _least_shard(ctx) for p in prefixes)
+    assert len(listed) == len(set(listed)) == [2, 0, 600, 65856][g - 1]
+    assert set(listed) == set(_iter_solution_images(ctx))
+    firsts = [img[0] for img in listed]
+    assert firsts == sorted(firsts)
+    groups = [[img for img in listed if img[0] == e] for e in range(2, ctx.n + 1, 2)]
+    assert len({len(group) for group in groups}) == 1
+    assert groups[0] == _least_shard_images(ctx)
 
 
 def unpruned_solution_images(ctx):
@@ -167,21 +189,26 @@ def test_pruned_search_matches_the_root_stream(g):
     assert set(pruned) == set(unpruned_solution_images(ctx))
 
 
+def full_search(ctx, jobs):
+    """Every solution, from all 2(2g-1) first-level choices in order."""
+    return _search(ctx, [(k,) for k in range(2 * ctx.i_min)], jobs)
+
+
 @pytest.mark.parametrize("g", [3, 4])
 def test_solution_images_independent_of_jobs(g):
     ctx = GenusContext(g)
-    one = _solution_images(ctx, jobs=1)
-    assert _solution_images(ctx, jobs=2) == one
-    assert _solution_images(ctx, jobs=3) == one
+    one = full_search(ctx, jobs=1)
+    assert full_search(ctx, jobs=2) == one
+    assert full_search(ctx, jobs=3) == one
 
 
 def test_workers_never_exceed_shards(pool_sizes):
     ctx = GenusContext(3)
-    images = _solution_images(ctx, jobs=5000)
+    images = full_search(ctx, jobs=5000)
     assert pool_sizes == [2 * ctx.i_min]
     assert images == list(_iter_solution_images(ctx))
-    _solution_images(ctx, jobs=4)
-    _solution_images(GenusContext(1), jobs=5000)
+    full_search(ctx, jobs=4)
+    full_search(GenusContext(1), jobs=5000)
     assert pool_sizes == [10, 4, 2]
 
 
@@ -263,8 +290,8 @@ def test_regular_action_check():
 
 
 def test_counting_checks_the_regular_action(monkeypatch):
-    # counting from one shard refuses a closure that is not regular on the
-    # evens (<kappa, delta>, as above) before it searches
+    # counting and listing from one shard refuse a closure that is not
+    # regular on the evens (<kappa, delta>, as above) before they search
     ctx = GenusContext(3)
     kappa, delta, _, _ = relabeling_generators(ctx.i_min)
     monkeypatch.setattr(enumeration, "twisting_closure",
@@ -275,6 +302,8 @@ def test_counting_checks_the_regular_action(monkeypatch):
     try:
         with pytest.raises(ReconstructionError, match="regularly"):
             count_classes(ctx)
+        with pytest.raises(ReconstructionError, match="regularly"):
+            enumerate_filling(ctx)
     finally:
         for cache in caches:
             cache.cache_clear()
@@ -319,7 +348,7 @@ def test_enumerate_filling_refuses_genus_5_before_searching(monkeypatch):
     def refuse(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(enumeration, "_solution_images", refuse)
+    monkeypatch.setattr(enumeration, "_search", refuse)
     monkeypatch.delenv("FILLPERM_GUARD", raising=False)
     with pytest.raises(GuardExceeded) as exc:
         enumerate_filling(GenusContext(5))
@@ -331,7 +360,7 @@ def test_enumerate_filling_refuses_genus_5_before_searching(monkeypatch):
     monkeypatch.setenv("FILLPERM_GUARD", "6")
     with pytest.raises(GuardExceeded, match="genus 6 exceeds 4"):
         enumerate_filling(GenusContext(6))
-    monkeypatch.setattr(enumeration, "_solution_images", lambda ctx, jobs: iter(()))
+    monkeypatch.setattr(enumeration, "_search", lambda ctx, prefixes, jobs: [])
     assert enumerate_filling(GenusContext(5), force=True) == []
 
 

@@ -334,7 +334,7 @@ from fillperm.zpiece import ZTemplate, derive_template, splice
 def refuse(*args, **kwargs):
     raise AssertionError("enumeration called")
 
-fillperm.enumeration._solution_images = refuse
+fillperm.enumeration._search = refuse
 template = derive_template()
 assert isinstance(template, ZTemplate)
 torus = FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))

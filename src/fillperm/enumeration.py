@@ -17,7 +17,6 @@ on the values of s(1) and carry that shard onto each of the others.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,26 +50,14 @@ class GuardExceeded(RuntimeError):
     """Requested genus is above the enumeration guard."""
 
 
-class GuardSettingError(ValueError):
-    """FILLPERM_GUARD is set to something other than an integer."""
-
-
-def guard_limit() -> int:
-    """Genus guard; override with the FILLPERM_GUARD environment variable."""
-    raw = os.environ.get("FILLPERM_GUARD")
-    if raw is None:
-        return DEFAULT_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise GuardSettingError(
-            f"FILLPERM_GUARD must be an integer, got {raw!r}"
-        ) from None
-
-
 def check_guard(g: int, force: bool = False) -> None:
-    limit = guard_limit()
-    if force or g <= limit:
+    """Raise GuardExceeded unless an enumeration may run at genus g.
+
+    Counting and classifying run up to genus `DEFAULT_GUARD`, and
+    `enumerate_filling` lists up to `LISTED_GENUS`.  force lifts both
+    limits, but never `MAX_ENUMERATED_GENUS`.
+    """
+    if force or g <= DEFAULT_GUARD:
         if g > MAX_ENUMERATED_GENUS:
             raise GuardExceeded(
                 f"genus {g} is above {MAX_ENUMERATED_GENUS}, the largest "
@@ -80,10 +67,9 @@ def check_guard(g: int, force: bool = False) -> None:
     # log10 of root_count(g) = 2^(2g-1) (2g-1)!, which str() may refuse
     digits = ((2 * g - 1) * log(2) + lgamma(2 * g)) / log(10)
     raise GuardExceeded(
-        f"genus {g} exceeds the enumeration guard ({limit}); "
+        f"genus {g} exceeds the enumeration guard ({DEFAULT_GUARD}); "
         f"the run would generate about 10^{digits:.1f} square roots. "
-        "Set FILLPERM_GUARD or pass --force (force=True from Python) "
-        "to override."
+        "Pass --force (force=True from Python) to override."
     )
 
 
@@ -276,16 +262,15 @@ def _least_shard_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
 
 
 def enumerate_filling(
-    ctx: GenusContext, *, jobs: int = 1, force: bool = False
+    ctx: GenusContext, *, force: bool = False
 ) -> list[FillingPermutation]:
     """All filling permutations at the given genus, each validated, grouped
-    by s(1) in increasing order, each group in search order for any jobs.
+    by s(1) in increasing order, each group in search order.
 
     The shard with s(1) = 2 is searched and conjugated by each twisting
     element t with t(1) = 1, in increasing order of t(2), which gives the
     solutions with s(1) = t(2).  The list holds every solution, so above
     genus `LISTED_GENUS` it is refused unless force is set."""
-    check_guard(ctx.g, force)
     if ctx.g > LISTED_GENUS and not force:
         raise GuardExceeded(
             f"genus {ctx.g} exceeds {LISTED_GENUS}, the largest genus "
@@ -294,7 +279,8 @@ def enumerate_filling(
             "count_classes and class_representatives hold one shard; "
             "pass force=True to override."
         )
-    shard = _least_shard_images(ctx, jobs)
+    check_guard(ctx.g, force)
+    shard = _least_shard_images(ctx)
     return [
         FillingPermutation(ctx, Permutation(bytes(getter(img)).translate(table)))
         for _, getter, table in _closure_tables(ctx) if table[1] == 1
@@ -474,7 +460,7 @@ def bounds_report(
 # ----------------------------------------------------------------------
 
 
-def excluded_roots(ctx: GenusContext, force: bool = False) -> Iterator[Permutation]:
+def excluded_roots(ctx: GenusContext) -> Iterator[Permutation]:
     """Roots guaranteed not to yield an n-cycle, in stream order.
 
     These are the roots C for which sigma = iota o C closes a 2-cycle at
@@ -487,7 +473,6 @@ def excluded_roots(ctx: GenusContext, force: bool = False) -> Iterator[Permutati
     """
     if ctx.g < 3:
         raise ValueError("exclusion family needs g >= 3")
-    check_guard(ctx.g, force)
     iota = equation_tables(ctx)[0]
     for C in _roots(ctx):
         if iota[C[iota[C[1]]]] == 1:

@@ -131,7 +131,7 @@ def test_criterion_05_class_count_brackets():
 
     started = time.time()
     ctx4 = GenusContext(4)
-    sols4 = enumerate_filling(ctx4, jobs=JOBS)
+    sols4 = enumerate_filling(ctx4)
     n4 = count_classes(ctx4, jobs=JOBS)
     t4 = time.time() - started
     assert len(sols4) >= 1            # existence of a genus-4 witness

@@ -17,9 +17,10 @@ from fillperm.cli import main
 from fillperm.enumeration import lower_bound, root_count, upper_bound
 from fillperm.filling import GenusContext, twisting_closure
 from fillperm.perms import Permutation
-from fillperm import gluing
+from fillperm import enumeration, gluing
 from fillperm.gluing import GluingPattern
 from fillperm.svg import diagram_svg
+from fillperm.zpiece import LSequence, build_from_sequence
 
 
 def run(capsys, *argv):
@@ -91,24 +92,25 @@ def test_enumerate_limit(capsys):
 
 
 def test_enumerate_guard_refusal(capsys, monkeypatch):
-    monkeypatch.setenv("FILLPERM_GUARD", "2")
-    code, out, err = run(capsys, "enumerate", "--genus", "3")
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(enumeration, "_search", refuse)
+    code, out, err = run(capsys, "enumerate", "--genus", "6")
     assert code == 2
     assert out == ""
     assert "guard" in err
     assert "--force" in err
 
 
-def test_guard_refusal_at_a_genus_with_a_huge_root_count(capsys, monkeypatch):
+def test_guard_refusal_at_a_genus_with_a_huge_root_count(capsys):
     # root_count(2000) has 13,874 digits, more than str() prints
-    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
     code, out, err = run(capsys, "enumerate", "--genus", "2000")
     assert code == 2
     assert out == ""
     assert err == ("genus 2000 exceeds the enumeration guard (5); the run "
-                   "would generate about 10^13873.5 square roots. Set "
-                   "FILLPERM_GUARD or pass --force (force=True from Python) "
-                   "to override.\n")
+                   "would generate about 10^13873.5 square roots. Pass "
+                   "--force (force=True from Python) to override.\n")
 
 
 def test_force_stops_at_genus_32(capsys):
@@ -222,17 +224,16 @@ def test_genus_must_be_positive(capsys, command, genus):
 
 
 @pytest.mark.parametrize("command", GENUS_COMMANDS)
-@pytest.mark.parametrize("genus", ["2001", "9" * 400], ids=["2001", "400-nines"])
-def test_genus_above_the_limit_is_refused(capsys, monkeypatch, command, genus):
-    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
+@pytest.mark.parametrize("genus", ["2001", "9" * 400, "9" * 5000],
+                         ids=["2001", "400-nines", "5000-nines"])
+def test_genus_above_the_limit_is_refused(capsys, command, genus):
     err = one_line_usage_error(capsys, *command, "--genus", genus)
     assert "--genus" in err and "integer <= 2000" in err
 
 
 @pytest.mark.parametrize("command,code", zip(GENUS_COMMANDS, [2, 65, 65, 65, 0, 0, 65]))
-def test_genus_at_the_limit_is_accepted(capsys, monkeypatch, command, code):
+def test_genus_at_the_limit_is_accepted(capsys, command, code):
     # 2 the guard refuses, 65 a permutation of degree 4, not 8g-4
-    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
     assert run(capsys, *command, "--genus", "2000")[0] == code
 
 
@@ -247,16 +248,17 @@ def test_zero_jobs_is_refused(capsys, command):
     assert "--jobs" in err
 
 
-@pytest.mark.parametrize("command", [
-    ["enumerate", "--genus", "3"],
-    ["bounds", "--genus", "3", "--exact"],
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--genus", "3", "--jobs"],
+    ["bounds", "--genus", "3", "--jobs"],
+    ["enumerate", "--genus", "3", "--limit"],
 ])
-def test_bad_guard_setting_exit_64(capsys, monkeypatch, command):
-    monkeypatch.setenv("FILLPERM_GUARD", "abc")
-    code, out, err = run(capsys, *command)
-    assert code == 64
-    assert out == ""
-    assert err.strip() == "FILLPERM_GUARD must be an integer, got 'abc'"
+def test_numbers_longer_than_int_reads_name_the_digit_limit(capsys, argv):
+    # 5,000 digits is more than int() reads by default
+    err = one_line_usage_error(capsys, *argv, "9" * 5000)
+    assert err.endswith(f"argument {argv[-1]}: expected an integer of at most "
+                        f"{sys.get_int_max_str_digits()} digits, "
+                        "got a 5000-digit number")
 
 
 def test_reconstruct(capsys):
@@ -280,13 +282,13 @@ def test_extend(capsys):
     assert verify_code == 0
 
 
-def test_extend_ignores_the_guard(capsys, monkeypatch):
+def test_extend_ignores_the_guard(capsys, template):
     # extend splices one pair and enumerates nothing, so the guard does not apply
-    monkeypatch.setenv("FILLPERM_GUARD", "1")
-    code, out, _ = run(capsys, "extend", "[2,3,4,1]", "--genus", "1",
-                       "--vertex", "1")
+    fp = build_from_sequence(LSequence(7, (1, 2, 3)), template)
+    code, out, _ = run(capsys, "extend", json.dumps(list(fp.perm.images)),
+                       "--genus", "7", "--vertex", "1")
     assert code == 0
-    assert payload(out)["genus"] == 3
+    assert payload(out)["genus"] == 9
 
 
 def test_t1_and_genus_commands(capsys, tmp_path):
@@ -503,9 +505,7 @@ def cli_argvs(draw, paths):
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_every_argv_exits_with_a_documented_code(capsys, monkeypatch, pool_sizes,
-                                                 tmp_path, data):
-    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
+def test_every_argv_exits_with_a_documented_code(capsys, pool_sizes, tmp_path, data):
     pattern = tmp_path / "pattern.json"
     pattern.write_bytes(data.draw(PATTERN_FILES))
     paths = {

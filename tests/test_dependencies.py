@@ -31,6 +31,30 @@ def test_library_imports_only_the_standard_library():
     assert not foreign
 
 
+# os's interface to the environment variables
+ENVIRONMENT = {"environ", "environb", "getenv", "putenv"}
+
+
+def environment_uses(path):
+    """Names of ENVIRONMENT that a source file reads as an attribute
+    (os.environ) or imports (from os import getenv)."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (a.name for a in node.names if a.name in ENVIRONMENT)
+
+
+def test_library_reads_no_environment_variable():
+    # a setting the library takes from the environment is an input no
+    # argument shows; adding one is a deliberate change to this test
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 10
+    uses = {(path.name, name) for path in sources
+            for name in environment_uses(path)}
+    assert not uses
+
+
 def test_pyproject_declares_no_dependencies():
     text = PYPROJECT.read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)

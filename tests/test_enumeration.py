@@ -7,7 +7,6 @@ import pytest
 from fillperm import enumeration
 from fillperm.enumeration import (
     GuardExceeded,
-    GuardSettingError,
     _check_regular_on_evens,
     _class_minima,
     _conjugates,
@@ -27,7 +26,6 @@ from fillperm.enumeration import (
     count_Lg,
     enumerate_filling,
     excluded_roots,
-    guard_limit,
     lower_bound,
     root_count,
     square_roots,
@@ -134,13 +132,6 @@ def test_enumeration_closed_under_twisting(g3_solutions):
     solset = {fp.perm for fp in g3_solutions}
     for t in twisting_closure(GenusContext(3)):
         assert {p.conjugate_by(t) for p in solset} == solset
-
-
-def test_enumeration_deterministic_across_jobs(g3_solutions, g4_solutions):
-    # the session listings ran with jobs=1
-    for g, one in ((3, g3_solutions), (4, g4_solutions)):
-        two = enumerate_filling(GenusContext(g), jobs=2)
-        assert [fp.perm for fp in two] == [fp.perm for fp in one]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -349,40 +340,23 @@ def test_enumerate_filling_refuses_genus_5_before_searching(monkeypatch):
         raise AssertionError("the search started")
 
     monkeypatch.setattr(enumeration, "_search", refuse)
-    monkeypatch.delenv("FILLPERM_GUARD", raising=False)
     with pytest.raises(GuardExceeded) as exc:
         enumerate_filling(GenusContext(5))
     message = str(exc.value)
     assert "\n" not in message
     for part in ("genus 5 exceeds 4", "417 B", "16,609,536", "6.9 GB", "force=True"):
         assert part in message
-    # lifting the genus guard does not lift the listing guard
-    monkeypatch.setenv("FILLPERM_GUARD", "6")
+    # above both limits, the listing's own refusal comes first
     with pytest.raises(GuardExceeded, match="genus 6 exceeds 4"):
         enumerate_filling(GenusContext(6))
     monkeypatch.setattr(enumeration, "_search", lambda ctx, prefixes, jobs: [])
     assert enumerate_filling(GenusContext(5), force=True) == []
 
 
-def test_no_override_lifts_the_byte_array_limit(monkeypatch):
+def test_no_override_lifts_the_byte_array_limit():
     check_guard(32, force=True)
     with pytest.raises(GuardExceeded, match="above 32"):
         check_guard(33, force=True)
-    monkeypatch.setenv("FILLPERM_GUARD", "40")
-    with pytest.raises(GuardExceeded, match="above 32"):
-        check_guard(33)
-
-
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv("FILLPERM_GUARD", "3")
-    with pytest.raises(GuardExceeded):
-        check_guard(4)
-
-
-def test_guard_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("FILLPERM_GUARD", "abc")
-    with pytest.raises(GuardSettingError, match="FILLPERM_GUARD .*'abc'"):
-        guard_limit()
 
 
 def brute_force_Lg(g):

@@ -171,7 +171,7 @@ def cmd_enumerate(args) -> int:
             order = len(twisting_closure(ctx))
             for entry, img in zip(results, listed):
                 fixed = sum(conj == img
-                            for conj in _conjugates(ctx, img, (img[0],)))
+                            for conj in _conjugates(ctx.i_min, img, (img[0],)))
                 entry["orbit_size"] = order // fixed
         payload["results"] = results
     _emit(payload, started)
@@ -325,6 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--genus", type=_genus, required=True,
                        help=f"a genus from 1 to {MAX_GENUS}")
 
+    def add_perm(p):
+        p.add_argument("perm", help="an image list [2,3,4,1] or cycles "
+                                    "(1 2 3 4), of degree 8g-4")
+
     def add_search_options(p):
         p.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
                        help="search in N processes, at most 2(2g-2); the output "
@@ -341,24 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report counts without the representative listing")
     p.add_argument("--classes", action="store_true",
                    help="annotate each representative with its orbit size")
-    p.add_argument("--limit", type=_int_in(0), default=None)
+    p.add_argument("--limit", type=_int_in(0), default=None,
+                   help="list at most this many representatives")
     add_search_options(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check the three filling conditions")
-    p.add_argument("perm")
+    add_perm(p)
     add_genus(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reconstruct", help="glue the polygon and report the surface")
-    p.add_argument("perm")
+    add_perm(p)
     add_genus(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("extend", help="splice the two-handle piece at a vertex")
-    p.add_argument("perm")
+    add_perm(p)
     add_genus(p)
-    p.add_argument("--vertex", type=int, required=True)
+    p.add_argument("--vertex", type=int, required=True,
+                   help="the crossing to splice at, from 1 to 2g-1")
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("t1", help="count once-crossing curves of a pattern file")
@@ -381,9 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hyp)
 
     p = sub.add_parser("diagram", help="SVG of the identified polygon")
-    p.add_argument("perm")
+    add_perm(p)
     add_genus(p)
-    p.add_argument("-o", "--output", default="-")
+    p.add_argument("-o", "--output", default="-",
+                   help="SVG file path, or - (the default) for stdout")
     p.set_defaults(func=cmd_diagram)
 
     return parser

@@ -32,6 +32,7 @@ from .filling import (
     canonical_perms,
     equation_tables,
     is_filling,
+    relabeling_group,
     twisting_closure,
 )
 from .perms import Permutation, grow_cycles
@@ -283,20 +284,20 @@ def enumerate_filling(
     shard = _least_shard_images(ctx)
     return [
         FillingPermutation(ctx, Permutation(bytes(getter(img)).translate(table)))
-        for _, getter, table in _closure_tables(ctx) if table[1] == 1
+        for _, getter, table in _closure_tables(ctx.i_min) if table[1] == 1
         for img in shard
     ]
 
 
 @lru_cache(maxsize=None)
-def _closure_tables(ctx: GenusContext) -> tuple[tuple[int, itemgetter, bytes], ...]:
-    """For each t in the twisting closure: the index of t^-1(1) in an
+def _closure_tables(i: int) -> tuple[tuple[int, itemgetter, bytes], ...]:
+    """For each t in `relabeling_group(i)`: the index of t^-1(1) in an
     image array, a getter of the entries at t^-1(1), ..., t^-1(n), and
     the 256-byte translation table of t.  The image array of t o s o t^-1
     is bytes(getter(img)).translate(table), and its first byte is
     table[img[index]]."""
     out = []
-    for t in twisting_closure(ctx):
+    for t in relabeling_group(i):
         inv = t.inverse().images
         table = bytes((0, *t.images)).ljust(256, b"\0")
         out.append((inv[0] - 1, itemgetter(*(x - 1 for x in inv)), table))
@@ -304,12 +305,12 @@ def _closure_tables(ctx: GenusContext) -> tuple[tuple[int, itemgetter, bytes], .
 
 
 def _conjugates(
-    ctx: GenusContext, img: bytes, firsts: Container[int] | None = None
+    i: int, img: bytes, firsts: Container[int] | None = None
 ) -> Iterator[bytes]:
-    """Image arrays of t o s o t^-1 for every t in the twisting closure,
+    """Image arrays of t o s o t^-1 for every t in `relabeling_group(i)`,
     where img holds the images of s.  With firsts, only the conjugates
     whose first byte t(s(t^-1(1))) is in firsts are built."""
-    for index, getter, table in _closure_tables(ctx):
+    for index, getter, table in _closure_tables(i):
         if firsts is None or table[img[index]] in firsts:
             yield bytes(getter(img)).translate(table)
 
@@ -318,26 +319,34 @@ def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
     """Lexicographically least conjugate under the twisting closure.
 
     The input is validated; its conjugates are not, because
-    twisting_closure checks once that its generators map solutions to
+    `twisting_closure` checks that its generators map solutions to
     solutions.  Conjugates are compared as byte strings, like the
-    enumeration's image arrays, so the degree 8g-4 must stay below 256.
+    enumeration's image arrays, so above genus `MAX_ENUMERATED_GENUS`,
+    where the degree 8g-4 passes 255, ValueError is raised first.
     """
+    if ctx.g > MAX_ENUMERATED_GENUS:
+        raise ValueError(
+            f"genus {ctx.g} is above {MAX_ENUMERATED_GENUS} "
+            "(MAX_ENUMERATED_GENUS), the largest whose 8g-4 symbols fit "
+            "the byte strings canonical_class_rep compares")
     ok, why = is_filling(ctx, p)
     if not ok:
         raise ValueError(f"not a filling permutation: {why}")
-    return Permutation(min(_conjugates(ctx, bytes(p.images))))
+    twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
+    return Permutation(min(_conjugates(ctx.i_min, bytes(p.images))))
 
 
-def _class_minima(ctx: GenusContext, images: Sequence[bytes]) -> list[bytes]:
-    """Least member of each twisting class among images, sorted.
+def _class_minima(i: int, images: Iterable[bytes]) -> list[bytes]:
+    """One image per class met, the least one among images, sorted.
 
-    images must be a union of whole classes, or all solutions with one
-    value of s(1) (one first-level shard of the search).  The sweep
-    takes the least remaining image as its class's representative and
-    discards the class: only the conjugates whose first byte occurs in
-    images are built, which in a shard is 1 in 4g-2 of them.  On whole
-    classes or the shard where s(1) = 2 the representatives are the
-    canonical ones of `canonical_class_rep`.
+    images are image arrays of permutations of 4i symbols, and classes
+    are their conjugacy classes under `relabeling_group(i)`.  The sweep
+    takes the least remaining image and discards the conjugates of it
+    that are among images: only those whose first byte occurs in images
+    are built, which in a shard of the enumeration (one value of s(1))
+    is 1 in 4g-2 of them.  The image kept is canonical, the class's
+    least member (`canonical_class_rep`), when images holds that member:
+    for whole classes, or the enumeration's shard where s(1) = 2.
     """
     alive = set(images)
     firsts = {img[0] for img in alive}
@@ -347,7 +356,7 @@ def _class_minima(ctx: GenusContext, images: Sequence[bytes]) -> list[bytes]:
             reps.append(img)
             # one at a time: difference_update rebuilds the table once
             # deleted slots pile up, a second copy at peak memory
-            for conj in _conjugates(ctx, img, firsts):
+            for conj in _conjugates(i, img, firsts):
                 alive.discard(conj)
     return reps
 
@@ -362,7 +371,7 @@ def _count_and_classify(
     s(1) = 2.  Holds one (4g-2)-th of the solutions in memory."""
     check_guard(ctx.g, force)
     shard = _least_shard_images(ctx, jobs)
-    return 2 * ctx.i_min * len(shard), _class_minima(ctx, shard)
+    return 2 * ctx.i_min * len(shard), _class_minima(ctx.i_min, shard)
 
 
 def class_representatives(
@@ -380,7 +389,7 @@ def classify_solutions(
     images = [bytes(fp.perm.images) for fp in solutions]
     return [
         FillingPermutation(ctx, Permutation(img))
-        for img in _class_minima(ctx, images)
+        for img in _class_minima(ctx.i_min, images)
     ]
 
 

@@ -82,6 +82,13 @@ def relabeling_generators(i: int) -> tuple[Permutation, ...]:
 
 
 @lru_cache(maxsize=None)
+def relabeling_group(i: int) -> tuple[Permutation, ...]:
+    """The closure of `relabeling_generators(i)`, sorted: the one group
+    that classifies both filling permutations and gluing patterns."""
+    return tuple(closure(relabeling_generators(i)))
+
+
+@lru_cache(maxsize=None)
 def signed_ids(i: int) -> tuple[int, ...]:
     """Signed arc id of each of the 4i directed-arc symbols, padded at 0.
 
@@ -324,12 +331,12 @@ def _check_twisting_generators(
 
 @lru_cache(maxsize=None)
 def twisting_closure(ctx: GenusContext) -> tuple[Permutation, ...]:
-    """The twisting group, sorted.
+    """`relabeling_group(ctx.i_min)`, once its generators are checked to
+    map solutions to solutions; a conjugate is trusted only after this.
 
     It is generated by the relabellings that re-orient an ordered pair:
     kappa and delta rotate the starting arc of either curve, the
     alpha reversal reverses the first curve and mu swaps the two curves.
     """
-    gens = relabeling_generators(ctx.i_min)
-    _check_twisting_generators(ctx, gens)
-    return tuple(closure(gens))
+    _check_twisting_generators(ctx, relabeling_generators(ctx.i_min))
+    return relabeling_group(ctx.i_min)

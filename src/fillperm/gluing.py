@@ -21,8 +21,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .diagram import PairDiagram, crossing_steps
-from .filling import FillingPermutation, relabeling_generators, signed_ids
-from .perms import closure, grow_cycles, table_orbits
+from .enumeration import _class_minima
+from .filling import FillingPermutation, relabeling_group, signed_ids
+from .perms import grow_cycles, table_orbits
 
 
 @dataclass(frozen=True)
@@ -220,19 +221,14 @@ def _pattern_of_faces(m: int, faces: list[list[int]]) -> GluingPattern:
 def _relabeling_tables(i: int) -> tuple[tuple[int, ...], ...]:
     """The relabelling group on signed arc ids, one table per element.
 
-    Each element of the closure of `relabeling_generators(i)` is carried
-    from symbols to signed ids.  A table has 4i + 1 entries and is
-    indexed by the signed id itself: the negative ids wrap around to the
-    top half of the tuple.
+    Each element of `relabeling_group(i)` is carried from symbols to
+    signed ids through the symbol table of `_check_tables`.  A table has
+    4i + 1 entries and is indexed by the signed id itself: the negative
+    ids wrap around to the top half of the tuple, as in that table.
     """
-    ids = signed_ids(i)
-    tables = []
-    for t in closure(relabeling_generators(i)):
-        table = [0] * (4 * i + 1)
-        for s in range(1, 4 * i + 1):
-            table[ids[s]] = ids[t(s)]
-        tables.append(tuple(table))
-    return tuple(tables)
+    ids, sym = signed_ids(i), _check_tables(i)[0]
+    return tuple((0, *(ids[t(sym[v])] for v in range(1, 4 * i + 1)))
+                 for t in relabeling_group(i))
 
 
 def _normalize(polygons: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -270,23 +266,22 @@ def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
 
     The diagrams come from `perms.grow_cycles` over `_crossing_rows`,
     the pruned depth-first search that also enumerates filling
-    permutations, as successor tables with want_faces faces and no
-    bigon.  Orbit sweep: a diagram of a seen class is skipped; a new
-    class adds its whole orbit to `seen` and its least form to the
-    output."""
+    permutations, as face-successor tables with want_faces faces and no
+    bigon.  Relabelling a pattern conjugates its successor table, so the
+    pattern classes are the tables' classes under `relabeling_group(m)`:
+    the enumeration's sweep `_class_minima` keeps one table per class,
+    holding the tables of one size but no orbit.  Only those tables are
+    cut into patterns, each keyed by the least normalized form of its
+    orbit."""
     m = intersections
     want_faces = intersections - 2 * genus + 2
     if want_faces < 1:
         return ()
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    leaves = grow_cycles(4 * m, _crossing_rows(m), want_faces)
     keys = []
-    for nxt in grow_cycles(4 * m, _crossing_rows(m), want_faces):
-        pat = _pattern_of_faces(m, table_orbits(nxt, range(1, 4 * m + 1))[1])
-        if _normalize(pat.polygons) in seen:
-            continue
-        orbit = _orbit(pat)
-        seen |= orbit
-        keys.append(min(orbit))
+    for table in _class_minima(m, (bytes(nxt[1:]) for nxt in leaves)):
+        faces = table_orbits(b"\0" + table, range(1, 4 * m + 1))[1]
+        keys.append(min(_orbit(_pattern_of_faces(m, faces))))
     return tuple(GluingPattern.make(m, key) for key in sorted(keys))
 
 

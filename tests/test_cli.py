@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fillperm
-from fillperm.cli import main
+from fillperm.cli import build_parser, main
 from fillperm.enumeration import lower_bound, root_count, upper_bound
 from fillperm.filling import GenusContext, twisting_closure
 from fillperm.perms import Permutation
@@ -515,3 +516,11 @@ def test_every_argv_exits_with_a_documented_code(capsys, pool_sizes, tmp_path, d
     argv = data.draw(cli_argvs(paths))
     assert main(argv) in {0, 1, 2, 64, 65, 74}
     capsys.readouterr()
+
+
+def test_every_argument_of_every_subcommand_has_help():
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    missing = [(name, action.dest) for name, sub in subparsers.choices.items()
+               for action in sub._actions if not action.help]
+    assert not missing

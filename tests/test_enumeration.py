@@ -6,6 +6,7 @@ import pytest
 
 from fillperm import enumeration
 from fillperm.enumeration import (
+    MAX_ENUMERATED_GENUS,
     GuardExceeded,
     _check_regular_on_evens,
     _class_minima,
@@ -40,6 +41,7 @@ from fillperm.filling import (
     twisting_closure,
 )
 from fillperm.perms import Permutation, closure, from_cycles
+from fillperm.zpiece import LSequence, build_from_sequence, derive_template
 
 
 # The closed-form size of `excluded_roots`, a test oracle.
@@ -241,7 +243,7 @@ def test_one_shard_representatives_equal_the_full_sweep(g):
     total = list(_iter_solution_images(ctx))
     reps = full_sweep_class_minima(ctx, total)
     assert _count_and_classify(ctx) == (len(total), reps)
-    assert _class_minima(ctx, total) == reps
+    assert _class_minima(ctx.i_min, total) == reps
     assert [r.perm for r in class_representatives(ctx)] == [
         Permutation(list(img)) for img in reps]
     assert count_classes(ctx) == len(reps) == [1, 0, 5, 168][g - 1]
@@ -252,10 +254,10 @@ def test_one_shard_representatives_equal_the_full_sweep(g):
 def test_conjugates_filtered_by_first_byte():
     ctx = GenusContext(3)
     for img in _least_shard_images(ctx)[:20]:
-        every = list(_conjugates(ctx, img))
-        assert sorted(_conjugates(ctx, img, {2})) == sorted(
+        every = list(_conjugates(ctx.i_min, img))
+        assert sorted(_conjugates(ctx.i_min, img, {2})) == sorted(
             c for c in every if c[0] == 2)
-        assert sorted(_conjugates(ctx, img, {2, 4})) == sorted(
+        assert sorted(_conjugates(ctx.i_min, img, {2, 4})) == sorted(
             c for c in every if c[0] in (2, 4))
 
 
@@ -462,3 +464,17 @@ def test_excluded_count_identity():
     from math import factorial
 
     assert 3360 == 2 ** (2 * g - 2) * (4 * g - 5) * factorial(2 * g - 1) // (2 * g - 2)
+
+
+def test_canonical_class_rep_refuses_genus_above_the_byte_limit(monkeypatch):
+    fp = build_from_sequence(LSequence(33, tuple(range(1, 17))), derive_template())
+
+    def no_closure(*args):
+        raise AssertionError("a closure was built")
+
+    monkeypatch.setattr(enumeration, "twisting_closure", no_closure)
+    monkeypatch.setattr(enumeration, "_closure_tables", no_closure)
+    with pytest.raises(ValueError, match="MAX_ENUMERATED_GENUS") as info:
+        canonical_class_rep(fp.ctx, fp.perm)
+    assert "\n" not in str(info.value)
+    assert str(MAX_ENUMERATED_GENUS) in str(info.value)

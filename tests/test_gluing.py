@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
@@ -9,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillperm.diagram import PairDiagram
-from fillperm.enumeration import _least_shard_images, count_classes, enumerate_filling
+from fillperm.enumeration import (
+    _class_minima,
+    _count_and_classify,
+    _least_shard_images,
+    count_classes,
+    enumerate_filling,
+)
 from fillperm.filling import FillingPermutation, GenusContext
-from fillperm.filling import signed_ids
+from fillperm.filling import relabeling_group, signed_ids, twisting_closure
 from fillperm.gluing import (
     GluingPattern,
     _check,
@@ -385,6 +392,36 @@ def test_both_searches_run_through_grow_cycles(monkeypatch):
     assert calls[20, 1] == 8  # one call per second-level prefix
     assert len(_search_all.__wrapped__(3, 6)) == 49
     assert calls[24, 2] == 1
+
+
+def test_both_searches_share_one_class_sweep(monkeypatch):
+    calls = Counter()
+
+    def counting(i, images):
+        calls[i] += 1
+        return _class_minima(i, images)
+
+    monkeypatch.setattr("fillperm.enumeration._class_minima", counting)
+    monkeypatch.setattr("fillperm.gluing._class_minima", counting)
+    assert len(_count_and_classify(GenusContext(3))[1]) == 5
+    assert len(_search_all.__wrapped__(3, 6)) == 49
+    assert calls == {5: 1, 6: 1}
+    ctx = GenusContext(3)
+    assert twisting_closure(ctx) is relabeling_group(ctx.i_min)
+
+
+def test_pattern_sweep_keeps_no_orbit():
+    # the first run builds the caches of the size; the sweep then holds
+    # the leaf tables, about 0.25 MiB, while a set of the normalized
+    # relabelled forms of every class found takes about 2 MiB
+    _search_all.__wrapped__(3, 6)
+    tracemalloc.start()
+    try:
+        assert len(_search_all.__wrapped__(3, 6)) == 49
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("g, i", SEARCH_SIZES)

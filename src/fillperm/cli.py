@@ -162,7 +162,7 @@ def cmd_enumerate(args) -> int:
         listed = reps if args.limit is None else reps[: args.limit]
         # validated here, for the listed representatives only
         results = [
-            _perm_payload(FillingPermutation(ctx, Permutation(img)).perm)
+            _perm_payload(FillingPermutation(ctx, Permutation._unchecked(img)).perm)
             for img in listed
         ]
         if args.classes:

@@ -21,9 +21,12 @@ is its filling permutation.
 the successor table of a whole diagram and the crossing-by-crossing
 pattern search both take their entries from it, and `diagram_of` reads
 a diagram back from the first of its steps, the image of each alpha
-arc.  A filling permutation made by `PairDiagram.to_filling_permutation`
-keeps the diagram it was made from, and `diagram_of` hands that back
-without reading, so splice and build results carry their diagram.
+arc.  A diagram builds its successor table once, on construction, and
+keeps it: the round trip of `diagram_of`, `faces`, `is_filling_pair`
+and `to_filling_permutation` all read that one table.  A filling
+permutation made by `PairDiagram.to_filling_permutation` keeps the
+diagram it was made from, and `diagram_of` hands that back without
+reading, so splice and build results carry their diagram.
 
 The module is internal machinery shared by the splice construction and
 the small-pattern search.
@@ -65,15 +68,23 @@ class PairDiagram:
     signs: tuple[int, ...]
 
     def __post_init__(self):
+        # type(), not isinstance(): bool is an int subclass
+        if type(self.m) is not int or any(
+                type(v) is not int for v in (*self.beta_seq, *self.signs)):
+            raise ValueError("m, beta_seq and signs must be ints")
         if self.m < 1:
             raise ValueError("diagram needs at least one crossing")
         if sorted(self.beta_seq) != list(range(1, self.m + 1)):
             raise ValueError("beta_seq must visit each point exactly once")
         if len(self.signs) != self.m or any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1/-1 per point")
+        # The face-walk successor table, built once.  Not a field: it
+        # takes no part in ==, hash or repr.
+        object.__setattr__(self, "_succ", tuple(self._next_arc()))
 
     def _next_arc(self) -> list[int]:
-        """The face-walk successor on directed arc symbols, padded at 0."""
+        """The face-walk successor on directed arc symbols, padded at 0,
+        which construction keeps as `_succ`."""
         m, signs = self.m, self.signs
         nxt = [0] * (4 * m + 1)
         for j, p in enumerate(self.beta_seq, 1):
@@ -89,8 +100,7 @@ class PairDiagram:
 
     def faces(self) -> list[list[int]]:
         """Complementary polygons as cyclic lists of directed arc symbols."""
-        nxt = self._next_arc()
-        return table_orbits(nxt, range(1, len(nxt)))[1]
+        return table_orbits(self._succ, range(1, 4 * self.m + 1))[1]
 
     def face_count(self) -> int:
         return len(self.faces())
@@ -110,7 +120,7 @@ class PairDiagram:
         """
         if self.m % 2 == 0:
             return False
-        face = table_orbits(self._next_arc(), (1,))[1][0]
+        face = table_orbits(self._succ, (1,))[1][0]
         return len(face) == 4 * self.m
 
     # -- conversion to the polygon encoding ------------------------------
@@ -121,13 +131,22 @@ class PairDiagram:
         The face-walk successor on the arc symbols is the permutation.
         Requires a single complementary face; raises ValueError otherwise.
         The result keeps this diagram for `diagram_of`.
+
+        The successor table goes to `FillingPermutation` unchecked, and
+        its one bounded walk from symbol 1 decides everything.  The walk
+        comes back to 1 after exactly 4m steps only on a bijection of the
+        4m symbols whose one cycle is the face at 1 (see `is_filling`),
+        so "not an n-cycle" means that face is not every arc.
         """
         if self.m % 2 == 0:
             raise ValueError("a filling pair has an odd crossing count")
-        p = Permutation(self._next_arc()[1:])
-        if not p.is_n_cycle():  # the face at symbol 1 is not every arc
-            raise ValueError("complement is not a single disk")
-        fp = FillingPermutation(GenusContext((self.m + 1) // 2), p)
+        ctx = GenusContext((self.m + 1) // 2)
+        try:
+            fp = FillingPermutation(ctx, Permutation._unchecked(self._succ[1:]))
+        except ValueError as exc:
+            if str(exc).endswith("not an n-cycle"):
+                raise ValueError("complement is not a single disk") from None
+            raise
         object.__setattr__(fp, "_diagram", self)
         return fp
 
@@ -163,6 +182,6 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
             ends[(x // 2 - 2) % m + 1] = k
             signs.append(-1)
     d = PairDiagram(m, tuple(ends[1:]), tuple(signs))
-    if d._next_arc()[1:] != list(s):
+    if d._succ != fp.perm.padded:
         raise ValueError("corner structure is not a transverse 4-valent pair")
     return d

@@ -283,7 +283,8 @@ def enumerate_filling(
     check_guard(ctx.g, force)
     shard = _least_shard_images(ctx)
     return [
-        FillingPermutation(ctx, Permutation(bytes(getter(img)).translate(table)))
+        FillingPermutation(
+            ctx, Permutation._unchecked(bytes(getter(img)).translate(table)))
         for _, getter, table in _closure_tables(ctx.i_min) if table[1] == 1
         for img in shard
     ]
@@ -379,7 +380,7 @@ def class_representatives(
 ) -> list[FillingPermutation]:
     """Canonical representative of every twisting class, sorted."""
     _, reps = _count_and_classify(ctx, jobs=jobs, force=force)
-    return [FillingPermutation(ctx, Permutation(img)) for img in reps]
+    return [FillingPermutation(ctx, Permutation._unchecked(img)) for img in reps]
 
 
 def classify_solutions(
@@ -388,7 +389,7 @@ def classify_solutions(
     """Class representatives of an already-enumerated solution list."""
     images = [bytes(fp.perm.images) for fp in solutions]
     return [
-        FillingPermutation(ctx, Permutation(img))
+        FillingPermutation(ctx, Permutation._unchecked(img))
         for img in _class_minima(ctx.i_min, images)
     ]
 

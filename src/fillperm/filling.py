@@ -35,6 +35,9 @@ class GenusContext:
     g: int
 
     def __post_init__(self):
+        # type(), not isinstance(): bool is an int subclass
+        if type(self.g) is not int:
+            raise ValueError(f"genus must be an int, not {type(self.g).__name__}")
         if self.g < 1:
             raise ValueError("genus must be at least 1")
 
@@ -151,6 +154,16 @@ def is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
     takes n steps.  On an n-cycle the walk visits every j, so it also
     checks the equation s(iota(s(j))) = tau(j) on the padded image
     tables, without building the products as permutations.
+
+    The walk stops after n steps, so it also decides the tables of
+    non-negative entries that `FillingPermutation` is given unchecked.
+    A walk that first comes back to 1 after exactly n steps has visited
+    n distinct symbols: had it met one twice, it would have repeated
+    itself from there and come back to 1 sooner.  None of them is 0,
+    which the padding maps to itself, or above n, where the lookup
+    raises IndexError.  So the walk has read every entry of the table
+    once, the entries are the n symbols 1..n it visited, and the table
+    is a bijection of 1..n.
     """
     n = ctx.n
     if p.n != n:
@@ -160,7 +173,7 @@ def is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
     steps = 0
     flips = solves = True
     j = 1
-    while True:
+    while steps < n:
         # two steps a turn, from odd j to even k and on to odd s[k]
         k = s[j]
         steps += 1
@@ -178,7 +191,7 @@ def is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
             solves = False
         if j == 1:
             break
-    if steps != n:
+    if steps != n or j != 1:  # back at 1 after exactly n steps?
         return False, "not an n-cycle"
     if not flips:
         return False, "not parity respecting"
@@ -194,6 +207,13 @@ class FillingPermutation:
     Encodes one oriented minimally intersecting filling pair; construction
     rejects anything that is not an n-cycle, not parity respecting, or not
     a solution.
+
+    Image tables the library built itself (search bytes, a diagram's
+    successor table) come as FillingPermutation(ctx,
+    Permutation._unchecked(table)), and nowhere else: the bounded walk of
+    `is_filling` proves such a table a bijection (see there), so this
+    accepts and rejects what the checked Permutation(table) does, with
+    an equal result, in one walk.
     """
 
     ctx: GenusContext
@@ -205,7 +225,10 @@ class FillingPermutation:
     _diagram = None
 
     def __post_init__(self):
-        ok, why = is_filling(self.ctx, self.perm)
+        try:
+            ok, why = is_filling(self.ctx, self.perm)
+        except IndexError:  # an unchecked table with an entry above n
+            ok, why = False, "not an n-cycle"
         if not ok:
             raise ValueError(f"not a filling permutation: {why}")
 

@@ -52,6 +52,16 @@ class Permutation:
         self.n = n
         self._img = (0,) + tuple(images)
 
+    @classmethod
+    def _unchecked(cls, images: Sequence[int]) -> "Permutation":
+        """`images` wrapped without the per-symbol checks, for one use
+        only: as the perm of FillingPermutation(ctx, ...), whose
+        construction walk proves the table a bijection or raises."""
+        p = object.__new__(cls)
+        p.n = len(images)
+        p._img = (0, *images)
+        return p
+
     # -- basic access -------------------------------------------------
 
     def __call__(self, j: int) -> int:
@@ -270,23 +280,26 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
     """The group generated by the given permutations, as a sorted list.
 
     Only intended for small groups (the twisting groups used here have a
-    few hundred elements at most).
+    few hundred elements at most).  Products are composed as padded image
+    tables; each distinct element becomes a Permutation once, at the end.
     """
-    gens = list(generators)
+    gens = [g.padded for g in generators]
     if not gens:
         raise ValueError("closure of empty set")
-    group: set[Permutation] = set(gens)
-    frontier = list(gens)
+    if len({len(g) for g in gens}) > 1:
+        raise ValueError("degree mismatch")
+    group = set(gens)
+    frontier = gens
     while frontier:
         nxt = []
         for a in frontier:
             for b in gens:
-                c = a.compose(b)
+                c = tuple(map(a.__getitem__, b))  # a o b, padded: a[0] = 0
                 if c not in group:
                     group.add(c)
                     nxt.append(c)
         frontier = nxt
-    return sorted(group)
+    return [Permutation(c[1:]) for c in sorted(group)]
 
 
 def table_orbits(

@@ -140,3 +140,54 @@ def test_every_library_definition_has_a_caller():
             if node.name not in callers | elsewhere | in_module:
                 uncalled.append(f"{name[:-3]}.{node.name}")
     assert uncalled == []
+
+
+def defs_mentioning(tree, attr):
+    """The innermost enclosing def of every mention of attr as an
+    attribute (None at module level)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.add(owner)
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def unwrapped_unchecked(tree):
+    """Line numbers of the mentions of `_unchecked` that are not the
+    callee of the perm argument of a FillingPermutation(...) call."""
+    wrapped = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "FillingPermutation"):
+            perms = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "perm")]
+            wrapped.update(id(p.func) for p in perms if isinstance(p, ast.Call))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+            and id(node) not in wrapped]
+
+
+def test_only_filling_construction_skips_permutation_checks():
+    # a Permutation built without its per-symbol checks is sound only
+    # once the bounded is_filling walk of FillingPermutation accepts it,
+    # so each Permutation._unchecked(...) must be the perm argument of a
+    # FillingPermutation(...) call, and no other code may skip __init__
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 10
+    unwrapped = {name: lines for name, tree in trees.items()
+                 if (lines := unwrapped_unchecked(tree))}
+    assert unwrapped == {}
+    new = {(name, owner) for name, tree in trees.items()
+           for owner in defs_mentioning(tree, "__new__")}
+    assert new == {("perms.py", "_unchecked")}
+    # the tables the library builds: search bytes and diagram successors
+    users = {name for name, tree in trees.items()
+             if "_unchecked" in {n.attr for n in ast.walk(tree)
+                                 if isinstance(n, ast.Attribute)}}
+    assert users == {"cli.py", "diagram.py", "enumeration.py"}

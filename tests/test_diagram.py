@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from fillperm import diagram
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.filling import FillingPermutation, GenusContext, corner_orbits
 from fillperm.perms import Permutation
@@ -44,6 +45,33 @@ def test_diagram_of_writes_nothing_back(g3_solutions, monkeypatch):
     assert diagram_of(fp) == diagram_of(fp)
     assert len(reads) == 2
     assert vars(fp) == {"ctx": fp.ctx, "perm": fp.perm}
+
+
+def test_a_diagram_builds_its_successor_table_once(g4_solutions, monkeypatch):
+    steps = diagram.crossing_steps
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(diagram, "crossing_steps", counted)
+    fp = g4_solutions[4321]
+    d = diagram_of(fp)
+    assert d.to_filling_permutation() == fp
+    assert len(d.faces()) == 1 and d.is_filling_pair()
+    assert len(calls) == d.m == 7  # one per crossing, for the one table
+
+
+@pytest.mark.parametrize("m, beta_seq, signs", [
+    (1, (1.0,), (1,)), (1, (True,), (1,)), (1, (1,), (True,)),
+    (1, (1,), (1.0,)), (1.0, (1,), (1,)), (True, (1,), (1,)),
+    (3, (1, 2, 3.0), (1, -1, 1))])
+def test_diagram_rejects_entries_that_are_not_ints(m, beta_seq, signs):
+    # a float label would fail only inside the successor table, and a
+    # True sign would equal the +1 diagram
+    with pytest.raises(ValueError, match="must be ints"):
+        PairDiagram(m, beta_seq, signs)
 
 
 def unvalidated(g, images):

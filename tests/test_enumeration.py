@@ -136,6 +136,22 @@ def test_enumeration_closed_under_twisting(g3_solutions):
         assert {p.conjugate_by(t) for p in solset} == solset
 
 
+def test_warm_listing_runs_no_per_symbol_check(monkeypatch):
+    # each listed pair is checked by its one is_filling walk only
+    ctx = GenusContext(3)
+    first = enumerate_filling(ctx)  # builds the cached twisting tables
+    checks = []
+    init = Permutation.__init__
+
+    def counted(self, images):
+        checks.append(images)
+        init(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    assert enumerate_filling(ctx) == first
+    assert len(first) == 600 and checks == []
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_listing_conjugates_the_least_shard(g, monkeypatch):
     ctx = GenusContext(g)

@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fillperm.filling import (
     FillingPermutation,
@@ -43,6 +45,13 @@ def test_context_derived_fields():
     assert ctx.i_min == 5
     with pytest.raises(ValueError):
         GenusContext(0)
+
+
+@pytest.mark.parametrize("g", [1.5, 3.0, True, "3", None])
+def test_context_rejects_a_genus_that_is_not_an_int(g):
+    # 1.5 would give n = 8.0, and True would pass for genus 1
+    with pytest.raises(ValueError, match="genus must be an int"):
+        GenusContext(g)
 
 
 def test_canonical_perms_g1():
@@ -465,3 +474,73 @@ def test_class_invariant_under_twisting(g3_class_reps):
 def test_canonical_class_rep_rejects_non_solutions():
     with pytest.raises(ValueError):
         canonical_class_rep(GenusContext(1), Permutation([3, 4, 1, 2]))
+
+
+# The one-walk construction the library uses for tables it built,
+# against the checked path FillingPermutation(ctx, Permutation(table)).
+def from_table(ctx, images):
+    return FillingPermutation(ctx, Permutation._unchecked(images))
+
+
+def test_unchecked_table_rejects_tables_that_are_not_permutations(g3_solutions):
+    ctx = GenusContext(3)
+    n = ctx.n
+    good = list(g3_solutions[0].perm.images)
+    to_1 = good.index(1)  # s(to_1 + 1) = 1
+    repeat = good.copy()
+    repeat[to_1] = good[0]  # a loop through s(1) that misses 1
+    zero = good.copy()
+    zero[0] = 0
+    above = good.copy()
+    above[0] = n + 1
+    far_above = good.copy()
+    far_above[to_1] = 10**6
+    two_cycle = [2, 1] + [3] * (n - 2)  # back at 1 after two steps
+    for images in (repeat, zero, above, far_above, two_cycle):
+        with pytest.raises(ValueError):
+            FillingPermutation(ctx, Permutation(images))
+        for table in (images, tuple(images), bytes(i % 256 for i in images)):
+            # none of them is a bijection, so none is an n-cycle
+            with pytest.raises(ValueError, match="not an n-cycle"):
+                from_table(ctx, table)
+    assert from_table(ctx, bytes(good)) == g3_solutions[0]
+
+
+def checked_path(ctx, images):
+    try:
+        return FillingPermutation(ctx, Permutation(images))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_unchecked_table_agrees_with_the_checked_path(
+        g1_solutions, g3_solutions, g4_solutions, data):
+    solutions = data.draw(st.sampled_from([g1_solutions, g3_solutions, g4_solutions]))
+    ctx = solutions[0].ctx
+    n = ctx.n
+    # negative entries too: they index from the end of the table, and
+    # the equation test, which reads every entry, still rejects them
+    entries = st.integers(-n - 3, n + 3)
+    kind = data.draw(st.sampled_from(["any", "permutation", "solution", "edited"]))
+    if kind == "any":
+        images = data.draw(st.lists(entries, min_size=n, max_size=n))
+    elif kind == "permutation":
+        images = data.draw(st.permutations(range(1, n + 1)))
+    else:
+        images = list(data.draw(st.sampled_from(solutions)).perm.images)
+        if kind == "edited":
+            for _ in range(data.draw(st.integers(1, 3))):
+                images[data.draw(st.integers(0, n - 1))] = data.draw(entries)
+    if min(images) >= 0 and data.draw(st.booleans()):
+        images = bytes(images)  # as the search hands them over
+    expected = checked_path(ctx, images)
+    if expected is None:
+        with pytest.raises(ValueError):
+            from_table(ctx, images)
+    else:
+        got = from_table(ctx, images)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert repr(got) == repr(expected)

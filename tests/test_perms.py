@@ -185,3 +185,14 @@ def test_ordering_is_lexicographic_on_images():
 def test_closure_small_group():
     gens = [from_cycles([(1, 2)], 3), from_cycles([(1, 2, 3)], 3)]
     assert len(closure(gens)) == 6
+
+
+def test_closure_is_sorted_and_rejects_bad_generators():
+    gens = [from_cycles([(1, 2, 3, 4)], 4), from_cycles([(1, 3)], 4)]
+    group = closure(gens)
+    assert len(group) == 8 and group == sorted(set(group))
+    assert group[0] == identity(4)
+    with pytest.raises(ValueError, match="closure of empty set"):
+        closure([])
+    with pytest.raises(ValueError, match="degree mismatch"):
+        closure([identity(2), identity(3)])

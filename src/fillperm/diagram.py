@@ -68,6 +68,9 @@ class PairDiagram:
     signs: tuple[int, ...]
 
     def __post_init__(self):
+        # a list would construct, but leave the diagram unhashable
+        if not (isinstance(self.beta_seq, tuple) and isinstance(self.signs, tuple)):
+            raise ValueError("beta_seq and signs must be tuples")
         # type(), not isinstance(): bool is an int subclass
         if type(self.m) is not int or any(
                 type(v) is not int for v in (*self.beta_seq, *self.signs)):

@@ -11,6 +11,30 @@ it must have exactly four corners whose strands alternate between the
 two curves.  Consecutive arcs of each curve must chain head to tail,
 which is the filling equation succ(iota(succ(s))) = tau(s) on the
 forward arcs s.
+
+`_check` reads every pattern built by `GluingPattern.make` or
+`from_json`, once per `validate`, `t1` or `euler_genus`.  The patterns
+the library cuts from an object already valid are not re-checked:
+`from_filling` and `pattern_of_diagram` attach the polygon-of-symbol
+table `_check` would return, and `t1` and `euler_genus` read it.  Both
+cuts use each signed arc id once, in polygons of even length whose
+edges alternate between the curves, and pass the corner and chaining
+conditions too, so `_check` would find no failure:
+
+  * The one polygon of a `FillingPermutation` s is its n-cycle, read
+    with succ = s, so its corner map is c = iota o s.  Then
+    c^2 = iota o s o iota o s = iota o tau.  That is a fixed-point-free
+    involution: tau keeps the forward and the inverse symbols apart,
+    which iota swaps, and it runs the inverse symbols backwards, so
+    tau o iota = iota o tau^-1.  So every corner orbit has exactly four
+    corners.  s flips parity and iota keeps it (it shifts by 4g - 2),
+    so the strands alternate.  The equation s o iota o s = tau on the
+    forward arcs is exactly the chaining condition, as `_check_tables`
+    holds the same iota and tau at 4i = 8g - 4.
+  * The faces of a `PairDiagram` are the cycles of the successor table
+    that `crossing_steps` writes, crossing by crossing: four corners
+    that alternate between the curves and chain head to tail, each
+    step from one curve to the other.
 """
 
 from __future__ import annotations
@@ -32,6 +56,11 @@ class GluingPattern:
 
     i: int
     polygons: tuple[tuple[int, ...], ...]
+
+    # The polygon of each directed-arc symbol, when `from_filling` or
+    # `pattern_of_diagram` cut this pattern from a valid object.  Not a
+    # field: it takes no part in ==, hash or repr.
+    _polygon = None
 
     @classmethod
     def make(cls, i: int, polygons: Sequence[Sequence[int]]) -> "GluingPattern":
@@ -165,11 +194,21 @@ def validate(pat: GluingPattern) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
+def _valid_polygon(pat: GluingPattern) -> list[int]:
+    """The polygon of each directed-arc symbol of a valid pattern, read
+    from the table a cut pattern carries or else from `_check`;
+    ValueError naming every failure on an invalid one."""
+    if pat._polygon is not None:
+        return pat._polygon
+    failures, polygon = _check(pat)
+    if failures:
+        raise ValueError("invalid pattern: " + "; ".join(failures))
+    return polygon
+
+
 def euler_genus(pat: GluingPattern) -> int:
     """Genus from V - E + F with V = crossings, E = 2i, F = polygon count."""
-    report = validate(pat)
-    if not report.ok:
-        raise ValueError("invalid pattern: " + "; ".join(report.failures))
+    _valid_polygon(pat)
     return _valid_genus(pat)
 
 
@@ -187,22 +226,38 @@ def t1(pat: GluingPattern) -> int:
     Each such arc supports exactly one simple closed curve crossing the
     pair once (the chord of that polygon joining the two sides).
     """
-    failures, polygon = _check(pat)
-    if failures:
-        raise ValueError("invalid pattern: " + "; ".join(failures))
+    polygon = _valid_polygon(pat)
     return sum(polygon[s] == polygon[s + 2 * pat.i] for s in range(1, 2 * pat.i + 1))
 
 
 def from_filling(fp: FillingPermutation) -> GluingPattern:
-    """The one-polygon pattern of a minimally intersecting pair."""
+    """The one-polygon pattern of a minimally intersecting pair.
+
+    It carries its polygon table, every symbol on polygon 0, and is not
+    re-checked: the corner orbits of a filling permutation are
+    crossings of four alternating corners whose arcs chain (see the
+    module docstring).
+    """
     i = fp.ctx.i_min
     ids = signed_ids(i)
-    return GluingPattern.make(i, [[ids[s] for s in fp.boundary_word()]])
+    pat = GluingPattern.make(i, [[ids[s] for s in fp.boundary_word()]])
+    object.__setattr__(pat, "_polygon", [0] * (4 * i + 1))
+    return pat
 
 
 def pattern_of_diagram(d: PairDiagram) -> GluingPattern:
-    """Cut a crossing diagram along its curves into a gluing pattern."""
-    return _pattern_of_faces(d.m, d.faces())
+    """Cut a crossing diagram along its curves into a gluing pattern.
+
+    One walk of the diagram's successor table gives both the faces and
+    the polygon of each symbol.  The pattern carries that table and is
+    not re-checked: `crossing_steps` writes every crossing as four
+    alternating corners whose arcs chain (see the module docstring).
+    """
+    polygon, faces = table_orbits(d._succ, range(1, 4 * d.m + 1))
+    polygon[0] = 0  # as `_check` pads it
+    pat = _pattern_of_faces(d.m, faces)
+    object.__setattr__(pat, "_polygon", polygon)
+    return pat
 
 
 def _pattern_of_faces(m: int, faces: list[list[int]]) -> GluingPattern:

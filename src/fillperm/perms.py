@@ -148,15 +148,6 @@ class Permutation:
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 
-    def is_n_cycle(self) -> bool:
-        """True iff the permutation is a single cycle of full length."""
-        count = 1
-        j = self._img[1]
-        while j != 1:
-            count += 1
-            j = self._img[j]
-        return count == self.n
-
     def is_parity_respecting(self) -> bool:
         """True iff the image parity depends only on the symbol parity.
 

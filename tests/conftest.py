@@ -12,6 +12,11 @@ from fillperm.perms import Permutation
 from fillperm.zpiece import derive_template
 
 
+def is_n_cycle(p: Permutation) -> bool:
+    """True iff the permutation is a single cycle of full length."""
+    return len(p.cycles()) == 1
+
+
 @pytest.fixture(scope="session")
 def ctx1():
     return GenusContext(1)

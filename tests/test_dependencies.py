@@ -142,20 +142,27 @@ def test_every_library_definition_has_a_caller():
     assert uncalled == []
 
 
-def defs_mentioning(tree, attr):
-    """The innermost enclosing def of every mention of attr as an
-    attribute (None at module level)."""
+def enclosing_defs(tree, matches):
+    """The innermost enclosing def of every node that matches (None at
+    module level)."""
     found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == attr:
+            if matches(child):
                 found.add(owner)
             inner = child.name if isinstance(child, ast.FunctionDef) else owner
             visit(child, inner)
 
     visit(tree, None)
     return found
+
+
+def defs_mentioning(tree, attr):
+    """The innermost enclosing def of every mention of attr as an
+    attribute (None at module level)."""
+    return enclosing_defs(
+        tree, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
 def unwrapped_unchecked(tree):
@@ -191,3 +198,22 @@ def test_only_filling_construction_skips_permutation_checks():
              if "_unchecked" in {n.attr for n in ast.walk(tree)
                                  if isinstance(n, ast.Attribute)}}
     assert users == {"cli.py", "diagram.py", "enumeration.py"}
+
+
+def test_only_cut_patterns_carry_a_polygon_table():
+    # t1 and euler_genus trust the polygon table a pattern carries, which
+    # is sound only for the patterns cut from a valid pair or diagram;
+    # the check itself must never trust it
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 10
+    # the table is written as object.__setattr__(pat, "_polygon", ...)
+    named = lambda node: isinstance(node, ast.Constant) and node.value == "_polygon"
+    writes = {(name, owner) for name, tree in trees.items()
+              for owner in enclosing_defs(tree, named)}
+    assert writes == {("gluing.py", "from_filling"),
+                      ("gluing.py", "pattern_of_diagram")}
+    reads = {(name, owner) for name, tree in trees.items()
+             for owner in defs_mentioning(tree, "_polygon")}
+    # one reader, for t1 and euler_genus; not _check or validate
+    assert reads == {("gluing.py", "_valid_polygon")}

@@ -74,6 +74,14 @@ def test_diagram_rejects_entries_that_are_not_ints(m, beta_seq, signs):
         PairDiagram(m, beta_seq, signs)
 
 
+@pytest.mark.parametrize("beta_seq, signs", [
+    ([1], (1,)), ((1,), [1]), ([1], [1]), (range(1, 2), (1,))])
+def test_diagram_rejects_sequences_that_are_not_tuples(beta_seq, signs):
+    # a list would construct a diagram that no hash can take
+    with pytest.raises(ValueError, match="must be tuples"):
+        PairDiagram(1, beta_seq, signs)
+
+
 def unvalidated(g, images):
     fake = object.__new__(FillingPermutation)
     object.__setattr__(fake, "ctx", GenusContext(g))

@@ -20,6 +20,7 @@ from fillperm.filling import (
 )
 from fillperm.enumeration import canonical_class_rep
 from fillperm.perms import Permutation, closure, from_cycles, identity
+from conftest import is_n_cycle
 
 
 # The curve reversals as relabellings, oracles of the twisting tests.
@@ -147,7 +148,7 @@ def test_q12_is_not_filling_at_g2():
 def composed_is_filling(ctx, p):
     """The three conditions, the equation checked by composing
     permutations."""
-    if not p.is_n_cycle():
+    if not is_n_cycle(p):
         return False, "not an n-cycle"
     if not p.is_parity_respecting():
         return False, "not parity respecting"
@@ -201,7 +202,7 @@ def reference_is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str |
     """
     if p.n != ctx.n:
         raise ValueError("degree mismatch")
-    if not p.is_n_cycle():
+    if not is_n_cycle(p):
         return False, "not an n-cycle"
     if not p.is_parity_respecting():
         return False, "not parity respecting"

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillperm.diagram import PairDiagram
+from fillperm import gluing
+from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.enumeration import (
     _class_minima,
     _count_and_classify,
@@ -30,12 +31,14 @@ from fillperm.gluing import (
     _search_all,
     euler_genus,
     from_filling,
+    pattern_of_diagram,
     search_patterns,
     t1,
     validate,
     ValidationReport,
 )
 from fillperm.perms import Permutation, grow_cycles, table_orbits
+from fillperm.zpiece import LSequence, build_from_sequence, splice
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
@@ -869,3 +872,86 @@ def test_check_matches_the_reference_on_mutations(g3_solutions):
     # here that chains head to tail is disconnected
     assert assert_check_matches_the_reference(pats) == set(FAILURE_KINDS) - {
         "crossings found", "disconnected"}
+
+
+# ----------------------------------------------------------------------
+# Cut patterns: the polygon table from_filling and pattern_of_diagram attach
+# ----------------------------------------------------------------------
+
+
+def assert_cut_needs_no_check(pat):
+    """`_check` finds no failure in a cut pattern and returns the
+    polygon table the pattern carries."""
+    assert _check(pat) == ([], pat._polygon), pat
+
+
+def every_diagram(m):
+    """Every diagram with m crossings, m! 2^m of them."""
+    for beta_seq, signs in product(permutations(range(1, m + 1)),
+                                   product((-1, 1), repeat=m)):
+        yield PairDiagram(m, beta_seq, signs)
+
+
+@pytest.mark.parametrize("g", [1, 3, 4])
+def test_one_polygon_cut_carries_the_checked_table(
+        g, g1_solutions, g3_solutions, g4_solutions):
+    sols = {1: g1_solutions, 3: g3_solutions, 4: g4_solutions}[g]
+    for fp in sols:
+        assert_cut_needs_no_check(from_filling(fp))
+
+
+def test_diagram_cut_carries_the_checked_table():
+    count = 0
+    for m in range(1, 6):
+        for d in every_diagram(m):
+            assert_cut_needs_no_check(pattern_of_diagram(d))
+            count += 1
+    assert count == 4282
+
+
+@st.composite
+def attachment_sequences(draw):
+    """An attachment sequence of odd genus up to 21, where n = 164."""
+    g = draw(st.sampled_from(range(3, 22, 2)))
+    entries = []
+    for i in range(1, (g - 1) // 2 + 1):
+        low = entries[-1] + 1 if entries else 1
+        entries.append(draw(st.integers(low, 4 * i - 3)))
+    return LSequence(g, tuple(entries))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 599), st.integers(1, 5), attachment_sequences())
+def test_spliced_and_built_cuts_carry_the_checked_table(
+        g3_solutions, template, index, k, seq):
+    spliced = splice(g3_solutions[index], k, template)
+    built = build_from_sequence(seq, template)
+    for fp in (spliced, built):
+        assert_cut_needs_no_check(pattern_of_diagram(diagram_of(fp)))
+        assert_cut_needs_no_check(from_filling(fp))
+
+
+def genus_or_error(pat):
+    try:
+        return euler_genus(pat)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cut_patterns_skip_the_check_and_equal_their_copies(
+        g3_solutions, monkeypatch):
+    cut = [from_filling(fp) for fp in g3_solutions[:50]]
+    cut += [pattern_of_diagram(d) for m in range(1, 5) for d in every_diagram(m)]
+    calls = []
+    check = gluing._check
+    monkeypatch.setattr(gluing, "_check", lambda pat: calls.append(pat) or check(pat))
+    answers = [(t1(pat), genus_or_error(pat)) for pat in cut]
+    assert calls == []
+    assert answers[:50] == [(10, 3)] * 50
+    # a pattern built by make carries no table, so each call checks it once
+    copies = [GluingPattern.make(pat.i, pat.polygons) for pat in cut]
+    assert [(t1(c), genus_or_error(c)) for c in copies] == answers
+    assert len(calls) == 2 * len(copies)
+    for pat, copy in zip(cut, copies):
+        assert copy._polygon is None
+        assert (copy, hash(copy), repr(copy)) == (pat, hash(pat), repr(pat))

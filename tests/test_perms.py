@@ -12,6 +12,7 @@ from fillperm.perms import (
     identity,
     parse,
 )
+from conftest import is_n_cycle
 
 
 def cycle_type(p):
@@ -113,10 +114,10 @@ def test_cycles():
 
 
 def test_is_n_cycle():
-    assert from_cycles([(1, 2, 3, 4)], 4).is_n_cycle()
-    assert not from_cycles([(1, 3), (2, 4)], 4).is_n_cycle()
-    assert identity(1).is_n_cycle()
-    assert not identity(2).is_n_cycle()
+    assert is_n_cycle(from_cycles([(1, 2, 3, 4)], 4))
+    assert not is_n_cycle(from_cycles([(1, 3), (2, 4)], 4))
+    assert is_n_cycle(identity(1))
+    assert not is_n_cycle(identity(2))
 
 
 def test_is_parity_respecting():

@@ -347,7 +347,9 @@ def _class_minima(i: int, images: Iterable[bytes]) -> list[bytes]:
     are built, which in a shard of the enumeration (one value of s(1))
     is 1 in 4g-2 of them.  The image kept is canonical, the class's
     least member (`canonical_class_rep`), when images holds that member:
-    for whole classes, or the enumeration's shard where s(1) = 2.
+    for whole classes, or the enumeration's shard where s(1) = 2.  From
+    images that hold no whole class, such as the anchored leaves of the
+    pattern search, it keeps the least member present.
     """
     alive = set(images)
     firsts = {img[0] for img in alive}

@@ -46,7 +46,7 @@ from typing import Sequence
 
 from .diagram import PairDiagram, crossing_steps
 from .enumeration import _class_minima
-from .filling import FillingPermutation, relabeling_group, signed_ids
+from .filling import FillingPermutation, signed_ids
 from .perms import grow_cycles, table_orbits
 
 
@@ -268,37 +268,8 @@ def _pattern_of_faces(m: int, faces: list[list[int]]) -> GluingPattern:
 
 
 # ----------------------------------------------------------------------
-# Canonical form and search
+# Search
 # ----------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _relabeling_tables(i: int) -> tuple[tuple[int, ...], ...]:
-    """The relabelling group on signed arc ids, one table per element.
-
-    Each element of `relabeling_group(i)` is carried from symbols to
-    signed ids through the symbol table of `_check_tables`.  A table has
-    4i + 1 entries and is indexed by the signed id itself: the negative
-    ids wrap around to the top half of the tuple, as in that table.
-    """
-    ids, sym = signed_ids(i), _check_tables(i)[0]
-    return tuple((0, *(ids[t(sym[v])] for v in range(1, 4 * i + 1)))
-                 for t in relabeling_group(i))
-
-
-def _normalize(polygons: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Start each polygon at its least id (its least rotation) and sort them."""
-    normed = []
-    for poly in polygons:
-        k = poly.index(min(poly))
-        normed.append(tuple(poly[k:]) + tuple(poly[:k]))
-    return tuple(sorted(normed))
-
-
-def _orbit(pat: GluingPattern) -> set[tuple[tuple[int, ...], ...]]:
-    """The normalized forms of a pattern under every arc relabeling."""
-    tables = _relabeling_tables(pat.i)
-    return {_normalize([[t[v] for v in p] for p in pat.polygons]) for t in tables}
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +288,7 @@ def _crossing_rows(m: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
 
 @lru_cache(maxsize=None)
 def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
-    """Every pattern class at one size, sorted by canonical key.
+    """One pattern per pattern class at one size.
 
     The diagrams come from `perms.grow_cycles` over `_crossing_rows`,
     the pruned depth-first search that also enumerates filling
@@ -325,19 +296,19 @@ def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
     bigon.  Relabelling a pattern conjugates its successor table, so the
     pattern classes are the tables' classes under `relabeling_group(m)`:
     the enumeration's sweep `_class_minima` keeps one table per class,
-    holding the tables of one size but no orbit.  Only those tables are
-    cut into patterns, each keyed by the least normalized form of its
-    orbit."""
+    holding the tables of one size but no orbit.  The table kept is the
+    class's least leaf, a diagram whose beta arc 1 ends at point 1; it
+    is cut into its faces, each listed from its least symbol, in the
+    order of their least symbols.  The patterns come in the order of
+    their tables."""
     m = intersections
     want_faces = intersections - 2 * genus + 2
     if want_faces < 1:
         return ()
     leaves = grow_cycles(4 * m, _crossing_rows(m), want_faces)
-    keys = []
-    for table in _class_minima(m, (bytes(nxt[1:]) for nxt in leaves)):
-        faces = table_orbits(b"\0" + table, range(1, 4 * m + 1))[1]
-        keys.append(min(_orbit(_pattern_of_faces(m, faces))))
-    return tuple(GluingPattern.make(m, key) for key in sorted(keys))
+    return tuple(
+        _pattern_of_faces(m, table_orbits(b"\0" + table, range(1, 4 * m + 1))[1])
+        for table in _class_minima(m, (bytes(nxt[1:]) for nxt in leaves)))
 
 
 def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPattern]:
@@ -349,8 +320,10 @@ def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPa
     a prefix that closes a bigon or too many faces is dropped at once.
     The search is `perms.grow_cycles`, as in the filling-permutation
     enumeration.
-    The diagrams found are deduplicated up to polygon rotation and arc
-    relabeling.  Deterministic output order, cached per size.
+    One pattern is kept per class under arc relabelling: the one cut
+    from the class's least successor table among the diagrams found,
+    and the patterns come in the order of those tables.  Cached per
+    size.
 
     Patterns with a bigon face are rejected: a two-sided complementary
     region certifies the curves are not in minimal position, so the

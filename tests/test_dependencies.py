@@ -217,3 +217,14 @@ def test_only_cut_patterns_carry_a_polygon_table():
              for owner in defs_mentioning(tree, "_polygon")}
     # one reader, for t1 and euler_genus; not _check or validate
     assert reads == {("gluing.py", "_valid_polygon")}
+
+
+def test_one_relabelling_action():
+    # relabelling acts on tables in one place, the enumeration's
+    # conjugates, which classify filling pairs and gluing patterns alike
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 10
+    mentions = {name for name, tree in trees.items()
+                if "relabeling_group" in set(referenced_names(tree))}
+    assert mentions == {"filling.py", "enumeration.py"}

@@ -24,10 +24,7 @@ from fillperm.gluing import (
     GluingPattern,
     _check,
     _crossing_rows,
-    _normalize,
-    _orbit,
     _pattern_of_faces,
-    _relabeling_tables,
     _search_all,
     euler_genus,
     from_filling,
@@ -44,8 +41,39 @@ TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
 
 
+@lru_cache(maxsize=None)
+def relabeling_tables(i):
+    """The relabelling group on signed arc ids, one table per element.
+
+    Each element of `relabeling_group(i)` is carried from symbols to
+    signed ids.  A table has 4i + 1 entries and is indexed by the signed
+    id itself: the negative ids wrap around to the top half of the tuple.
+    """
+    ids = signed_ids(i)
+    sym = [0] * (4 * i + 1)
+    for s in range(1, 4 * i + 1):
+        sym[ids[s]] = s
+    return tuple((0, *(ids[t(sym[v])] for v in range(1, 4 * i + 1)))
+                 for t in relabeling_group(i))
+
+
+def normalize(polygons):
+    """Start each polygon at its least id (its least rotation) and sort them."""
+    normed = []
+    for poly in polygons:
+        k = poly.index(min(poly))
+        normed.append(tuple(poly[k:]) + tuple(poly[:k]))
+    return tuple(sorted(normed))
+
+
+def orbit(pat):
+    """The normalized forms of a pattern under every arc relabeling."""
+    return {normalize([[t[v] for v in p] for p in pat.polygons])
+            for t in relabeling_tables(pat.i)}
+
+
 # The least relabelled form of one pattern, an oracle of the search's
-# orbit sweep.
+# class sweep, which acts on successor tables instead.
 def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
     """Least normalized form over the arc relabelings.
 
@@ -57,7 +85,7 @@ def canonical_key(pat: GluingPattern) -> tuple[tuple[int, ...], ...]:
     values = [v for poly in pat.polygons for v in poly]
     if len(set(values) & set(signed_ids(pat.i)[1:])) < len(values):
         raise ValueError("signed arc ids must be distinct and in range")
-    return min(_orbit(pat))
+    return min(orbit(pat))
 
 
 def test_torus_square_valid():
@@ -248,18 +276,18 @@ def nested_loop_relabelings(i):
 @pytest.mark.parametrize("i", range(1, 9))
 def test_relabeling_tables_match_the_nested_loops(i):
     ids = [v for k in range(1, 2 * i + 1) for v in (k, -k)]
-    cached = {tuple(table[v] for v in ids) for table in _relabeling_tables(i)}
+    cached = {tuple(table[v] for v in ids) for table in relabeling_tables(i)}
     reference = {tuple(table[v] for v in ids)
                  for table in nested_loop_relabelings(i)}
     assert cached == reference
-    assert len(_relabeling_tables(i)) == len(reference) == 8 * i * i
+    assert len(relabeling_tables(i)) == len(reference) == 8 * i * i
 
 
 @pytest.mark.parametrize("g, classes", [(1, 1), (3, 5)])
 def test_one_polygon_patterns_are_the_twisting_classes(g, classes):
     ctx = GenusContext(g)
     keys = {canonical_key(from_filling(fp)) for fp in enumerate_filling(ctx)}
-    found = {p.polygons for p in search_patterns(g, 2 * g - 1, 10**6)}
+    found = {canonical_key(p) for p in search_patterns(g, 2 * g - 1, 10**6)}
     assert keys == found
     assert len(keys) == count_classes(ctx) == classes
 
@@ -296,16 +324,42 @@ def test_t1_table_is_pinned(g, i):
         assert (t1(pat) == 2 * i) == (len(pat.polygons) == 1)
 
 
+# sha256 prefixes of the search's own output, in its order: the
+# patterns cut from each class's least leaf
+OUTPUT_DIGESTS = {
+    (1, 1): "c9322e9ccd71518f",
+    (2, 4): "2aa89c207f5fef3a",
+    (2, 6): "70d2e547ec5fe173",
+    (3, 5): "4b509ab33219c278",
+    (3, 6): "d83e852ea7e1e469",
+    (1, 7): "9a1706ef3cb68798",
+    (2, 7): "c2c4c5aba4d6eae5",
+    (3, 7): "e04d376d6aa4cc44",
+    (4, 7): "e512c785eab6e0a4",
+}
+
+
+def short_sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# digest: of the sorted canonical keys, so of the set of classes found,
+# whatever pattern stands for each class
 @pytest.mark.parametrize("g, i, digest", [
     (1, 1, "2ffd82ff4bfcfcc9"),
     (2, 4, "dba7097ac6e859f0"),
     (2, 6, "799d25cd75384fa1"),
     (3, 5, "6b466fb4283df178"),
     (3, 6, "5a121f108452015e"),
+    (1, 7, "4e2de71189610b27"),
+    (2, 7, "796d65f9a2673804"),
+    (3, 7, "9a4b3e626ba81482"),
+    (4, 7, "6ee980cea6a0e903"),
 ])
 def test_search_output_is_pinned(g, i, digest):
-    text = repr([p.polygons for p in search_patterns(g, i, 10**6)])
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    res = search_patterns(g, i, 10**6)
+    assert short_sha(repr(sorted(canonical_key(p) for p in res))) == digest
+    assert short_sha(repr([p.polygons for p in res])) == OUTPUT_DIGESTS[g, i]
 
 
 # ----------------------------------------------------------------------
@@ -332,11 +386,11 @@ def reference_search_all(genus: int, intersections: int) -> tuple[GluingPattern,
         if len(faces) != want_faces or any(len(f) == 2 for f in faces):
             continue
         pat = _pattern_of_faces(m, faces)
-        if _normalize(pat.polygons) in seen:
+        if normalize(pat.polygons) in seen:
             continue
-        orbit = _orbit(pat)
-        seen |= orbit
-        keys.append(min(orbit))
+        forms = orbit(pat)
+        seen |= forms
+        keys.append(min(forms))
     return tuple(GluingPattern.make(m, key) for key in sorted(keys))
 
 
@@ -437,7 +491,8 @@ def test_pruned_search_keeps_every_leaf(g, i):
 
 @pytest.mark.parametrize("g, i", SEARCH_SIZES)
 def test_search_matches_the_brute_force_search(g, i):
-    assert search_patterns(g, i, 10**6) == list(reference_search_all(g, i))
+    keys = sorted(canonical_key(p) for p in search_patterns(g, i, 10**6))
+    assert keys == [p.polygons for p in reference_search_all(g, i)]
 
 
 def test_leaves_yield_the_diagram_successor_table():
@@ -475,7 +530,7 @@ def reference_canonical_key(pat):
     """Least normalized form over the arc relabelings, each polygon
     tried at every phase."""
     best = None
-    for table in _relabeling_tables(pat.i):
+    for table in relabeling_tables(pat.i):
         cand = reference_normalize([[table[v] for v in poly] for poly in pat.polygons])
         if best is None or cand < best:
             best = cand
@@ -483,10 +538,34 @@ def reference_canonical_key(pat):
     return best
 
 
+def successor_table(pat):
+    """The face-successor table of a pattern on the arc symbols, padded
+    at 0: each edge steps to the next edge of its polygon."""
+    ids = signed_ids(pat.i)
+    sym = {v: s for s, v in enumerate(ids) if s}
+    succ = [0] * (4 * pat.i + 1)
+    for poly in pat.polygons:
+        for v, w in zip(poly, poly[1:] + poly[:1]):
+            succ[sym[v]] = sym[w]
+    return tuple(succ)
+
+
 @pytest.mark.parametrize("g, i", SEARCH_SIZES)
 def test_canonical_key_matches_the_reference_on_searched_patterns(g, i):
+    # each pattern found is cut from a leaf of the search, and no leaf of
+    # its class is smaller: relabelling conjugates the successor table
+    leaves = {tuple(nxt) for nxt in grow_cycles(4 * i, _crossing_rows(i), i - 2 * g + 2)}
+    group = [(0, *t.images) for t in relabeling_group(i)]
     for pat in search_patterns(g, i, 10**6):
-        assert canonical_key(pat) == reference_canonical_key(pat) == pat.polygons
+        assert canonical_key(pat) == reference_canonical_key(pat)
+        succ = successor_table(pat)
+        assert succ in leaves
+        for t in group:
+            conj = [0] * len(succ)
+            for x in range(1, len(succ)):
+                conj[t[x]] = t[succ[x]]
+            assert tuple(conj) not in leaves or tuple(conj) >= succ
+
 
 
 def test_canonical_key_matches_the_reference_on_genus_3_pairs(g3_solutions):
@@ -502,7 +581,7 @@ def moved_patterns(draw):
     polygon rotated at random and the polygons shuffled."""
     pat = draw(st.sampled_from(
         search_patterns(*draw(st.sampled_from(SEARCH_SIZES)), 10**6)))
-    table = draw(st.sampled_from(_relabeling_tables(pat.i)))
+    table = draw(st.sampled_from(relabeling_tables(pat.i)))
     moved = []
     for poly in pat.polygons:
         r = draw(st.integers(0, len(poly) - 1))

@@ -29,8 +29,8 @@ from .filling import (
     FillingPermutation,
     GenusContext,
     ReconstructionError,
+    arc_tables,
     canonical_perms,
-    equation_tables,
     is_filling,
     relabeling_group,
     twisting_closure,
@@ -132,7 +132,7 @@ def _roots(ctx: GenusContext) -> Iterator[list[int]]:
     lexicographic order, so the stream is deterministic.
     """
     moves = _moves(ctx)
-    iota = equation_tables(ctx)[0]
+    iota = arc_tables(ctx.i_min)[0]
     m = ctx.i_min
     C = [0] * (ctx.n + 1)
     for evens in permutations(range(m)):
@@ -159,7 +159,7 @@ def _moves(ctx: GenusContext) -> tuple[tuple[tuple[int, tuple], ...], ...]:
     sigma = iota o C that it writes, for x in {a,b,c,d}.
     """
     base = base_involution(ctx)
-    iota = equation_tables(ctx)[0]
+    iota = arc_tables(ctx.i_min)[0]
     moves = []
     for a, b in base.odd:
         row = []
@@ -485,7 +485,7 @@ def excluded_roots(ctx: GenusContext) -> Iterator[Permutation]:
     """
     if ctx.g < 3:
         raise ValueError("exclusion family needs g >= 3")
-    iota = equation_tables(ctx)[0]
+    iota = arc_tables(ctx.i_min)[0]
     for C in _roots(ctx):
         if iota[C[iota[C[1]]]] == 1:
             yield Permutation(C[1:])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Permutation, closure, from_cycles, table_orbits
 
@@ -108,25 +108,16 @@ def signed_ids(i: int) -> tuple[int, ...]:
 def canonical_perms(ctx: GenusContext) -> CanonicalPerms:
     """The named permutations of the symbol set, genus-indexed.
 
-    Q is the full rotation, iota = Q^(4g-2) the label inversion, tau the
-    one-sub-arc advance, kappa/delta the basepoint rotations of the two
-    curves, eta the direction flip of the first curve (index-preserving
-    form) and mu the curve swap.  Cycles that degenerate to fewer than two
-    entries are identity factors.
+    Q is the full rotation, iota = Q^(4g-2) the label inversion and tau
+    the one-sub-arc advance (both from `arc_tables`), kappa/delta the
+    basepoint rotations of the two curves, eta the direction flip of the
+    first curve (index-preserving form) and mu the curve swap.  Cycles
+    that degenerate to fewer than two entries are identity factors.
     """
     g = ctx.g
     n = ctx.n
     Q = from_cycles([list(range(1, n + 1))], n)
-    iota = Q.power(4 * g - 2)
-    tau = from_cycles(
-        [
-            list(range(1, 4 * g - 2, 2)),          # 1,3,...,4g-3
-            list(range(2, 4 * g - 1, 2)),          # 2,4,...,4g-2
-            list(range(8 * g - 5, 4 * g - 2, -2)),  # 8g-5,8g-7,...,4g-1
-            list(range(8 * g - 4, 4 * g - 1, -2)),  # 8g-4,8g-6,...,4g
-        ],
-        n,
-    )
+    iota, tau = (Permutation(t[1:]) for t in arc_tables(ctx.i_min))
     kappa, delta, _, mu = relabeling_generators(ctx.i_min)
     eta = from_cycles(
         [(2 * k - 1, 4 * g - 2 + 2 * k - 1) for k in range(1, 2 * g)], n
@@ -135,10 +126,19 @@ def canonical_perms(ctx: GenusContext) -> CanonicalPerms:
 
 
 @lru_cache(maxsize=None)
-def equation_tables(ctx: GenusContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Image tables of iota and tau, padded at index 0."""
-    cp = canonical_perms(ctx)
-    return cp.iota.padded, cp.tau.padded
+def arc_tables(i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Image tables of iota and tau on the 4i directed-arc symbols of a
+    pair with i arcs per curve, padded at index 0.
+
+    iota swaps each symbol s <= 2i with its inverse s + 2i.  tau steps
+    each forward arc to the next arc of its curve, s -> s + 2 wrapping
+    2i-1 -> 1 and 2i -> 2, and each inverse arc back along it, so that
+    tau o iota = iota o tau^-1.
+    """
+    h, n = 2 * i, 4 * i
+    iota = (0, *range(h + 1, n + 1), *range(1, h + 1))
+    tau = (0, *range(3, h + 1), 1, 2, n - 1, n, *range(h + 1, n - 1))
+    return iota, tau
 
 
 def is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
@@ -168,7 +168,7 @@ def is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str | None]:
     n = ctx.n
     if p.n != n:
         raise ValueError("degree mismatch")
-    iota, tau = equation_tables(ctx)
+    iota, tau = arc_tables(ctx.i_min)
     s = p.padded
     steps = 0
     flips = solves = True
@@ -264,19 +264,20 @@ class ReconstructionError(RuntimeError):
 
 
 def corner_orbits(
-    fp: FillingPermutation, starts: Iterable[int]
+    succ: Sequence[int], starts: Iterable[int]
 ) -> tuple[list[int], list[list[int]]]:
     """Orbits of the quarter-turn corner map s -> iota(succ(s)) on the
     directed-arc symbols, walked from `starts`.
 
-    Symbol s stands for the polygon corner at the head of its edge, and
-    succ = fp.perm is the next edge along the polygon; turning a quarter
+    `succ` is a successor table on the 4i symbols, padded at index 0:
+    symbol s stands for the polygon corner at the head of its edge, and
+    succ[s] is the next edge along the same polygon; turning a quarter
     around that corner leaves along the inverse of the next edge.  The
     orbits are the vertex classes of the glued surface.  Returns the
     orbit index of each symbol and the orbits (see `table_orbits`).
     """
-    iota = equation_tables(fp.ctx)[0]
-    return table_orbits([iota[y] for y in fp.perm.padded], starts)
+    iota = arc_tables(len(succ) // 4)[0]
+    return table_orbits([iota[y] for y in succ], starts)
 
 
 def reconstruct(fp: FillingPermutation) -> SurfaceReport:
@@ -291,9 +292,9 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     """
     ctx = fp.ctx
     n = ctx.n
-    iota = equation_tables(ctx)[0]
+    iota = arc_tables(ctx.i_min)[0]
     word = fp.boundary_word()
-    cls, orbits = corner_orbits(fp, word)
+    cls, orbits = corner_orbits(fp.perm.padded, word)
     if any(len(o) != 4 for o in orbits) or len(orbits) != ctx.i_min:
         raise ReconstructionError("corner orbits are not 4-valent")
 

@@ -15,10 +15,11 @@ forward arcs s.
 `_check` reads every pattern built by `GluingPattern.make` or
 `from_json`, once per `validate`, `t1` or `euler_genus`.  The patterns
 the library cuts from an object already valid are not re-checked:
-`from_filling` and `pattern_of_diagram` attach the polygon-of-symbol
-table `_check` would return, and `t1` and `euler_genus` read it.  Both
-cuts use each signed arc id once, in polygons of even length whose
-edges alternate between the curves, and pass the corner and chaining
+`from_filling` and `_cut` attach the polygon-of-symbol table `_check`
+would return, and `t1` and `euler_genus` read it.  `_cut` cuts both
+`pattern_of_diagram` and every `search_patterns` result.  These cuts
+use each signed arc id once, in polygons of even length whose edges
+alternate between the curves, and pass the corner and chaining
 conditions too, so `_check` would find no failure:
 
   * The one polygon of a `FillingPermutation` s is its n-cycle, read
@@ -29,12 +30,13 @@ conditions too, so `_check` would find no failure:
     tau o iota = iota o tau^-1.  So every corner orbit has exactly four
     corners.  s flips parity and iota keeps it (it shifts by 4g - 2),
     so the strands alternate.  The equation s o iota o s = tau on the
-    forward arcs is exactly the chaining condition, as `_check_tables`
-    holds the same iota and tau at 4i = 8g - 4.
-  * The faces of a `PairDiagram` are the cycles of the successor table
-    that `crossing_steps` writes, crossing by crossing: four corners
-    that alternate between the curves and chain head to tail, each
-    step from one curve to the other.
+    forward arcs is exactly the chaining condition, as `_check` reads
+    the same `arc_tables` at 4i = 8g - 4.
+  * The faces of a `PairDiagram`, and of a leaf of the pattern search,
+    are the cycles of a successor table that `crossing_steps` writes,
+    crossing by crossing: four corners that alternate between the
+    curves and chain head to tail, each step from one curve to the
+    other.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Sequence
 
 from .diagram import PairDiagram, crossing_steps
 from .enumeration import _class_minima
-from .filling import FillingPermutation, signed_ids
+from .filling import FillingPermutation, arc_tables, corner_orbits, signed_ids
 from .perms import grow_cycles, table_orbits
 
 
@@ -58,8 +60,8 @@ class GluingPattern:
     polygons: tuple[tuple[int, ...], ...]
 
     # The polygon of each directed-arc symbol, when `from_filling` or
-    # `pattern_of_diagram` cut this pattern from a valid object.  Not a
-    # field: it takes no part in ==, hash or repr.
+    # `_cut` cut this pattern from a valid object.  Not a field: it takes
+    # no part in ==, hash or repr.
     _polygon = None
 
     @classmethod
@@ -93,17 +95,16 @@ class ValidationReport:
 
 
 @lru_cache(maxsize=None)
-def _check_tables(i: int) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:
-    """The tables `_check` reads at i arcs per curve: the symbol of each
-    signed arc id (indexed by the id, negative ids wrapping to the top),
-    the image table of iota (padded at 0) and the set of the 4i ids."""
+def _check_tables(i: int) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The tables `_check` reads at i arcs per curve besides `arc_tables`:
+    the symbol of each signed arc id (indexed by the id, negative ids
+    wrapping to the top) and the set of the 4i ids."""
     n = 4 * i
     ids = signed_ids(i)
     sym = [0] * (n + 1)
     for s in range(1, n + 1):
         sym[ids[s]] = s
-    iota = (0, *range(2 * i + 1, n + 1), *range(1, 2 * i + 1))
-    return tuple(sym), iota, frozenset(ids[1:])
+    return tuple(sym), frozenset(ids[1:])
 
 
 def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
@@ -111,14 +112,15 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
     of each directed-arc symbol once each signed arc id is used once.
 
     The edges are read as the symbols of `signed_ids`, through the
-    per-i tables of `_check_tables`: odd symbols are the first curve's
-    arcs and s + 2i is the inverse of s.  One pass over each polygon
-    writes its successor and polygon entries and checks that the curves
-    alternate; the position of a corner in its polygon is looked up only
-    to name a failure.  Then the corner orbits must be transverse
-    crossings of four corners, and consecutive arcs must chain.  These
-    conditions already give i crossings and a connected complex, so
-    neither is checked again (see the comments below)."""
+    per-i tables of `_check_tables` and `arc_tables`: odd symbols are
+    the first curve's arcs and s + 2i is the inverse of s.  One pass
+    over each polygon writes its successor and polygon entries and
+    checks that the curves alternate; the position of a corner in its
+    polygon is looked up only to name a failure.  Then the corner
+    orbits (`corner_orbits`) must be transverse crossings of four
+    corners, and consecutive arcs must chain.  These conditions already
+    give i crossings and a connected complex, so neither is checked
+    again (see the comments below)."""
     if pat.i < 1:
         return ["arc count must be positive"], []
     if not pat.polygons:
@@ -132,10 +134,10 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
     n = 4 * i
     values = [v for poly in pat.polygons for v in poly]
     # nothing is sized by i before the ids are known to number 4i
-    if len(values) != n or set(values) != _check_tables(i)[2]:
+    if len(values) != n or set(values) != _check_tables(i)[1]:
         failures.append("each signed arc id must occur exactly once")
         return failures, []
-    sym, iota, _ = _check_tables(i)
+    sym = _check_tables(i)[0]
 
     succ = [0] * (n + 1)
     polygon = [0] * (n + 1)
@@ -154,7 +156,7 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
         if not alternates:
             failures.append(f"polygon {pi}: consecutive edges on one curve")
 
-    _, orbits = table_orbits([iota[s] for s in succ], [sym[v] for v in values])
+    _, orbits = corner_orbits(succ, [sym[v] for v in values])
     for orbit in orbits:
         if len(orbit) != 4:
             at = _corner_at(pat, polygon, orbit[0])
@@ -167,14 +169,13 @@ def _check(pat: GluingPattern) -> tuple[list[str], list[int]]:
 
     if not failures:
         # consecutive arcs of each curve chain head to tail: the filling
-        # equation succ(iota(succ(s))) = tau(s) on the forward arcs,
-        # where tau steps s to s + 2 along its curve
+        # equation succ(iota(succ(s))) = tau(s) on the forward arcs
+        iota, tau = arc_tables(i)
         for a in range(1, 2 * i + 1):
             s = sym[a]
-            nxt = s + 2 if s + 2 <= 2 * i else s + 2 - 2 * i
-            if succ[iota[succ[s]]] != nxt:
+            if succ[iota[succ[s]]] != tau[s]:
                 failures.append(
-                    f"arc {a} does not continue into arc {signed_ids(i)[nxt]}")
+                    f"arc {a} does not continue into arc {signed_ids(i)[tau[s]]}")
 
     # the glued complex is connected: a union of polygons closed under
     # arc pairing holds an edge of each curve, as every polygon
@@ -246,25 +247,27 @@ def from_filling(fp: FillingPermutation) -> GluingPattern:
 
 
 def pattern_of_diagram(d: PairDiagram) -> GluingPattern:
-    """Cut a crossing diagram along its curves into a gluing pattern.
+    """Cut a crossing diagram along its curves into a gluing pattern,
+    which carries its polygon table (see `_cut`)."""
+    return _cut(d.m, d._succ)
 
-    One walk of the diagram's successor table gives both the faces and
-    the polygon of each symbol.  The pattern carries that table and is
-    not re-checked: `crossing_steps` writes every crossing as four
+
+def _cut(m: int, succ: Sequence[int]) -> GluingPattern:
+    """The pattern of the faces of a `crossing_steps` successor table on
+    the 4m symbols of an m-crossing diagram, padded at index 0.
+
+    One walk of the table gives both the faces, each listed from its
+    least symbol in the order of their least symbols, and the polygon
+    of each symbol.  The pattern carries that table and is not
+    re-checked: `crossing_steps` writes every crossing as four
     alternating corners whose arcs chain (see the module docstring).
     """
-    polygon, faces = table_orbits(d._succ, range(1, 4 * d.m + 1))
+    polygon, faces = table_orbits(succ, range(1, 4 * m + 1))
     polygon[0] = 0  # as `_check` pads it
-    pat = _pattern_of_faces(d.m, faces)
+    ids = signed_ids(m)
+    pat = GluingPattern.make(m, [[ids[s] for s in face] for face in faces])
     object.__setattr__(pat, "_polygon", polygon)
     return pat
-
-
-def _pattern_of_faces(m: int, faces: list[list[int]]) -> GluingPattern:
-    """The pattern whose polygons are the given faces of an m-crossing
-    diagram, read from arc symbols into signed arc ids."""
-    ids = signed_ids(m)
-    return GluingPattern.make(m, [[ids[s] for s in face] for face in faces])
 
 
 # ----------------------------------------------------------------------
@@ -298,17 +301,15 @@ def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
     the enumeration's sweep `_class_minima` keeps one table per class,
     holding the tables of one size but no orbit.  The table kept is the
     class's least leaf, a diagram whose beta arc 1 ends at point 1; it
-    is cut into its faces, each listed from its least symbol, in the
-    order of their least symbols.  The patterns come in the order of
-    their tables."""
+    is cut by `_cut`, so the pattern carries its polygon table.  The
+    patterns come in the order of their tables."""
     m = intersections
     want_faces = intersections - 2 * genus + 2
     if want_faces < 1:
         return ()
     leaves = grow_cycles(4 * m, _crossing_rows(m), want_faces)
-    return tuple(
-        _pattern_of_faces(m, table_orbits(b"\0" + table, range(1, 4 * m + 1))[1])
-        for table in _class_minima(m, (bytes(nxt[1:]) for nxt in leaves)))
+    return tuple(_cut(m, b"\0" + table)
+                 for table in _class_minima(m, (bytes(nxt[1:]) for nxt in leaves)))
 
 
 def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPattern]:

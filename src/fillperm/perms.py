@@ -326,11 +326,14 @@ def grow_cycles(
 
     Level i takes a choice (key, arcs) of rows[i] whose key, one of
     0..len(rows)-1, no earlier level took, and writes its arcs x -> y
-    into the table.  The unclosed arcs form disjoint paths; each path
-    end x knows its far end far[x] and the path's arc count, with an
-    undo trail.  x -> y closes a cycle exactly when y is far[x]; every
-    arc merges two paths or closes one, so len(trail) + closed arcs are
-    written.  A prefix is dropped as soon as a 2-cycle closes or
+    into the table.  No row may write an arc x -> x.  The unclosed arcs
+    form disjoint paths; each path end x knows only its far end far[x],
+    with an undo trail.  x -> y closes a cycle exactly when y is far[x];
+    every arc merges two paths or closes one, so len(trail) + closed
+    arcs are written.  The closing path has an arc, as x != y, so y's
+    own arc is written and current; it points back to x only when it is
+    the whole path.  So the cycle closed is a 2-cycle exactly when
+    table[y] == x.  A prefix is dropped as soon as a 2-cycle closes or
     `cycles` cycles have closed with arcs left, which would close one
     more.  The table, padded at index 0, is yielded live in choice
     order and changes when the search resumes.
@@ -338,20 +341,17 @@ def grow_cycles(
     depth = len(rows)
     table = [0] * (n + 1)
     far = list(range(n + 1))
-    length = [0] * (n + 1)
     used = [False] * depth
-    # path merges to undo, as (s, x, lx, e, y, ly): s and e regain their
-    # old far ends x and y and their old lengths
-    trail: list[tuple[int, int, int, int, int, int]] = []
+    # path merges to undo, as (s, x, e, y): s and e regain their old far
+    # ends x and y
+    trail: list[tuple[int, int, int, int]] = []
     closed = 0
 
     def retract(mark: int) -> None:
         while len(trail) > mark:
-            s, x, lx, e, y, ly = trail.pop()
+            s, x, e, y = trail.pop()
             far[s] = x
             far[e] = y
-            length[s] = lx
-            length[e] = ly
 
     # per level: the choices left, and the key taken with the trail
     # length and closed count before its arcs
@@ -367,18 +367,15 @@ def grow_cycles(
             for x, y in arcs:
                 table[x] = y
                 s = far[x]
-                lx = length[x]
                 if y == s:
                     closed += 1
-                    if lx == 1 or (closed == cycles and len(trail) + closed < n):
+                    if table[y] == x or (closed == cycles and len(trail) + closed < n):
                         break
                     continue
                 e = far[y]
-                ly = length[y]
-                trail.append((s, x, lx, e, y, ly))
+                trail.append((s, x, e, y))
                 far[s] = e
                 far[e] = s
-                length[s] = length[e] = lx + ly + 1
             else:
                 if i + 1 == depth:
                     if closed == cycles:

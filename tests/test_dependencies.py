@@ -202,8 +202,8 @@ def test_only_filling_construction_skips_permutation_checks():
 
 def test_only_cut_patterns_carry_a_polygon_table():
     # t1 and euler_genus trust the polygon table a pattern carries, which
-    # is sound only for the patterns cut from a valid pair or diagram;
-    # the check itself must never trust it
+    # is sound only for the patterns cut from a valid pair, diagram or
+    # search leaf; the check itself must never trust it
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(trees) >= 10
@@ -211,8 +211,7 @@ def test_only_cut_patterns_carry_a_polygon_table():
     named = lambda node: isinstance(node, ast.Constant) and node.value == "_polygon"
     writes = {(name, owner) for name, tree in trees.items()
               for owner in enclosing_defs(tree, named)}
-    assert writes == {("gluing.py", "from_filling"),
-                      ("gluing.py", "pattern_of_diagram")}
+    assert writes == {("gluing.py", "from_filling"), ("gluing.py", "_cut")}
     reads = {(name, owner) for name, tree in trees.items()
              for owner in defs_mentioning(tree, "_polygon")}
     # one reader, for t1 and euler_genus; not _check or validate

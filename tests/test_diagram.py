@@ -192,7 +192,7 @@ def reference_diagram_of(fp: FillingPermutation) -> PairDiagram:
     """
     ctx = fp.ctx
     m = ctx.i_min
-    cls, orbit_lists = corner_orbits(fp, fp.boundary_word())
+    cls, orbit_lists = corner_orbits(fp.perm.padded, fp.boundary_word())
     if len(orbit_lists) != m or any(len(o) != 4 for o in orbit_lists):
         raise ValueError("corner structure is not 4-valent")
 

@@ -10,8 +10,8 @@ from fillperm.filling import (
     GenusContext,
     ReconstructionError,
     _check_twisting_generators,
+    arc_tables,
     canonical_perms,
-    equation_tables,
     is_filling,
     reconstruct,
     relabeling_generators,
@@ -84,6 +84,33 @@ def test_tau_structure():
     assert cp.tau == from_cycles([(1, 3, 5), (2, 4, 6), (11, 9, 7), (12, 10, 8)], 12)
     assert canonical_perms(GenusContext(1)).tau.cycles() == [(1,), (2,), (3,), (4,)]
     assert canonical_perms(GenusContext(3)).tau.is_parity_respecting()
+
+
+def test_arc_tables_are_the_named_iota_and_tau():
+    for g in range(1, 9):
+        ctx = GenusContext(g)
+        cp = canonical_perms(ctx)
+        assert arc_tables(ctx.i_min) == (cp.iota.padded, cp.tau.padded)
+        # the constructions they replaced: a power of the full rotation,
+        # and tau as four cycles
+        assert cp.iota == cp.Q.power(4 * g - 2)
+        assert cp.tau == from_cycles([
+            range(1, 4 * g - 2, 2), range(2, 4 * g - 1, 2),
+            range(8 * g - 5, 4 * g - 2, -2), range(8 * g - 4, 4 * g - 1, -2),
+        ], ctx.n)
+
+
+def test_arc_tables_step_each_forward_arc_along_its_curve():
+    for i in range(1, 13):
+        iota, tau = arc_tables(i)
+        assert iota == (0, *(s + 2 * i if s <= 2 * i else s - 2 * i
+                             for s in range(1, 4 * i + 1)))
+        # the step gluing's chaining test made before it read tau
+        assert tau[1:2 * i + 1] == tuple(
+            s + 2 if s + 2 <= 2 * i else s + 2 - 2 * i for s in range(1, 2 * i + 1))
+        assert sorted(tau) == list(range(4 * i + 1))
+        # tau o iota = iota o tau^-1
+        assert all(tau[iota[tau[iota[s]]]] == s for s in range(1, 4 * i + 1))
 
 
 def test_symbol_info():
@@ -206,7 +233,7 @@ def reference_is_filling(ctx: GenusContext, p: Permutation) -> tuple[bool, str |
         return False, "not an n-cycle"
     if not p.is_parity_respecting():
         return False, "not parity respecting"
-    iota, tau = equation_tables(ctx)
+    iota, tau = arc_tables(ctx.i_min)
     s = (0, *p.images)
     if any(s[iota[s[j]]] != tau[j] for j in range(1, ctx.n + 1)):
         return False, "does not solve the filling equation"
@@ -221,7 +248,7 @@ def sampled_perms(ctx, solutions, rng, rounds):
     random permutations, and parity-respecting permutations s that solve
     the equation on the odd symbols only."""
     n = ctx.n
-    iota, tau = equation_tables(ctx)
+    iota, tau = arc_tables(ctx.i_min)
     odds, evens = list(range(1, n + 1, 2)), list(range(2, n + 1, 2))
     perms = [fp.perm for fp in solutions]
     for _ in range(rounds):

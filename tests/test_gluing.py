@@ -15,6 +15,7 @@ from fillperm.enumeration import (
     _class_minima,
     _count_and_classify,
     _least_shard_images,
+    _moves,
     count_classes,
     enumerate_filling,
 )
@@ -24,7 +25,6 @@ from fillperm.gluing import (
     GluingPattern,
     _check,
     _crossing_rows,
-    _pattern_of_faces,
     _search_all,
     euler_genus,
     from_filling,
@@ -39,6 +39,14 @@ from fillperm.zpiece import LSequence, build_from_sequence, splice
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
+
+
+def faces_pattern(m, faces):
+    """The pattern whose polygons are the given faces of an m-crossing
+    diagram, read from arc symbols into signed arc ids.  It is built by
+    `GluingPattern.make`, so it carries no polygon table."""
+    ids = signed_ids(m)
+    return GluingPattern.make(m, [[ids[s] for s in face] for face in faces])
 
 
 @lru_cache(maxsize=None)
@@ -385,7 +393,7 @@ def reference_search_all(genus: int, intersections: int) -> tuple[GluingPattern,
         faces = d.faces()
         if len(faces) != want_faces or any(len(f) == 2 for f in faces):
             continue
-        pat = _pattern_of_faces(m, faces)
+        pat = faces_pattern(m, faces)
         if normalize(pat.polygons) in seen:
             continue
         forms = orbit(pat)
@@ -449,6 +457,18 @@ def test_both_searches_run_through_grow_cycles(monkeypatch):
     assert calls[20, 1] == 8  # one call per second-level prefix
     assert len(_search_all.__wrapped__(3, 6)) == 49
     assert calls[24, 2] == 1
+
+
+def test_no_search_row_writes_an_arc_within_one_parity():
+    """Every arc that a row of either search writes changes parity, so
+    no row writes a fixed point x -> x: `grow_cycles` needs that to read
+    a closed 2-cycle off its table."""
+    searches = [*(_moves(GenusContext(g)) for g in range(1, 7)),
+                *(_crossing_rows(m) for m in range(1, 10))]
+    arcs = [arc for rows in searches for row in rows
+            for _, choice in row for arc in choice]
+    assert len(arcs) == 4_280
+    assert all((x ^ y) & 1 for x, y in arcs)
 
 
 def test_both_searches_share_one_class_sweep(monkeypatch):
@@ -849,7 +869,7 @@ def reference_check(pat: GluingPattern) -> tuple[list[str], list[int]]:
 
 def leaf_patterns(g, i):
     """The pattern of every `search_leaves` diagram at one search size."""
-    return [_pattern_of_faces(i, table_orbits(nxt, range(1, 4 * i + 1))[1])
+    return [faces_pattern(i, table_orbits(nxt, range(1, 4 * i + 1))[1])
             for _, _, nxt in search_leaves(i, i - 2 * g + 2)]
 
 
@@ -954,7 +974,7 @@ def test_check_matches_the_reference_on_mutations(g3_solutions):
 
 
 # ----------------------------------------------------------------------
-# Cut patterns: the polygon table from_filling and pattern_of_diagram attach
+# Cut patterns: the polygon table from_filling and _cut attach
 # ----------------------------------------------------------------------
 
 
@@ -986,6 +1006,19 @@ def test_diagram_cut_carries_the_checked_table():
             assert_cut_needs_no_check(pattern_of_diagram(d))
             count += 1
     assert count == 4282
+
+
+@pytest.mark.parametrize("g, i", SEARCH_SIZES)
+def test_searched_patterns_carry_the_checked_table(g, i, monkeypatch):
+    pats = search_patterns(g, i, 10**6)
+    for pat in pats:
+        assert_cut_needs_no_check(pat)
+    calls = []
+    check = gluing._check
+    monkeypatch.setattr(gluing, "_check", lambda pat: calls.append(pat) or check(pat))
+    answers = [(t1(pat), euler_genus(pat)) for pat in pats]
+    assert calls == []
+    assert {genus for _, genus in answers} == {g}
 
 
 @st.composite

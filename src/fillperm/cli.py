@@ -333,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
                        help="search in N processes, at most 2(2g-2); the output "
                             "does not depend on N. On 2 cores a pool is slower "
-                            "up to genus 4 and faster at genus 5 (bounds "
-                            "--exact: 13.3 s with N=2, 17.7 s with N=1)")
+                            "up to genus 4 and faster at genus 5")
         p.add_argument("--force", action="store_true",
                        help=f"run above the genus guard ({DEFAULT_GUARD}), up "
                             f"to genus {MAX_ENUMERATED_GENUS}")

@@ -29,6 +29,7 @@ from .filling import (
     FillingPermutation,
     GenusContext,
     ReconstructionError,
+    _trusted_conjugate,
     arc_tables,
     canonical_perms,
     is_filling,
@@ -265,13 +266,16 @@ def _least_shard_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
 def enumerate_filling(
     ctx: GenusContext, *, force: bool = False
 ) -> list[FillingPermutation]:
-    """All filling permutations at the given genus, each validated, grouped
-    by s(1) in increasing order, each group in search order.
+    """All filling permutations at the given genus, grouped by s(1) in
+    increasing order, each group in search order.
 
     The shard with s(1) = 2 is searched and conjugated by each twisting
     element t with t(1) = 1, in increasing order of t(2), which gives the
-    solutions with s(1) = t(2).  The list holds every solution, so above
-    genus `LISTED_GENUS` it is refused unless force is set."""
+    solutions with s(1) = t(2).  Each pair of the shard is validated by
+    the `is_filling` walk of FillingPermutation; its conjugates are not,
+    because `twisting_closure` checks that its generators map solutions
+    to solutions (`_trusted_conjugate`).  The list holds every solution,
+    so above genus `LISTED_GENUS` it is refused unless force is set."""
     if ctx.g > LISTED_GENUS and not force:
         raise GuardExceeded(
             f"genus {ctx.g} exceeds {LISTED_GENUS}, the largest genus "
@@ -282,12 +286,15 @@ def enumerate_filling(
         )
     check_guard(ctx.g, force)
     shard = _least_shard_images(ctx)
-    return [
-        FillingPermutation(
-            ctx, Permutation._unchecked(bytes(getter(img)).translate(table)))
-        for _, getter, table in _closure_tables(ctx.i_min) if table[1] == 1
-        for img in shard
-    ]
+    twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
+    # the identity is the one element with t(1) = 1 and t(2) = 2 (the
+    # regular action `_least_shard` checks), and the first in the group
+    out = [FillingPermutation(ctx, Permutation._unchecked(img)) for img in shard]
+    for _, getter, table in _closure_tables(ctx.i_min):
+        if table[1] == 1 and table[2] != 2:
+            out.extend(_trusted_conjugate(ctx, bytes(getter(img)).translate(table))
+                       for img in shard)
+    return out
 
 
 @lru_cache(maxsize=None)

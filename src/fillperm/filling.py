@@ -210,10 +210,13 @@ class FillingPermutation:
 
     Image tables the library built itself (search bytes, a diagram's
     successor table) come as FillingPermutation(ctx,
-    Permutation._unchecked(table)), and nowhere else: the bounded walk of
-    `is_filling` proves such a table a bijection (see there), so this
-    accepts and rejects what the checked Permutation(table) does, with
-    an equal result, in one walk.
+    Permutation._unchecked(table)): the bounded walk of `is_filling`
+    proves such a table a bijection (see there), so this accepts and
+    rejects what the checked Permutation(table) does, with an equal
+    result, in one walk.  The one object built without that walk is a
+    conjugate of a walked solution by a twisting element whose
+    generators `twisting_closure` has checked, in `enumerate_filling`
+    (`_trusted_conjugate`).
     """
 
     ctx: GenusContext
@@ -364,3 +367,25 @@ def twisting_closure(ctx: GenusContext) -> tuple[Permutation, ...]:
     """
     _check_twisting_generators(ctx, relabeling_generators(ctx.i_min))
     return relabeling_group(ctx.i_min)
+
+
+def _trusted_conjugate(ctx: GenusContext, images: bytes) -> FillingPermutation:
+    """The FillingPermutation with image table `images`, built without
+    the `is_filling` walk, for one use only: `images` is a conjugate
+    t s t^-1 of a solution s that a FillingPermutation walk accepted, by
+    an element t of `twisting_closure(ctx)`, called before this.
+
+    That call checks that the generators of the closure commute with
+    iota and tau and respect parity (`_check_twisting_generators`), so
+    conjugation by any element maps solutions onto solutions: t s t^-1
+    is again an n-cycle that respects parity and solves s o iota o s =
+    tau.  The object equals, hashes and prints like the checked
+    FillingPermutation(ctx, Permutation(images)).
+    """
+    perm = object.__new__(Permutation)
+    perm.n = len(images)
+    perm._img = (0, *images)
+    fp = object.__new__(FillingPermutation)
+    object.__setattr__(fp, "ctx", ctx)
+    object.__setattr__(fp, "perm", perm)
+    return fp

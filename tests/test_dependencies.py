@@ -192,7 +192,13 @@ def test_only_filling_construction_skips_permutation_checks():
     assert unwrapped == {}
     new = {(name, owner) for name, tree in trees.items()
            for owner in defs_mentioning(tree, "__new__")}
-    assert new == {("perms.py", "_unchecked")}
+    assert new == {("perms.py", "_unchecked"), ("filling.py", "_trusted_conjugate")}
+    # the one exception, a conjugate of a walked solution by a checked
+    # twisting element, built only by the listing after twisting_closure
+    named = lambda node: isinstance(node, ast.Name) and node.id == "_trusted_conjugate"
+    callers = {(name, owner) for name, tree in trees.items()
+               for owner in enclosing_defs(tree, named)}
+    assert callers == {("enumeration.py", "enumerate_filling")}
     # the tables the library builds: search bytes and diagram successors
     users = {name for name, tree in trees.items()
              if "_unchecked" in {n.attr for n in ast.walk(tree)

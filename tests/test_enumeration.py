@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from fillperm import enumeration
+from fillperm import enumeration, filling
 from fillperm.enumeration import (
     MAX_ENUMERATED_GENUS,
     GuardExceeded,
@@ -33,6 +33,7 @@ from fillperm.enumeration import (
     upper_bound,
 )
 from fillperm.filling import (
+    FillingPermutation,
     GenusContext,
     ReconstructionError,
     canonical_perms,
@@ -137,8 +138,63 @@ def test_enumeration_closed_under_twisting(g3_solutions):
         assert {p.conjugate_by(t) for p in solset} == solset
 
 
+@pytest.mark.parametrize("g, count", [(1, 2), (3, 600), (4, 65856)])
+def test_every_listed_pair_is_a_checked_solution(g, count, request):
+    # the shard's conjugates are listed without a walk: walk each one
+    # here and rebuild the list through the checked constructors
+    ctx = GenusContext(g)
+    listed = request.getfixturevalue(f"g{g}_solutions")
+    assert len(listed) == count
+    assert all(is_filling(ctx, fp.perm) == (True, None) for fp in listed)
+    checked = [FillingPermutation(ctx, Permutation(fp.perm.images)) for fp in listed]
+    assert checked == listed
+    assert [hash(fp) for fp in checked] == [hash(fp) for fp in listed]
+    assert all(vars(fp).keys() == {"ctx", "perm"} for fp in listed)
+
+
+@pytest.mark.parametrize("g, shard", [(3, 60), (4, 4704)])
+def test_warm_listing_walks_only_the_shard(g, shard, request, monkeypatch):
+    ctx = GenusContext(g)
+    first = request.getfixturevalue(f"g{g}_solutions")
+    enumerate_filling(ctx)  # the search tables and twisting check are cached
+    walked = []
+    walk = filling.is_filling
+
+    def counted(ctx, p):
+        walked.append(p.images)
+        return walk(ctx, p)
+
+    monkeypatch.setattr(filling, "is_filling", counted)
+    listed = enumerate_filling(ctx)
+    assert listed == first and len(listed) == 2 * ctx.i_min * shard
+    assert walked == [fp.perm.images for fp in listed[:shard]]
+
+
+def test_listing_trusts_no_conjugate_before_the_twisting_check(monkeypatch):
+    # the twisting check runs on every call, also once the shard's
+    # regularity check is cached, and before the first trusted build
+    ctx = GenusContext(3)
+    trusted = []
+    build = enumeration._trusted_conjugate
+
+    def counted(ctx, images):
+        trusted.append(images)
+        return build(ctx, images)
+
+    def refuse(ctx):
+        raise ReconstructionError("twisting generator does not commute with tau")
+
+    monkeypatch.setattr(enumeration, "_trusted_conjugate", counted)
+    assert len(enumerate_filling(ctx)) == 600 and len(trusted) == 540
+    trusted.clear()
+    monkeypatch.setattr(enumeration, "twisting_closure", refuse)
+    with pytest.raises(ReconstructionError, match="commute"):
+        enumerate_filling(ctx)
+    assert trusted == []
+
+
 def test_warm_listing_runs_no_per_symbol_check(monkeypatch):
-    # each listed pair is checked by its one is_filling walk only
+    # no listed pair runs the per-symbol checks of Permutation
     ctx = GenusContext(3)
     first = enumerate_filling(ctx)  # builds the cached twisting tables
     checks = []

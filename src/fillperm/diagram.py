@@ -24,9 +24,11 @@ a diagram back from the first of its steps, the image of each alpha
 arc.  A diagram builds its successor table once, on construction, and
 keeps it: the round trip of `diagram_of`, `faces`, `is_filling_pair`
 and `to_filling_permutation` all read that one table.  A filling
-permutation made by `PairDiagram.to_filling_permutation` keeps the
-diagram it was made from, and `diagram_of` hands that back without
-reading, so splice and build results carry their diagram.
+permutation keeps its diagram once it has one: the pairs that
+`PairDiagram.to_filling_permutation` makes keep the diagram they were
+made from, so splice and build results carry theirs, and `diagram_of`
+keeps the diagram it reads off any other pair.  Each pair's diagram is
+read at most once, and every later `diagram_of` hands it back.
 
 The module is internal machinery shared by the splice construction and
 the small-pattern search.
@@ -72,14 +74,14 @@ class PairDiagram:
         if not (isinstance(self.beta_seq, tuple) and isinstance(self.signs, tuple)):
             raise ValueError("beta_seq and signs must be tuples")
         # type(), not isinstance(): bool is an int subclass
-        if type(self.m) is not int or any(
-                type(v) is not int for v in (*self.beta_seq, *self.signs)):
+        if type(self.m) is not int or not {
+                *map(type, self.beta_seq), *map(type, self.signs)} <= {int}:
             raise ValueError("m, beta_seq and signs must be ints")
         if self.m < 1:
             raise ValueError("diagram needs at least one crossing")
         if sorted(self.beta_seq) != list(range(1, self.m + 1)):
             raise ValueError("beta_seq must visit each point exactly once")
-        if len(self.signs) != self.m or any(s not in (-1, 1) for s in self.signs):
+        if len(self.signs) != self.m or not set(self.signs) <= {-1, 1}:
             raise ValueError("signs must be +1/-1 per point")
         # The face-walk successor table, built once.  Not a field: it
         # takes no part in ==, hash or repr.
@@ -165,9 +167,11 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
     images reads beta_seq and signs back from x.  The one check is that
     the diagram read off this way walks back to fp, ValueError otherwise.
 
-    A permutation made by `PairDiagram.to_filling_permutation` gives
-    back the diagram it was made from, without reading.  Nothing is
-    written back to fp, so pairs from other sources keep no diagram.
+    A diagram read off fp is kept on it, once its round trip has passed,
+    and shares fp's padded image table as its successor table, which
+    the check has just found equal.  So a pair's diagram is read at
+    most once: a permutation made by `PairDiagram.to_filling_permutation`
+    or read before gives back its diagram without reading.
     """
     if fp._diagram is not None:
         return fp._diagram
@@ -185,6 +189,9 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
             ends[(x // 2 - 2) % m + 1] = k
             signs.append(-1)
     d = PairDiagram(m, tuple(ends[1:]), tuple(signs))
-    if d._succ != fp.perm.padded:
+    succ = fp.perm.padded
+    if d._succ != succ:
         raise ValueError("corner structure is not a transverse 4-valent pair")
+    object.__setattr__(d, "_succ", succ)
+    object.__setattr__(fp, "_diagram", d)
     return d

@@ -222,9 +222,10 @@ class FillingPermutation:
     ctx: GenusContext
     perm: Permutation
 
-    # The crossing diagram this permutation was made from, when
-    # `PairDiagram.to_filling_permutation` made it.  Not a field: it
-    # takes no part in ==, hash or repr.
+    # The crossing diagram of this permutation, once it has one: the
+    # diagram `PairDiagram.to_filling_permutation` made it from, or the
+    # one `diagram_of` read off it.  Not a field: it takes no part in
+    # ==, hash or repr.
     _diagram = None
 
     def __post_init__(self):
@@ -294,25 +295,23 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     their first position.
     """
     ctx = fp.ctx
-    n = ctx.n
-    iota = arc_tables(ctx.i_min)[0]
+    n, i = ctx.n, ctx.i_min
+    iota = arc_tables(i)[0]
     word = fp.boundary_word()
     cls, orbits = corner_orbits(fp.perm.padded, word)
-    if any(len(o) != 4 for o in orbits) or len(orbits) != ctx.i_min:
+    if len(orbits) != i or set(map(len, orbits)) != {4}:
         raise ReconstructionError("corner orbits are not 4-valent")
 
     # the head of edge s is corner s; its tail is the corner before it,
-    # which turns a quarter into the inverse of s
+    # which turns a quarter into the inverse of s.  A curve is single
+    # when its i heads are distinct and each is the tail of the next arc.
     def single_curve(first_symbol: int) -> bool:
-        arcs = ctx.i_min
-        heads = [cls[first_symbol + 2 * (k - 1)] for k in range(1, arcs + 1)]
-        if len(set(heads)) != arcs:
-            return False
-        for k in range(1, arcs + 1):
-            nxt = first_symbol + 2 * (k % arcs)
-            if heads[k - 1] != cls[iota[nxt]]:
-                return False
-        return True
+        heads = cls[first_symbol:first_symbol + 2 * i:2]
+        # the tails of arcs 2..i, then of arc 1
+        tails = [cls[iota[s]]
+                 for s in range(first_symbol + 2, first_symbol + 2 * i, 2)]
+        tails.append(cls[iota[first_symbol]])
+        return len(set(heads)) == i and heads == tails
 
     alpha_ok = single_curve(1)
     beta_ok = single_curve(2)
@@ -323,9 +322,10 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     pos_of = [0] * (n + 1)
     for p, s in enumerate(word, 1):
         pos_of[s] = p
+    at = pos_of.__getitem__
     return SurfaceReport(
         genus=genus,
-        vertex_classes=tuple(tuple(pos_of[s] for s in o) for o in orbits),
+        vertex_classes=tuple([tuple(map(at, o)) for o in orbits]),
         alpha_is_single_curve=alpha_ok,
         beta_is_single_curve=beta_ok,
         boundary_word=word,

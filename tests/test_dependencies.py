@@ -224,6 +224,24 @@ def test_only_cut_patterns_carry_a_polygon_table():
     assert reads == {("gluing.py", "_valid_polygon")}
 
 
+def test_only_diagram_reads_keep_a_diagram_on_a_pair():
+    # diagram_of hands back the diagram a pair keeps without its round
+    # trip, which is sound only for the diagram the pair was made from
+    # or the one diagram_of read off it and checked
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 10
+    # the diagram is written as object.__setattr__(fp, "_diagram", ...)
+    named = lambda node: isinstance(node, ast.Constant) and node.value == "_diagram"
+    writes = {(name, owner) for name, tree in trees.items()
+              for owner in enclosing_defs(tree, named)}
+    assert writes == {("diagram.py", "to_filling_permutation"),
+                      ("diagram.py", "diagram_of")}
+    reads = {(name, owner) for name, tree in trees.items()
+             for owner in defs_mentioning(tree, "_diagram")}
+    assert reads == {("diagram.py", "diagram_of")}
+
+
 def test_one_relabelling_action():
     # relabelling acts on tables in one place, the enumeration's
     # conjugates, which classify filling pairs and gluing patterns alike

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -31,8 +32,10 @@ def test_round_trip_all_g3(g3_solutions):
         assert d.to_filling_permutation().perm == fp.perm
 
 
-def test_diagram_of_writes_nothing_back(g3_solutions, monkeypatch):
-    fp = g3_solutions[0]
+def test_diagram_of_keeps_what_it_reads(g3_solutions, monkeypatch):
+    listed = g3_solutions[0]
+    # a fresh pair: the session's listed pairs may have been read before
+    fp = FillingPermutation(listed.ctx, listed.perm)
     reads = []
     walk_back = PairDiagram._next_arc
 
@@ -40,11 +43,27 @@ def test_diagram_of_writes_nothing_back(g3_solutions, monkeypatch):
         reads.append(d)
         return walk_back(d)
 
-    # every fresh read checks that its diagram walks back to fp
+    # the first read checks that its diagram walks back to fp; the
+    # second hands back the diagram the first one kept
     monkeypatch.setattr(PairDiagram, "_next_arc", counted)
-    assert diagram_of(fp) == diagram_of(fp)
-    assert len(reads) == 2
-    assert vars(fp) == {"ctx": fp.ctx, "perm": fp.perm}
+    d = diagram_of(fp)
+    assert diagram_of(fp) is d
+    assert len(reads) == 1
+    # the kept diagram's successor table is the pair's own, not a copy
+    assert d._succ is fp.perm.padded
+    plain = FillingPermutation(fp.ctx, fp.perm)
+    assert fp == plain
+    assert hash(fp) == hash(plain)
+    assert repr(fp) == repr(plain)
+    # a permutation that fails the round trip raises and keeps nothing
+    images = list(listed.perm.images)
+    images[0], images[2] = images[2], images[0]
+    fake = unvalidated(3, images)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a transverse 4-valent pair"):
+            diagram_of(fake)
+    assert len(reads) == 3
+    assert vars(fake).keys() == {"ctx", "perm"}
 
 
 def test_a_diagram_builds_its_successor_table_once(g4_solutions, monkeypatch):
@@ -80,6 +99,78 @@ def test_diagram_rejects_sequences_that_are_not_tuples(beta_seq, signs):
     # a list would construct a diagram that no hash can take
     with pytest.raises(ValueError, match="must be tuples"):
         PairDiagram(1, beta_seq, signs)
+
+
+# `PairDiagram.__post_init__` before its checks became set operations,
+# kept verbatim as their reference.
+def reference_post_init(self):
+    # a list would construct, but leave the diagram unhashable
+    if not (isinstance(self.beta_seq, tuple) and isinstance(self.signs, tuple)):
+        raise ValueError("beta_seq and signs must be tuples")
+    # type(), not isinstance(): bool is an int subclass
+    if type(self.m) is not int or any(
+            type(v) is not int for v in (*self.beta_seq, *self.signs)):
+        raise ValueError("m, beta_seq and signs must be ints")
+    if self.m < 1:
+        raise ValueError("diagram needs at least one crossing")
+    if sorted(self.beta_seq) != list(range(1, self.m + 1)):
+        raise ValueError("beta_seq must visit each point exactly once")
+    if len(self.signs) != self.m or any(s not in (-1, 1) for s in self.signs):
+        raise ValueError("signs must be +1/-1 per point")
+    # The face-walk successor table, built once.  Not a field: it
+    # takes no part in ==, hash or repr.
+    object.__setattr__(self, "_succ", tuple(self._next_arc()))
+
+
+class ReferenceDiagram(PairDiagram):
+    __post_init__ = reference_post_init
+
+
+def construction(cls, m, beta_seq, signs):
+    """The fields and table of cls(m, beta_seq, signs), or the type and
+    text of what it raised."""
+    try:
+        d = cls(m, beta_seq, signs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.m, d.beta_seq, d.signs, d._succ
+
+
+def test_diagram_checks_match_the_reference():
+    cases = [
+        # the rejections tested above
+        (1, [1], (1,)), (1, (1,), [1]), (1, [1], [1]), (1, range(1, 2), (1,)),
+        (1, (1.0,), (1,)), (1, (True,), (1,)), (1, (1,), (True,)),
+        (1, (1,), (1.0,)), (1.0, (1,), (1,)), (True, (1,), (1,)),
+        (3, (1, 2, 3.0), (1, -1, 1)), (2, (1, 1), (1, 1)), (2, (1, 2), (1, 0)),
+        # empty tuples, no crossing, and signs 0, 2 and True
+        (0, (), ()), (1, (), ()), (1, (1,), ()), (1, (), (1,)), (0, (1,), (1,)),
+        (-1, (), ()), (1, (1,), (0,)), (1, (1,), (2,)), (1, (1,), (True,)),
+        (3, (1, 2, 3), (1, 0, -1)), (3, (1, 2, 3), (-1, 1, 2)),
+        (3, (1, 2, 3), (1, True, -1)), (3, (2, 3, 1), (False, 1, 1)),
+        # several faults at once: the first check to fail names one
+        (1.0, [1], (0,)), (0, (1.0,), (2,)), (0, (5,), (2,)), (2, (1, 1), (0, 0)),
+        (2, (1, 2), (1,)), (2, (1, 2), (1, 1, 1)), (2, (1, 3), (1, 1)),
+    ]
+    cases += [(d.m, d.beta_seq, d.signs) for m in range(1, 5) for d in all_diagrams(m)]
+    rng = random.Random(2700)
+    entries = [-1, 0, 1, 2, 3, 4, 1.0, True, False, "1", None]
+    for _ in range(3000):
+        m = rng.choice([-1, 0, 1, 2, 3, 3, 4, 4, True, 3.0])
+        beta_seq = tuple(rng.choice(entries) if rng.random() < 0.1 else k
+                         for k in rng.sample(range(1, 5), rng.randint(0, 4)))
+        signs = tuple(rng.choice(entries) if rng.random() < 0.1 else rng.choice((-1, 1))
+                      for _ in range(rng.randint(0, 4)))
+        cases.append((m, beta_seq, signs))
+    seen = set()
+    for case in cases:
+        got = construction(PairDiagram, *case)
+        assert got == construction(ReferenceDiagram, *case), case
+        seen.add(got[1] if isinstance(got[0], type) else "built")
+    assert seen == {
+        "built", "beta_seq and signs must be tuples",
+        "m, beta_seq and signs must be ints", "diagram needs at least one crossing",
+        "beta_seq must visit each point exactly once", "signs must be +1/-1 per point"}
 
 
 def unvalidated(g, images):

@@ -9,9 +9,11 @@ from fillperm.filling import (
     FillingPermutation,
     GenusContext,
     ReconstructionError,
+    SurfaceReport,
     _check_twisting_generators,
     arc_tables,
     canonical_perms,
+    corner_orbits,
     is_filling,
     reconstruct,
     relabeling_generators,
@@ -21,6 +23,7 @@ from fillperm.filling import (
 from fillperm.enumeration import canonical_class_rep
 from fillperm.perms import Permutation, closure, from_cycles, identity
 from conftest import is_n_cycle
+from test_diagram import unvalidated
 
 
 # The curve reversals as relabellings, oracles of the twisting tests.
@@ -372,6 +375,100 @@ def position_corner_orbits(fp):
 def test_reconstruct_matches_the_position_walk(g, request):
     for fp in request.getfixturevalue(f"g{g}_solutions"):
         assert reconstruct(fp).vertex_classes == position_corner_orbits(fp)
+
+
+# `reconstruct` before its generator expressions were dropped, kept
+# verbatim as its reference.
+def reference_reconstruct(fp: FillingPermutation) -> SurfaceReport:
+    """Glue each polygon edge to its inverse and report the surface.
+
+    Checks carried out: every corner orbit has size exactly 4, there are
+    2g-1 of them, and the arcs of each curve chain head-to-tail into one
+    closed curve.  A validated filling permutation that failed any of
+    these would indicate an implementation bug, hence the hard error.
+    Vertex classes list 1-based boundary-word positions, in the order of
+    their first position.
+    """
+    ctx = fp.ctx
+    n = ctx.n
+    iota = arc_tables(ctx.i_min)[0]
+    word = fp.boundary_word()
+    cls, orbits = corner_orbits(fp.perm.padded, word)
+    if any(len(o) != 4 for o in orbits) or len(orbits) != ctx.i_min:
+        raise ReconstructionError("corner orbits are not 4-valent")
+
+    # the head of edge s is corner s; its tail is the corner before it,
+    # which turns a quarter into the inverse of s
+    def single_curve(first_symbol: int) -> bool:
+        arcs = ctx.i_min
+        heads = [cls[first_symbol + 2 * (k - 1)] for k in range(1, arcs + 1)]
+        if len(set(heads)) != arcs:
+            return False
+        for k in range(1, arcs + 1):
+            nxt = first_symbol + 2 * (k % arcs)
+            if heads[k - 1] != cls[iota[nxt]]:
+                return False
+        return True
+
+    alpha_ok = single_curve(1)
+    beta_ok = single_curve(2)
+
+    # V - E + F with E = n/2, F = 1
+    chi = len(orbits) - n // 2 + 1
+    genus = (2 - chi) // 2
+    pos_of = [0] * (n + 1)
+    for p, s in enumerate(word, 1):
+        pos_of[s] = p
+    return SurfaceReport(
+        genus=genus,
+        vertex_classes=tuple(tuple(pos_of[s] for s in o) for o in orbits),
+        alpha_is_single_curve=alpha_ok,
+        beta_is_single_curve=beta_ok,
+        boundary_word=word,
+    )
+
+
+def outcome(fn, fp):
+    """The report of fn(fp), or the type and text of what it raised."""
+    try:
+        return fn(fp)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_reconstruct_matches_the_reference(g3_solutions, g4_solutions):
+    rng = random.Random(2500)
+    pairs = [*g3_solutions, *rng.sample(g4_solutions, 2000)]
+    # permutations that are no solution, built without the check: random
+    # ones, solutions with two images swapped, and the sampled families
+    fakes = []
+    for g, solutions in ((2, []), (3, g3_solutions), (4, g4_solutions)):
+        ctx = GenusContext(g)
+        for _ in range(200):
+            fakes.append(unvalidated(g, rng.sample(range(1, ctx.n + 1), ctx.n)))
+        for fp in rng.sample(solutions, min(len(solutions), 200)):
+            images = list(fp.perm.images)
+            a, b = rng.sample(range(ctx.n), 2)
+            images[a], images[b] = images[b], images[a]
+            fakes.append(unvalidated(g, images))
+        sampled = sampled_perms(ctx, rng.sample(solutions, min(len(solutions), 100)),
+                                rng, 200)
+        fakes += [unvalidated(g, p.images) for p in sampled]
+    # a corner orbit {1, 3, 9, 11}: alpha arcs 1 and 2 end at one vertex
+    # and every head is the tail of the next arc, so only the check that
+    # the heads are distinct finds the first curve not single
+    fakes.append(unvalidated(2, [3, 6, 5, 8, 12, 4, 11, 10, 9, 1, 7, 2]))
+    errors, curves = set(), set()
+    for fp in pairs + fakes:
+        got = outcome(reconstruct, fp)
+        assert got == outcome(reference_reconstruct, fp)
+        if isinstance(got, SurfaceReport):
+            curves.add((got.alpha_is_single_curve, got.beta_is_single_curve))
+        else:
+            errors.add(got)
+    # the hard error, and both outcomes of each curve's check
+    assert errors == {(ReconstructionError, "corner orbits are not 4-valent")}
+    assert {a for a, _ in curves} == {b for _, b in curves} == {True, False}
 
 
 def test_twisting_closure_sizes():

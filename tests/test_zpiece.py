@@ -15,7 +15,9 @@ from fillperm.filling import (
     FillingPermutation,
     GenusContext,
     canonical_perms,
+    reconstruct,
 )
+from fillperm.gluing import euler_genus, from_filling, pattern_of_diagram, t1
 from fillperm.perms import Permutation
 from fillperm.zpiece import (
     TORUS_DIAGRAM,
@@ -535,3 +537,51 @@ def test_a_kept_diagram_is_not_part_of_the_value(g5_splices):
         assert fp == plain
         assert hash(fp) == hash(plain)
         assert repr(fp) == repr(plain)
+
+
+def count_reads(monkeypatch):
+    """Stand-ins that count each diagram `diagram_of` reads off a pair
+    (the `PairDiagram` it builds) and each call of `diagram_of` through
+    zpiece's module global, which the benchmark's tracer wraps."""
+    counts = {"reads": 0, "calls": 0}
+    diagram_class, read = fillperm.diagram.PairDiagram, fillperm.zpiece.diagram_of
+
+    def counted_diagram(*args):
+        counts["reads"] += 1
+        return diagram_class(*args)
+
+    def counted_read(fp):
+        counts["calls"] += 1
+        return read(fp)
+
+    monkeypatch.setattr(fillperm.diagram, "PairDiagram", counted_diagram)
+    monkeypatch.setattr(fillperm.zpiece, "diagram_of", counted_read)
+    return counts
+
+
+def test_a_census_item_reads_each_diagram_once(g4_solutions, template, monkeypatch):
+    # the per-pair invariants of a genus-4 census item, on fresh pairs
+    ctx = GenusContext(4)
+    sample = [FillingPermutation(ctx, fp.perm)
+              for fp in random.Random(2800).sample(g4_solutions, 300)]
+    counts = count_reads(monkeypatch)
+    for fp in sample:
+        rep = reconstruct(fp)
+        d = diagram_of(fp)
+        assert d.to_filling_permutation() == fp
+        assert 0 <= t1(from_filling(fp)) <= 14
+        assert euler_genus(pattern_of_diagram(d)) == rep.genus == 4
+        detect_zpieces(fp, template)
+    # one read by the item's diagram_of; detection gets the kept diagram
+    # back through the module global
+    assert counts == {"reads": len(sample), "calls": len(sample)}
+
+
+def test_splicing_a_pair_at_every_vertex_reads_its_diagram_once(
+        g3_solutions, template, monkeypatch):
+    ctx = GenusContext(3)
+    pairs = [FillingPermutation(ctx, fp.perm) for fp in g3_solutions[::60]]
+    counts = count_reads(monkeypatch)
+    spliced = {splice(fp, k, template).perm for fp in pairs for k in range(1, 6)}
+    assert len(spliced) == 5 * len(pairs)
+    assert counts == {"reads": len(pairs), "calls": 5 * len(pairs)}

@@ -20,7 +20,7 @@ from .enumeration import (
     DEFAULT_GUARD,
     MAX_ENUMERATED_GENUS,
     GuardExceeded,
-    _conjugates,
+    _admitted_conjugates,
     _count_and_classify,
     bounds_report,
     root_count,
@@ -166,12 +166,12 @@ def cmd_enumerate(args) -> int:
             for img in listed
         ]
         if args.classes:
-            # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}; such a
-            # t keeps the first byte, so only those conjugates are built
+            # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}; such t
+            # keep the first byte 2, so only those conjugates are built
             order = len(twisting_closure(ctx))
             for entry, img in zip(results, listed):
-                fixed = sum(conj == img
-                            for conj in _conjugates(ctx.i_min, img, (img[0],)))
+                fixed = 1 + sum(conj == img
+                                for conj in _admitted_conjugates(ctx.i_min, img))
                 entry["orbit_size"] = order // fixed
         payload["results"] = results
     _emit(payload, started)

@@ -135,7 +135,7 @@ class PairDiagram:
 
         The face-walk successor on the arc symbols is the permutation.
         Requires a single complementary face; raises ValueError otherwise.
-        The result keeps this diagram for `diagram_of`.
+        The result keeps this diagram for `diagram_of` and shares its table.
 
         The successor table goes to `FillingPermutation` unchecked, and
         its one bounded walk from symbol 1 decides everything.  The walk
@@ -152,6 +152,7 @@ class PairDiagram:
             if str(exc).endswith("not an n-cycle"):
                 raise ValueError("complement is not a single disk") from None
             raise
+        fp.perm._img = self._succ  # one table for both, equal after the walk
         object.__setattr__(fp, "_diagram", self)
         return fp
 

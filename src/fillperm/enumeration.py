@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial, lgamma, log
 from operator import itemgetter
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .filling import (
     FillingPermutation,
@@ -192,33 +192,6 @@ def _iter_solution_images(
         yield bytes(sigma[1:])
 
 
-def _worker_solutions(args) -> list[bytes]:
-    g, prefix = args
-    return list(_iter_solution_images(GenusContext(g), prefix))
-
-
-def _search(ctx: GenusContext, prefixes: Sequence[tuple[int, ...]],
-            jobs: int) -> list[bytes]:
-    """The solutions under each search prefix, joined in prefix order.
-
-    With jobs > 1 the prefixes run in a pool of at most one worker per
-    prefix, so the list does not depend on jobs.
-    """
-    workers = min(max(1, jobs), len(prefixes))
-    out: list[bytes] = []
-    if workers == 1:
-        for prefix in prefixes:
-            out.extend(_iter_solution_images(ctx, prefix))
-        return out
-    import multiprocessing as mp
-
-    with mp.Pool(workers) as pool:
-        for part in pool.imap(_worker_solutions,
-                              [(ctx.g, prefix) for prefix in prefixes]):
-            out.extend(part)
-    return out
-
-
 def _check_regular_on_evens(ctx: GenusContext, group: Iterable[Permutation]) -> None:
     """Raise unless the elements of group that fix symbol 1 act regularly
     on the even symbols: exactly one of them sends 2 to each even symbol.
@@ -244,18 +217,75 @@ def _least_shard(ctx: GenusContext) -> int:
     return next(k for k, (_, arcs) in enumerate(_moves(ctx)[0]) if (1, 2) in arcs)
 
 
-def _least_shard_images(ctx: GenusContext, jobs: int = 1) -> list[bytes]:
-    """The solutions with s(1) = 2, one (4g-2)-th of all of them, in
-    search order; jobs > 1 splits the search by its second-level
-    choices (genus 1 has a single level)."""
-    first = _least_shard(ctx)
-    moves = _moves(ctx)
-    if len(moves) == 1:
-        prefixes = [(first,)]
-    else:
-        taken = moves[0][first][0]
-        prefixes = [(first, k) for k, (j, _) in enumerate(moves[1]) if j != taken]
-    return _search(ctx, prefixes, jobs)
+# ----------------------------------------------------------------------
+# The class test
+# ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _admitting(i: int, anchor: int = 1, targets: tuple[int, ...] = (2,)) -> tuple:
+    """The elements t of `relabeling_group(i)` but the identity (its first,
+    as the group is sorted), indexed by the conjugates t o s o t^-1 they
+    admit, those that send anchor into targets: rows[a - 1][b] lists the
+    t with t^-1(anchor) = a and t^-1(target) = b for a target, so s
+    admits exactly those at rows[a - 1][s(a)].  Each t is listed as the
+    indices of t^-1(1) and t^-1(2), a getter of the entries at t^-1(1),
+    ..., t^-1(n), and the translation table of t: the conjugate's image
+    array is bytes(getter(img)).translate(table)."""
+    n = 4 * i
+    cells: dict[tuple[int, int], list] = {}
+    for t in relabeling_group(i)[1:]:
+        inv = (0, *sorted(range(1, n + 1), key=t.padded.__getitem__))
+        entry = (inv[1] - 1, inv[2] - 1, itemgetter(*(x - 1 for x in inv[1:])),
+                 bytes(t.padded).ljust(256, b"\0"))
+        for target in set(targets):  # 2m + 1 = 3 at m = 1
+            cells.setdefault((inv[anchor], inv[target]), []).append(entry)
+    return tuple(tuple(tuple(cells.get((a, b), ())) for b in range(n + 1))
+                 for a in range(1, n + 1))
+
+
+def _least_members(i: int, images: Iterable[bytes], anchor: int = 1,
+                   targets: tuple[int, ...] = (2,)) -> tuple[int, list[bytes]]:
+    """The number of images and, in stream order, those that no admitted
+    conjugate (`_admitting`) undercuts.
+
+    Each image sends anchor into targets, and the other such members of
+    its class under `relabeling_group(i)` are its admitted conjugates.
+    So a stream that holds each of them once keeps one image per class,
+    its least there: the canonical representative in the enumeration's
+    shard where s(1) = 2, the least leaf in the pattern search.  Only
+    the kept images are held."""
+    rows = _admitting(i, anchor, targets)
+    count, kept = 0, []
+    for count, img in enumerate(images, 1):
+        if _is_least(rows, img):
+            kept.append(img)
+    return count, kept
+
+
+def _is_least(rows, img: bytes) -> bool:
+    """True unless an admitted conjugate of img is smaller; a conjugate
+    is built only when its first two bytes tie with img's."""
+    first, second = img[0], img[1]
+    for row, b in zip(rows, img):
+        for j1, j2, getter, table in row[b]:
+            lead = table[img[j1]]
+            if lead < first:
+                return False
+            if lead == first:
+                lead = table[img[j2]]
+                if lead < second or lead == second and (
+                        bytes(getter(img)).translate(table) < img):
+                    return False
+    return True
+
+
+def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
+    """The conjugates of the permutation with image array img that have
+    first byte 2, by every element but the identity."""
+    for row, b in zip(_admitting(i), img):
+        for _, _, getter, table in row[b]:
+            yield bytes(getter(img)).translate(table)
 
 
 # ----------------------------------------------------------------------
@@ -281,46 +311,19 @@ def enumerate_filling(
             f"genus {ctx.g} exceeds {LISTED_GENUS}, the largest genus "
             "enumerate_filling lists: it holds every solution at about "
             "417 B each, and genus 5 alone has 16,609,536 (about 6.9 GB). "
-            "count_classes and class_representatives hold one shard; "
-            "pass force=True to override."
+            "count_classes and class_representatives hold only the class "
+            "representatives; pass force=True to override."
         )
     check_guard(ctx.g, force)
-    shard = _least_shard_images(ctx)
+    shard = list(_iter_solution_images(ctx, (_least_shard(ctx),)))
     twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
-    # the identity is the one element with t(1) = 1 and t(2) = 2 (the
-    # regular action `_least_shard` checks), and the first in the group
     out = [FillingPermutation(ctx, Permutation._unchecked(img)) for img in shard]
-    for _, getter, table in _closure_tables(ctx.i_min):
-        if table[1] == 1 and table[2] != 2:
-            out.extend(_trusted_conjugate(ctx, bytes(getter(img)).translate(table))
-                       for img in shard)
+    # the t with t(1) = 1 but the identity: one per t(2) > 2 (`_least_shard`)
+    fixing_1 = sorted(chain(*_admitting(ctx.i_min)[0]), key=lambda entry: entry[3][2])
+    for _, _, getter, table in fixing_1:
+        out.extend(_trusted_conjugate(ctx, bytes(getter(img)).translate(table))
+                   for img in shard)
     return out
-
-
-@lru_cache(maxsize=None)
-def _closure_tables(i: int) -> tuple[tuple[int, itemgetter, bytes], ...]:
-    """For each t in `relabeling_group(i)`: the index of t^-1(1) in an
-    image array, a getter of the entries at t^-1(1), ..., t^-1(n), and
-    the 256-byte translation table of t.  The image array of t o s o t^-1
-    is bytes(getter(img)).translate(table), and its first byte is
-    table[img[index]]."""
-    out = []
-    for t in relabeling_group(i):
-        inv = t.inverse().images
-        table = bytes((0, *t.images)).ljust(256, b"\0")
-        out.append((inv[0] - 1, itemgetter(*(x - 1 for x in inv)), table))
-    return tuple(out)
-
-
-def _conjugates(
-    i: int, img: bytes, firsts: Container[int] | None = None
-) -> Iterator[bytes]:
-    """Image arrays of t o s o t^-1 for every t in `relabeling_group(i)`,
-    where img holds the images of s.  With firsts, only the conjugates
-    whose first byte t(s(t^-1(1))) is in firsts are built."""
-    for index, getter, table in _closure_tables(i):
-        if firsts is None or table[img[index]] in firsts:
-            yield bytes(getter(img)).translate(table)
 
 
 def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
@@ -328,9 +331,11 @@ def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
 
     The input is validated; its conjugates are not, because
     `twisting_closure` checks that its generators map solutions to
-    solutions.  Conjugates are compared as byte strings, like the
-    enumeration's image arrays, so above genus `MAX_ENUMERATED_GENUS`,
-    where the degree 8g-4 passes 255, ValueError is raised first.
+    solutions.  Only those with first byte 2 are built, as the least
+    has it (`_check_regular_on_evens`).  Conjugates are compared as byte
+    strings, like the enumeration's image arrays, so above genus
+    `MAX_ENUMERATED_GENUS`, where the degree 8g-4 passes 255,
+    ValueError is raised first.
     """
     if ctx.g > MAX_ENUMERATED_GENUS:
         raise ValueError(
@@ -341,34 +346,14 @@ def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
     if not ok:
         raise ValueError(f"not a filling permutation: {why}")
     twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
-    return Permutation(min(_conjugates(ctx.i_min, bytes(p.images))))
+    img = bytes(p.images)  # the identity's conjugate, least only if img[0] is 2
+    return Permutation(min(img, *_admitted_conjugates(ctx.i_min, img)))
 
 
-def _class_minima(i: int, images: Iterable[bytes]) -> list[bytes]:
-    """One image per class met, the least one among images, sorted.
-
-    images are image arrays of permutations of 4i symbols, and classes
-    are their conjugacy classes under `relabeling_group(i)`.  The sweep
-    takes the least remaining image and discards the conjugates of it
-    that are among images: only those whose first byte occurs in images
-    are built, which in a shard of the enumeration (one value of s(1))
-    is 1 in 4g-2 of them.  The image kept is canonical, the class's
-    least member (`canonical_class_rep`), when images holds that member:
-    for whole classes, or the enumeration's shard where s(1) = 2.  From
-    images that hold no whole class, such as the anchored leaves of the
-    pattern search, it keeps the least member present.
-    """
-    alive = set(images)
-    firsts = {img[0] for img in alive}
-    reps: list[bytes] = []
-    for img in sorted(alive):
-        if img in alive:
-            reps.append(img)
-            # one at a time: difference_update rebuilds the table once
-            # deleted slots pile up, a second copy at peak memory
-            for conj in _conjugates(i, img, firsts):
-                alive.discard(conj)
-    return reps
+def _classify_prefix(args) -> tuple[int, list[bytes]]:
+    """`_least_members` of the solutions under one search prefix."""
+    ctx, prefix = args
+    return _least_members(ctx.i_min, _iter_solution_images(ctx, prefix))
 
 
 def _count_and_classify(
@@ -378,10 +363,25 @@ def _count_and_classify(
     of every twisting class, sorted, from the one shard where s(1) = 2:
     every value of s(1) is taken by equally many solutions
     (`_check_regular_on_evens`), and each class's least member has
-    s(1) = 2.  Holds one (4g-2)-th of the solutions in memory."""
+    s(1) = 2.  Each second-level choice of the shard's search (genus 1
+    has one level) keeps only what passes `_least_members`; with jobs > 1
+    they run in a pool of at most one worker each.  No shard is held."""
     check_guard(ctx.g, force)
-    shard = _least_shard_images(ctx, jobs)
-    return 2 * ctx.i_min * len(shard), _class_minima(ctx.i_min, shard)
+    first, moves = _least_shard(ctx), _moves(ctx)
+    prefixes = [(first,)] if len(moves) == 1 else [
+        (first, k) for k, (j, _) in enumerate(moves[1]) if j != moves[0][first][0]]
+    tasks = [(ctx, prefix) for prefix in prefixes]
+    _admitting(ctx.i_min)  # built once, before a pool forks
+    workers = min(max(1, jobs), len(tasks))
+    if workers == 1:
+        parts = list(map(_classify_prefix, tasks))
+    else:
+        import multiprocessing as mp
+
+        with mp.Pool(workers) as pool:
+            parts = list(pool.imap(_classify_prefix, tasks))
+    reps = sorted(img for _, kept in parts for img in kept)
+    return 2 * ctx.i_min * sum(count for count, _ in parts), reps
 
 
 def class_representatives(
@@ -395,12 +395,11 @@ def class_representatives(
 def classify_solutions(
     ctx: GenusContext, solutions: Sequence[FillingPermutation]
 ) -> list[FillingPermutation]:
-    """Class representatives of an already-enumerated solution list."""
-    images = [bytes(fp.perm.images) for fp in solutions]
-    return [
-        FillingPermutation(ctx, Permutation._unchecked(img))
-        for img in _class_minima(ctx.i_min, images)
-    ]
+    """Class representatives of an already-enumerated solution list: its
+    members with s(1) = 2 that pass the class test, sorted."""
+    images = (bytes(fp.perm.images) for fp in solutions)
+    _, reps = _least_members(ctx.i_min, (img for img in images if img[0] == 2))
+    return [FillingPermutation(ctx, Permutation._unchecked(img)) for img in sorted(reps)]
 
 
 def count_classes(ctx: GenusContext, *, jobs: int = 1, force: bool = False) -> int:

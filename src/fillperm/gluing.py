@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .diagram import PairDiagram, crossing_steps
-from .enumeration import _class_minima
+from .enumeration import _least_members
 from .filling import FillingPermutation, arc_tables, corner_orbits, signed_ids
 from .perms import grow_cycles, table_orbits
 
@@ -296,20 +296,19 @@ def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
     The diagrams come from `perms.grow_cycles` over `_crossing_rows`,
     the pruned depth-first search that also enumerates filling
     permutations, as face-successor tables with want_faces faces and no
-    bigon.  Relabelling a pattern conjugates its successor table, so the
-    pattern classes are the tables' classes under `relabeling_group(m)`:
-    the enumeration's sweep `_class_minima` keeps one table per class,
-    holding the tables of one size but no orbit.  The table kept is the
-    class's least leaf, a diagram whose beta arc 1 ends at point 1; it
-    is cut by `_cut`, so the pattern carries its polygon table.  The
+    bigon.  In every leaf beta arc 1 ends at point 1, so its entry 2 is
+    3 or 2m + 1.  Relabelling a pattern conjugates its table, so the
+    enumeration's class test `_least_members`, with the leaves among the
+    conjugates admitted, keeps each class's least leaf and no other.  It
+    is cut by `_cut`, so the pattern carries its polygon table, and the
     patterns come in the order of their tables."""
     m = intersections
     want_faces = intersections - 2 * genus + 2
     if want_faces < 1:
         return ()
     leaves = grow_cycles(4 * m, _crossing_rows(m), want_faces)
-    return tuple(_cut(m, b"\0" + table)
-                 for table in _class_minima(m, (bytes(nxt[1:]) for nxt in leaves)))
+    _, kept = _least_members(m, (bytes(nxt[1:]) for nxt in leaves), 2, (3, 2 * m + 1))
+    return tuple(_cut(m, b"\0" + table) for table in sorted(kept))
 
 
 def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPattern]:

@@ -96,7 +96,7 @@ def test_enumerate_guard_refusal(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(enumeration, "_search", refuse)
+    monkeypatch.setattr(enumeration, "_iter_solution_images", refuse)
     code, out, err = run(capsys, "enumerate", "--genus", "6")
     assert code == 2
     assert out == ""

@@ -251,3 +251,9 @@ def test_one_relabelling_action():
     mentions = {name for name, tree in trees.items()
                 if "relabeling_group" in set(referenced_names(tree))}
     assert mentions == {"filling.py", "enumeration.py"}
+    # the pattern search takes its class test from the enumeration, by
+    # the one helper's name
+    taken = {alias.name for node in ast.walk(trees["gluing.py"])
+             if isinstance(node, ast.ImportFrom) and node.module == "enumeration"
+             for alias in node.names}
+    assert taken == {"_least_members"}

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -8,15 +9,13 @@ from fillperm import enumeration, filling
 from fillperm.enumeration import (
     MAX_ENUMERATED_GENUS,
     GuardExceeded,
+    _admitted_conjugates,
     _check_regular_on_evens,
-    _class_minima,
-    _conjugates,
     _count_and_classify,
     _iter_solution_images,
+    _least_members,
     _least_shard,
-    _least_shard_images,
     _roots,
-    _search,
     base_involution,
     bounds_report,
     canonical_class_rep,
@@ -215,21 +214,22 @@ def test_warm_listing_runs_no_per_symbol_check(monkeypatch):
 def test_listing_conjugates_the_least_shard(g, monkeypatch):
     ctx = GenusContext(g)
     prefixes = []
+    search = _iter_solution_images
 
-    def recording_search(ctx, shard_prefixes, jobs):
-        prefixes.extend(shard_prefixes)
-        return _search(ctx, shard_prefixes, jobs)
+    def recording_search(ctx, prefix=()):
+        prefixes.append(prefix)
+        return search(ctx, prefix)
 
-    monkeypatch.setattr(enumeration, "_search", recording_search)
+    monkeypatch.setattr(enumeration, "_iter_solution_images", recording_search)
     listed = [bytes(fp.perm.images) for fp in enumerate_filling(ctx)]
-    assert prefixes and all(p[0] == _least_shard(ctx) for p in prefixes)
+    assert prefixes == [(_least_shard(ctx),)]
     assert len(listed) == len(set(listed)) == [2, 0, 600, 65856][g - 1]
     assert set(listed) == set(_iter_solution_images(ctx))
     firsts = [img[0] for img in listed]
     assert firsts == sorted(firsts)
     groups = [[img for img in listed if img[0] == e] for e in range(2, ctx.n + 1, 2)]
     assert len({len(group) for group in groups}) == 1
-    assert groups[0] == _least_shard_images(ctx)
+    assert groups[0] == [img for img in _iter_solution_images(ctx) if img[0] == 2]
 
 
 def unpruned_solution_images(ctx):
@@ -257,27 +257,25 @@ def test_pruned_search_matches_the_root_stream(g):
     assert set(pruned) == set(unpruned_solution_images(ctx))
 
 
-def full_search(ctx, jobs):
-    """Every solution, from all 2(2g-1) first-level choices in order."""
-    return _search(ctx, [(k,) for k in range(2 * ctx.i_min)], jobs)
-
-
 @pytest.mark.parametrize("g", [3, 4])
 def test_solution_images_independent_of_jobs(g):
+    # each worker process returns its prefixes' count and representatives
     ctx = GenusContext(g)
-    one = full_search(ctx, jobs=1)
-    assert full_search(ctx, jobs=2) == one
-    assert full_search(ctx, jobs=3) == one
+    one = _count_and_classify(ctx, jobs=1)
+    assert one[0] == [600, 65856][g - 3]
+    assert _count_and_classify(ctx, jobs=2) == one
+    assert _count_and_classify(ctx, jobs=3) == one
 
 
 def test_workers_never_exceed_shards(pool_sizes):
+    # one task per second-level prefix of the shard where s(1) = 2: 8 at
+    # genus 3, and genus 1 has one level, so one task and no pool
     ctx = GenusContext(3)
-    images = full_search(ctx, jobs=5000)
-    assert pool_sizes == [2 * ctx.i_min]
-    assert images == list(_iter_solution_images(ctx))
-    full_search(ctx, jobs=4)
-    full_search(GenusContext(1), jobs=5000)
-    assert pool_sizes == [10, 4, 2]
+    assert _count_and_classify(ctx, jobs=5000) == _count_and_classify(ctx)
+    assert pool_sizes == [8]
+    _count_and_classify(ctx, jobs=4)
+    assert _count_and_classify(GenusContext(1), jobs=5000) == (2, [bytes([2, 3, 4, 1])])
+    assert pool_sizes == [8, 4]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -291,7 +289,8 @@ def test_first_level_shards_are_equal(g):
     assert [img for shard in shards for img in shard] == total
     assert sorted({shard[0][0] for shard in shards if shard}) == (
         list(range(2, ctx.n + 1, 2)) if total else [])
-    assert _least_shard_images(ctx) == [img for img in total if img[0] == 2]
+    shard = list(_iter_solution_images(ctx, (_least_shard(ctx),)))
+    assert shard == [img for img in total if img[0] == 2]
 
 
 def full_sweep_class_minima(ctx, images):
@@ -318,7 +317,9 @@ def test_one_shard_representatives_equal_the_full_sweep(g):
     total = list(_iter_solution_images(ctx))
     reps = full_sweep_class_minima(ctx, total)
     assert _count_and_classify(ctx) == (len(total), reps)
-    assert _class_minima(ctx.i_min, total) == reps
+    shard = [img for img in total if img[0] == 2]
+    count, kept = _least_members(ctx.i_min, shard)
+    assert count == len(shard) and sorted(kept) == reps
     assert [r.perm for r in class_representatives(ctx)] == [
         Permutation(list(img)) for img in reps]
     assert count_classes(ctx) == len(reps) == [1, 0, 5, 168][g - 1]
@@ -326,14 +327,41 @@ def test_one_shard_representatives_equal_the_full_sweep(g):
                for img in reps)
 
 
-def test_conjugates_filtered_by_first_byte():
+def every_conjugate(ctx, img):
+    """t o s o t^-1 for every t of the twisting closure, in group order,
+    where img holds the images of s."""
+    sigma = (0, *img)
+    return [bytes(t(sigma[tinv(x)]) for x in range(1, ctx.n + 1))
+            for t, tinv in ((t, t.inverse()) for t in twisting_closure(ctx))]
+
+
+def test_classification_holds_no_shard():
+    # the class test runs on the search stream and keeps only the 168
+    # representatives; a sweep over the 4,704 solutions of the shard,
+    # held as a list and a set, peaked at about 0.5 MB here
+    ctx = GenusContext(4)
+    _count_and_classify(ctx)  # builds the cached search and group tables
+    tracemalloc.start()
+    try:
+        count, reps = _count_and_classify(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, len(reps)) == (65856, 168)
+    assert peak < 2**16
+
+
+def test_conjugates_filtered_by_first_byte(g3_solutions):
+    # the index finds the conjugates with first byte 2, each once, from
+    # every solution: those of the shard and those of the other values
     ctx = GenusContext(3)
-    for img in _least_shard_images(ctx)[:20]:
-        every = list(_conjugates(ctx.i_min, img))
-        assert sorted(_conjugates(ctx.i_min, img, {2})) == sorted(
-            c for c in every if c[0] == 2)
-        assert sorted(_conjugates(ctx.i_min, img, {2, 4})) == sorted(
-            c for c in every if c[0] in (2, 4))
+    for fp in g3_solutions[::7]:
+        img = bytes(fp.perm.images)
+        every = every_conjugate(ctx, img)
+        admitted = sorted(_admitted_conjugates(ctx.i_min, img))
+        # the identity comes first and is left out of the index
+        wanted = sorted(c for c in every[1:] if c[0] == 2)
+        assert admitted == wanted and len(admitted) == 4 * ctx.i_min - (img[0] == 2)
 
 
 def test_classify_solutions_matches_the_full_sweep(g3_solutions, g3_class_reps):
@@ -364,7 +392,7 @@ def test_counting_checks_the_regular_action(monkeypatch):
     kappa, delta, _, _ = relabeling_generators(ctx.i_min)
     monkeypatch.setattr(enumeration, "twisting_closure",
                         lambda ctx: tuple(closure([kappa, delta])))
-    caches = (enumeration._least_shard, enumeration._closure_tables)
+    caches = (enumeration._least_shard, enumeration._admitting)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -383,7 +411,7 @@ def test_least_shard_splits_by_second_level(pool_sizes):
     # level, so one task and no pool
     for g in (1, 2, 3, 4):
         ctx = GenusContext(g)
-        assert _least_shard_images(ctx, jobs=5000) == _least_shard_images(ctx)
+        assert _count_and_classify(ctx, jobs=5000) == _count_and_classify(ctx)
     assert pool_sizes == [4, 8, 12]
 
 
@@ -416,7 +444,7 @@ def test_enumerate_filling_refuses_genus_5_before_searching(monkeypatch):
     def refuse(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(enumeration, "_search", refuse)
+    monkeypatch.setattr(enumeration, "_iter_solution_images", refuse)
     with pytest.raises(GuardExceeded) as exc:
         enumerate_filling(GenusContext(5))
     message = str(exc.value)
@@ -426,7 +454,7 @@ def test_enumerate_filling_refuses_genus_5_before_searching(monkeypatch):
     # above both limits, the listing's own refusal comes first
     with pytest.raises(GuardExceeded, match="genus 6 exceeds 4"):
         enumerate_filling(GenusContext(6))
-    monkeypatch.setattr(enumeration, "_search", lambda ctx, prefixes, jobs: [])
+    monkeypatch.setattr(enumeration, "_iter_solution_images", lambda ctx, prefix: iter(()))
     assert enumerate_filling(GenusContext(5), force=True) == []
 
 
@@ -548,7 +576,7 @@ def test_canonical_class_rep_refuses_genus_above_the_byte_limit(monkeypatch):
         raise AssertionError("a closure was built")
 
     monkeypatch.setattr(enumeration, "twisting_closure", no_closure)
-    monkeypatch.setattr(enumeration, "_closure_tables", no_closure)
+    monkeypatch.setattr(enumeration, "_admitting", no_closure)
     with pytest.raises(ValueError, match="MAX_ENUMERATED_GENUS") as info:
         canonical_class_rep(fp.ctx, fp.perm)
     assert "\n" not in str(info.value)

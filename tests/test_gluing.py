@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from fillperm import gluing
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.enumeration import (
-    _class_minima,
     _count_and_classify,
-    _least_shard_images,
+    _least_members,
     _moves,
     count_classes,
     enumerate_filling,
@@ -453,7 +452,7 @@ def test_both_searches_run_through_grow_cycles(monkeypatch):
 
     monkeypatch.setattr("fillperm.enumeration.grow_cycles", counting)
     monkeypatch.setattr("fillperm.gluing.grow_cycles", counting)
-    assert len(_least_shard_images(GenusContext(3))) == 600 // 10
+    assert _count_and_classify(GenusContext(3))[0] == 600
     assert calls[20, 1] == 8  # one call per second-level prefix
     assert len(_search_all.__wrapped__(3, 6)) == 49
     assert calls[24, 2] == 1
@@ -471,18 +470,30 @@ def test_no_search_row_writes_an_arc_within_one_parity():
     assert all((x ^ y) & 1 for x, y in arcs)
 
 
-def test_both_searches_share_one_class_sweep(monkeypatch):
+def test_both_searches_share_one_class_test(monkeypatch):
+    # both searches stream through the one helper, and each classifies
+    # every table it finds once: the enumeration the 60 solutions of its
+    # shard, in 8 second-level prefixes, and the pattern search its
+    # leaves in one stream
     calls = Counter()
+    seen = Counter()
+    kept = Counter()
 
-    def counting(i, images):
+    def counting(i, images, *admitted):
+        count, reps = _least_members(i, images, *admitted)
         calls[i] += 1
-        return _class_minima(i, images)
+        seen[i] += count
+        kept[i] += len(reps)
+        return count, reps
 
-    monkeypatch.setattr("fillperm.enumeration._class_minima", counting)
-    monkeypatch.setattr("fillperm.gluing._class_minima", counting)
-    assert len(_count_and_classify(GenusContext(3))[1]) == 5
+    monkeypatch.setattr("fillperm.enumeration._least_members", counting)
+    monkeypatch.setattr("fillperm.gluing._least_members", counting)
+    assert _count_and_classify(GenusContext(3))[0] == 600
     assert len(_search_all.__wrapped__(3, 6)) == 49
-    assert calls == {5: 1, 6: 1}
+    leaves = sum(1 for _ in grow_cycles(24, _crossing_rows(6), 2))
+    assert calls == {5: 8, 6: 1}
+    assert seen == {5: 60, 6: leaves}
+    assert kept == {5: 5, 6: 49}
     ctx = GenusContext(3)
     assert twisting_closure(ctx) is relabeling_group(ctx.i_min)
 

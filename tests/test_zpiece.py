@@ -32,6 +32,7 @@ from fillperm.zpiece import (
     splice,
 )
 from test_filling import alpha_reversal, beta_reversal
+from test_enumeration import every_conjugate
 
 TORUS = lambda: FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
 
@@ -336,7 +337,7 @@ from fillperm.zpiece import ZTemplate, derive_template, splice
 def refuse(*args, **kwargs):
     raise AssertionError("enumeration called")
 
-fillperm.enumeration._search = refuse
+fillperm.enumeration._iter_solution_images = refuse
 template = derive_template()
 assert isinstance(template, ZTemplate)
 torus = FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
@@ -537,6 +538,22 @@ def test_a_kept_diagram_is_not_part_of_the_value(g5_splices):
         assert fp == plain
         assert hash(fp) == hash(plain)
         assert repr(fp) == repr(plain)
+
+
+def test_a_made_pair_shares_its_diagrams_table(template, g5_splices):
+    # the pair that to_filling_permutation makes and the diagram it keeps
+    # hold one successor table, not two equal copies
+    built = build_from_sequence(seeded_sequences(21, 1, seed=2013)[0], template)
+    for out in (g5_splices[0], g5_splices[-1], built):
+        assert out._diagram._succ is out.perm.padded
+
+
+def test_canonical_rep_is_the_least_of_every_conjugate(g4_solutions, g5_splices):
+    # only the conjugates with first byte 2 are built; the least of all
+    # |G| conjugates is among them
+    for fp in [*g4_solutions[::331], *g5_splices[::100]]:
+        least = min(every_conjugate(fp.ctx, bytes(fp.perm.images)))
+        assert canonical_class_rep(fp.ctx, fp.perm).images == tuple(least)
 
 
 def count_reads(monkeypatch):

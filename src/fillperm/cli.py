@@ -20,7 +20,6 @@ from .enumeration import (
     DEFAULT_GUARD,
     MAX_ENUMERATED_GENUS,
     GuardExceeded,
-    _admitted_conjugates,
     _count_and_classify,
     bounds_report,
     root_count,
@@ -150,28 +149,27 @@ def _perm_payload(p: Permutation) -> dict:
 def cmd_enumerate(args) -> int:
     started = time.time()
     ctx = GenusContext(args.genus)
-    count, reps = _count_and_classify(ctx, jobs=args.jobs, force=args.force)
+    count, classes, reps = _count_and_classify(
+        ctx, jobs=args.jobs, force=args.force, keep=not args.count_only)
     payload = {
         "command": "enumerate",
         "genus": args.genus,
         "root_count": root_count(args.genus),
         "filling_count": count,
-        "class_count": len(reps),
+        "class_count": classes,
     }
     if not args.count_only:
         listed = reps if args.limit is None else reps[: args.limit]
         # validated here, for the listed representatives only
         results = [
             _perm_payload(FillingPermutation(ctx, Permutation._unchecked(img)).perm)
-            for img in listed
+            for img, _ in listed
         ]
         if args.classes:
-            # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}; such t
-            # keep the first byte 2, so only those conjugates are built
+            # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}, the
+            # stabiliser order found by the class test
             order = len(twisting_closure(ctx))
-            for entry, img in zip(results, listed):
-                fixed = 1 + sum(conj == img
-                                for conj in _admitted_conjugates(ctx.i_min, img))
+            for entry, (_, fixed) in zip(results, listed):
                 entry["orbit_size"] = order // fixed
         payload["results"] = results
     _emit(payload, started)

@@ -6,13 +6,17 @@ all-odd and 2g-1 all-even transpositions; the admissible square roots are
 exactly the perfect matchings of odd transpositions with even ones, each
 matched pair interleaved into a 4-cycle in one of two ways: 2^(2g-1) *
 (2g-1)! candidates.  The solutions are the roots for which iota o C is
-an n-cycle; a depth-first search builds C one odd transposition at a
-time and drops every prefix on which iota o C already closes a shorter
-cycle.  It is `perms.grow_cycles`, the same search that finds the
-crossing diagrams of `gluing.search_patterns`.  Listing, counting and
-classifying search only the roots whose first level sets s(1) = 2, one
-(4g-2)-th of the search: the twisting elements that fix 1 act regularly
+an n-cycle; a depth-first search builds C one matched pair at a time and
+drops every prefix on which iota o C already closes a shorter cycle.
+Every search keeps only the roots whose first level sets s(1) = 2, one
+(4g-2)-th of the whole: the twisting elements that fix 1 act regularly
 on the values of s(1) and carry that shard onto each of the others.
+Listing walks the shard with `perms.grow_cycles`, the same search that
+finds the crossing diagrams of `gluing.search_patterns`.  Counting and
+classifying walk it by an orderly search (McKay 1998): it decides s in
+symbol order and drops every prefix that a twisting conjugate already
+undercuts on the bytes decided, so it meets each class once, at its
+least member.
 """
 
 from __future__ import annotations
@@ -222,22 +226,30 @@ def _least_shard(ctx: GenusContext) -> int:
 # ----------------------------------------------------------------------
 
 
+def _relabeller(t: Permutation) -> tuple[tuple[int, ...], itemgetter, bytes]:
+    """The padded table of t^-1, closed by n + 1 at index n + 1, a getter
+    of the entries at t^-1(1), ..., t^-1(n), and the translation table of
+    t: the image array of t o s o t^-1 is bytes(getter(img)).translate(table)."""
+    n = t.n
+    inv = (0, *sorted(range(1, n + 1), key=t.padded.__getitem__), n + 1)
+    return inv, itemgetter(*(x - 1 for x in inv[1:-1])), bytes(t.padded).ljust(256, b"\0")
+
+
 @lru_cache(maxsize=None)
-def _admitting(i: int, anchor: int = 1, targets: tuple[int, ...] = (2,)) -> tuple:
+def _admitting(i: int, anchor: int, targets: tuple[int, ...]) -> tuple:
     """The elements t of `relabeling_group(i)` but the identity (its first,
     as the group is sorted), indexed by the conjugates t o s o t^-1 they
     admit, those that send anchor into targets: rows[a - 1][b] lists the
     t with t^-1(anchor) = a and t^-1(target) = b for a target, so s
     admits exactly those at rows[a - 1][s(a)].  Each t is listed as the
-    indices of t^-1(1) and t^-1(2), a getter of the entries at t^-1(1),
-    ..., t^-1(n), and the translation table of t: the conjugate's image
-    array is bytes(getter(img)).translate(table)."""
+    indices of t^-1(1) and t^-1(2), then its getter, translation table
+    and t^-1 table (`_relabeller`).  No argument has a default, so each
+    index is one cache entry, built once per process."""
     n = 4 * i
     cells: dict[tuple[int, int], list] = {}
     for t in relabeling_group(i)[1:]:
-        inv = (0, *sorted(range(1, n + 1), key=t.padded.__getitem__))
-        entry = (inv[1] - 1, inv[2] - 1, itemgetter(*(x - 1 for x in inv[1:])),
-                 bytes(t.padded).ljust(256, b"\0"))
+        inv, getter, table = _relabeller(t)
+        entry = (inv[1] - 1, inv[2] - 1, getter, table, inv)
         for target in set(targets):  # 2m + 1 = 3 at m = 1
             cells.setdefault((inv[anchor], inv[target]), []).append(entry)
     return tuple(tuple(tuple(cells.get((a, b), ())) for b in range(n + 1))
@@ -263,29 +275,181 @@ def _least_members(i: int, images: Iterable[bytes], anchor: int = 1,
     return count, kept
 
 
-def _is_least(rows, img: bytes) -> bool:
-    """True unless an admitted conjugate of img is smaller; a conjugate
-    is built only when its first two bytes tie with img's."""
+def _is_least(rows, img: bytes) -> int:
+    """0 if an admitted conjugate of img is smaller, and otherwise the
+    order of img's stabiliser: 1 for the identity, which the index leaves
+    out, plus the admitted t whose conjugate is img.  A conjugate is
+    built only when its first two bytes tie with img's."""
     first, second = img[0], img[1]
+    fixed = 1
     for row, b in zip(rows, img):
-        for j1, j2, getter, table in row[b]:
+        for j1, j2, getter, table, _ in row[b]:
             lead = table[img[j1]]
             if lead < first:
-                return False
+                return 0
             if lead == first:
                 lead = table[img[j2]]
-                if lead < second or lead == second and (
-                        bytes(getter(img)).translate(table) < img):
-                    return False
-    return True
+                if lead < second:
+                    return 0
+                if lead == second:
+                    conj = bytes(getter(img)).translate(table)
+                    if conj < img:
+                        return 0
+                    fixed += conj == img
+    return fixed
 
 
 def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
     """The conjugates of the permutation with image array img that have
     first byte 2, by every element but the identity."""
-    for row, b in zip(_admitting(i), img):
-        for _, _, getter, table in row[b]:
+    for row, b in zip(_admitting(i, 1, (2,)), img):
+        for _, _, getter, table, _ in row[b]:
             yield bytes(getter(img)).translate(table)
+
+
+# ----------------------------------------------------------------------
+# The orderly search
+# ----------------------------------------------------------------------
+
+# Pool tasks are the surviving prefixes of this many levels, the shard's
+# included: 51 at genus 5 and 88 at genus 6.
+_SPLIT_DEPTH = 3
+
+
+@lru_cache(maxsize=None)
+def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """choices[x]: the choices of the orderly search at a node whose least
+    open symbol is x, as (p, arcs).  Each interleaves x's transposition
+    of iota o tau with one of the other parity, p being one of its
+    symbols, by the four arcs of sigma that the `_moves` choice for the
+    pair writes; a choice is open exactly when p is.  The choices at the
+    symbols of the i-th odd transposition are the row `_moves(ctx)[i]`,
+    in order."""
+    base = base_involution(ctx)
+    moves = _moves(ctx)
+    choices: list[tuple] = [()] * (ctx.n + 1)
+    for row, (a, b) in zip(moves, base.odd):
+        choices[a] = choices[b] = tuple((base.even[j][0], arcs) for j, arcs in row)
+    for j, (c, d) in enumerate(base.even):
+        choices[c] = choices[d] = tuple(
+            (a, row[2 * j + k][1]) for row, (a, _) in zip(moves, base.odd) for k in (0, 1))
+    return tuple(choices)
+
+
+def _resume(table: list[int], tied: Iterable[tuple]) -> list[tuple] | None:
+    """The tied elements (t, t^-1, y), as the translation table of t and
+    the padded table of t^-1 (`_relabeller`), that still tie with the
+    partial table s, each with the position y where its comparison now
+    stops, or None if one of them undercuts s.
+
+    t o s o t^-1 ties with s before position y.  Position y decides when
+    both s(y) and s(t^-1(y)) are written: a smaller t(s(t^-1(y))) drops
+    every completion of s, a larger one drops t.  table[n + 1] is 0, so
+    the stabiliser's elements stay tied at y = n + 1."""
+    left = []
+    for t, inv, y in tied:
+        while True:
+            v = table[y]
+            w = table[inv[y]]
+            if not (v and w):
+                left.append((t, inv, y))
+                break
+            w = t[w]
+            if w != v:
+                if w < v:
+                    return None
+                break
+            y += 1
+    return left
+
+
+def _orderly(ctx: GenusContext, prefix: Sequence[int],
+             stop: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (path, table) at every node of the shard's orderly search
+    that survives at depth min(stop, 2g-1), the leaves at 2g-1: path
+    lists its choices of `_symbol_choices`, table its sigma, padded at 0
+    and at n + 1.  Both are live and change when the search resumes.
+
+    Each level takes the least symbol x whose s(x) is still open and
+    interleaves its transposition with an unused one of the other
+    parity, so every root is reached once.  `prefix` fixes level k to
+    its choice prefix[k], and its first entry must set s(1) = 2
+    (`_least_shard`).  As in `perms.grow_cycles`, a prefix on which
+    sigma closes a cycle shorter than n is dropped.  Each node also
+    carries the elements t that s admits (`_admitting`: t o s o t^-1 has
+    first byte 2) and that still tie with it (`_resume`); t joins when
+    the level writes s(t^-1(1)), and a prefix that one of them undercuts
+    is dropped, as is every extension."""
+    n = ctx.n
+    stop = min(stop, ctx.i_min)
+    choices = _symbol_choices(ctx)
+    rows = _admitting(ctx.i_min, 1, (2,))
+    table = [0] * (n + 2)
+    far = list(range(n + 1))
+    # path merges to undo, as in `perms.grow_cycles`
+    trail: list[tuple[int, int, int, int]] = []
+    path: list[int] = []
+
+    def options(depth: int, x: int) -> Iterator[tuple[int, tuple]]:
+        if depth < len(prefix):
+            return iter(((prefix[depth], choices[x][prefix[depth]]),))
+        return enumerate(choices[x])
+
+    def undo(arcs: tuple, mark: int) -> None:
+        for a, _ in arcs:
+            table[a] = 0
+        while len(trail) > mark:
+            s, a, e, b = trail.pop()
+            far[s] = a
+            far[e] = b
+
+    # per level: its choices left, the elements tied at its start and its
+    # least open symbol; per level above the current one, the arcs and
+    # trail length of the choice taken
+    levels: list = [None] * stop
+    taken: list = [None] * stop
+    levels[0] = options(0, 1), [], 1
+    depth = 0
+    while True:
+        todo, tied, x = levels[depth]
+        for k, (p, arcs) in todo:
+            if table[p]:
+                continue
+            mark = len(trail)
+            for a, b in arcs:
+                table[a] = b
+                s = far[a]
+                if b == s:
+                    if len(trail) + 1 < n:
+                        break
+                    continue
+                e = far[b]
+                trail.append((s, a, e, b))
+                far[s] = e
+                far[e] = s
+            else:
+                left = _resume(table, chain(tied, (
+                    (t[3], t[4], 2) for a, b in arcs for t in rows[a - 1][b])))
+                if left is not None:
+                    path.append(k)
+                    if depth + 1 == stop:
+                        yield path, table
+                        path.pop()
+                    else:
+                        taken[depth] = arcs, mark
+                        depth += 1
+                        y = x + 1
+                        while table[y]:
+                            y += 1
+                        levels[depth] = options(depth, y), left, y
+                        break
+            undo(arcs, mark)
+        else:
+            depth -= 1
+            if depth < 0:
+                return
+            path.pop()
+            undo(*taken[depth])
 
 
 # ----------------------------------------------------------------------
@@ -311,16 +475,17 @@ def enumerate_filling(
             f"genus {ctx.g} exceeds {LISTED_GENUS}, the largest genus "
             "enumerate_filling lists: it holds every solution at about "
             "417 B each, and genus 5 alone has 16,609,536 (about 6.9 GB). "
-            "count_classes and class_representatives hold only the class "
-            "representatives; pass force=True to override."
+            "count_classes holds no solution and class_representatives "
+            "only the class representatives; pass force=True to override."
         )
     check_guard(ctx.g, force)
     shard = list(_iter_solution_images(ctx, (_least_shard(ctx),)))
-    twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
+    group = twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
     out = [FillingPermutation(ctx, Permutation._unchecked(img)) for img in shard]
-    # the t with t(1) = 1 but the identity: one per t(2) > 2 (`_least_shard`)
-    fixing_1 = sorted(chain(*_admitting(ctx.i_min)[0]), key=lambda entry: entry[3][2])
-    for _, _, getter, table in fixing_1:
+    # the t with t(1) = 1 but the identity: the group is sorted, and one
+    # element sends 2 to each of the 2i even symbols (`_least_shard`)
+    for t in sorted(group[1:2 * ctx.i_min], key=lambda t: t(2)):
+        _, getter, table = _relabeller(t)
         out.extend(_trusted_conjugate(ctx, bytes(getter(img)).translate(table))
                    for img in shard)
     return out
@@ -350,46 +515,63 @@ def canonical_class_rep(ctx: GenusContext, p: Permutation) -> Permutation:
     return Permutation(min(img, *_admitted_conjugates(ctx.i_min, img)))
 
 
-def _classify_prefix(args) -> tuple[int, list[bytes]]:
-    """`_least_members` of the solutions under one search prefix."""
-    ctx, prefix = args
-    return _least_members(ctx.i_min, _iter_solution_images(ctx, prefix))
+def _classify(args) -> tuple[int, int, list[tuple[bytes, int]]]:
+    """The solutions and classes below one prefix of the orderly search,
+    and each class's representative with its stabiliser order if keep.
+
+    A leaf is kept when `_is_least` finds no admitted conjugate smaller;
+    its class has |G| / |Stab| members, all of them solutions."""
+    ctx, prefix, keep = args
+    rows = _admitting(ctx.i_min, 1, (2,))
+    order = len(relabeling_group(ctx.i_min))
+    count = classes = 0
+    kept = []
+    for _, table in _orderly(ctx, prefix, ctx.i_min):
+        img = bytes(table[1:-1])
+        fixed = _is_least(rows, img)
+        if fixed:
+            count += order // fixed
+            classes += 1
+            if keep:
+                kept.append((img, fixed))
+    return count, classes, kept
 
 
 def _count_and_classify(
-    ctx: GenusContext, *, jobs: int = 1, force: bool = False
-) -> tuple[int, list[bytes]]:
-    """The number of filling permutations and the canonical representative
-    of every twisting class, sorted, from the one shard where s(1) = 2:
-    every value of s(1) is taken by equally many solutions
-    (`_check_regular_on_evens`), and each class's least member has
-    s(1) = 2.  Each second-level choice of the shard's search (genus 1
-    has one level) keeps only what passes `_least_members`; with jobs > 1
-    they run in a pool of at most one worker each.  No shard is held."""
+    ctx: GenusContext, *, jobs: int = 1, force: bool = False, keep: bool = True
+) -> tuple[int, int, list[tuple[bytes, int]]]:
+    """The number of filling permutations, the number of twisting classes
+    and, if keep, the canonical representative of every class with its
+    stabiliser order, sorted.
+
+    The orderly search (`_orderly`) of the one shard where s(1) = 2
+    meets each class once, at its least member, which has s(1) = 2
+    (`_check_regular_on_evens`).  Its surviving prefixes of
+    `_SPLIT_DEPTH` levels are the tasks; with jobs > 1 they run in a pool
+    of at most one worker each.  Without keep a task returns counts only,
+    so nothing grows with the number of classes."""
     check_guard(ctx.g, force)
-    first, moves = _least_shard(ctx), _moves(ctx)
-    prefixes = [(first,)] if len(moves) == 1 else [
-        (first, k) for k, (j, _) in enumerate(moves[1]) if j != moves[0][first][0]]
-    tasks = [(ctx, prefix) for prefix in prefixes]
-    _admitting(ctx.i_min)  # built once, before a pool forks
+    shard = (_least_shard(ctx),)
+    _admitting(ctx.i_min, 1, (2,))  # built once, before a pool forks
+    tasks = [(ctx, tuple(path), keep) for path, _ in _orderly(ctx, shard, _SPLIT_DEPTH)]
     workers = min(max(1, jobs), len(tasks))
-    if workers == 1:
-        parts = list(map(_classify_prefix, tasks))
+    if workers <= 1:
+        parts = list(map(_classify, tasks))
     else:
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:
-            parts = list(pool.imap(_classify_prefix, tasks))
-    reps = sorted(img for _, kept in parts for img in kept)
-    return 2 * ctx.i_min * sum(count for count, _ in parts), reps
+            parts = list(pool.imap(_classify, tasks))
+    reps = sorted(rep for _, _, kept in parts for rep in kept)
+    return sum(part[0] for part in parts), sum(part[1] for part in parts), reps
 
 
 def class_representatives(
     ctx: GenusContext, *, jobs: int = 1, force: bool = False
 ) -> list[FillingPermutation]:
     """Canonical representative of every twisting class, sorted."""
-    _, reps = _count_and_classify(ctx, jobs=jobs, force=force)
-    return [FillingPermutation(ctx, Permutation._unchecked(img)) for img in reps]
+    reps = _count_and_classify(ctx, jobs=jobs, force=force)[2]
+    return [FillingPermutation(ctx, Permutation._unchecked(img)) for img, _ in reps]
 
 
 def classify_solutions(
@@ -404,7 +586,7 @@ def classify_solutions(
 
 def count_classes(ctx: GenusContext, *, jobs: int = 1, force: bool = False) -> int:
     """N(g): the number of twisting classes of filling permutations."""
-    return len(_count_and_classify(ctx, jobs=jobs, force=force)[1])
+    return _count_and_classify(ctx, jobs=jobs, force=force, keep=False)[1]
 
 
 # ----------------------------------------------------------------------

@@ -45,9 +45,8 @@ def g3_class_reps(ctx3):
 @pytest.fixture(scope="session")
 def g5_listing():
     """Exit code and parsed output of `fillperm enumerate --genus 5`, which
-    lists the class representatives (one search of the shard, each
-    solution put to the class test as it is found, about 10 s); the
-    session's only genus-5 search."""
+    lists the class representatives (one orderly search of the shard,
+    about 2 s); the session's only genus-5 search."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["enumerate", "--genus", "5"])

@@ -78,10 +78,10 @@ def test_huge_jobs_starts_one_worker_per_shard(capsys, pool_sizes):
                        "--jobs", "5000")
     assert code == 0
     assert payload(out)["filling_count"] == 600
-    # one worker per task: the search keeps the first-level choice that
-    # sets s(1) = 2 and splits its second level; that level interleaves
-    # one of the 2g-2 even transpositions left, in 2 orientations: 8 at g=3
-    assert pool_sizes == [8]
+    # one worker per task: the tasks are the prefixes of the orderly
+    # search of the shard where s(1) = 2 that survive its first three
+    # levels, 7 at g=3
+    assert pool_sizes == [7]
 
 
 def test_enumerate_limit(capsys):
@@ -97,6 +97,7 @@ def test_enumerate_guard_refusal(capsys, monkeypatch):
         raise AssertionError("the search started")
 
     monkeypatch.setattr(enumeration, "_iter_solution_images", refuse)
+    monkeypatch.setattr(enumeration, "_orderly", refuse)
     code, out, err = run(capsys, "enumerate", "--genus", "6")
     assert code == 2
     assert out == ""

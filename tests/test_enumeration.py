@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -6,7 +9,9 @@ from math import factorial
 import pytest
 
 from fillperm import enumeration, filling
+from fillperm.cli import main
 from fillperm.enumeration import (
+    _SPLIT_DEPTH,
     MAX_ENUMERATED_GENUS,
     GuardExceeded,
     _admitted_conjugates,
@@ -15,6 +20,7 @@ from fillperm.enumeration import (
     _iter_solution_images,
     _least_members,
     _least_shard,
+    _orderly,
     _roots,
     base_involution,
     bounds_report,
@@ -268,14 +274,16 @@ def test_solution_images_independent_of_jobs(g):
 
 
 def test_workers_never_exceed_shards(pool_sizes):
-    # one task per second-level prefix of the shard where s(1) = 2: 8 at
-    # genus 3, and genus 1 has one level, so one task and no pool
+    # one task per prefix of the orderly search that survives its first
+    # three levels: 7 at genus 3, and genus 1 has one level, so one task
+    # and no pool
     ctx = GenusContext(3)
     assert _count_and_classify(ctx, jobs=5000) == _count_and_classify(ctx)
-    assert pool_sizes == [8]
+    assert pool_sizes == [7]
     _count_and_classify(ctx, jobs=4)
-    assert _count_and_classify(GenusContext(1), jobs=5000) == (2, [bytes([2, 3, 4, 1])])
-    assert pool_sizes == [8, 4]
+    assert _count_and_classify(GenusContext(1), jobs=5000) == (
+        2, 1, [(bytes([2, 3, 4, 1]), 4)])
+    assert pool_sizes == [7, 4]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -316,7 +324,9 @@ def test_one_shard_representatives_equal_the_full_sweep(g):
     ctx = GenusContext(g)
     total = list(_iter_solution_images(ctx))
     reps = full_sweep_class_minima(ctx, total)
-    assert _count_and_classify(ctx) == (len(total), reps)
+    count, classes, kept = _count_and_classify(ctx)
+    assert (count, classes) == (len(total), len(reps))
+    assert [img for img, _ in kept] == reps
     shard = [img for img in total if img[0] == 2]
     count, kept = _least_members(ctx.i_min, shard)
     assert count == len(shard) and sorted(kept) == reps
@@ -343,12 +353,80 @@ def test_classification_holds_no_shard():
     _count_and_classify(ctx)  # builds the cached search and group tables
     tracemalloc.start()
     try:
-        count, reps = _count_and_classify(ctx)
+        count, classes, reps = _count_and_classify(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (count, len(reps)) == (65856, 168)
+    assert (count, classes, len(reps)) == (65856, 168, 168)
     assert peak < 2**16
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_orbit_sizes_add_up_to_the_solutions(g):
+    # each class has |G| / |Stab| members, and the shard where s(1) = 2
+    # is one 2i-th of all solutions
+    ctx = GenusContext(g)
+    shard = list(_iter_solution_images(ctx, (_least_shard(ctx),)))
+    count, classes, reps = _count_and_classify(ctx)
+    order = len(twisting_closure(ctx))
+    assert classes == len(reps)
+    assert sum(order // fixed for _, fixed in reps) == count
+    assert count == 2 * ctx.i_min * len(shard) == [2, 0, 600, 65856][g - 1]
+
+
+def test_orderly_search_prunes_before_the_leaves(monkeypatch):
+    # the undercut prune drops a prefix once an admitted conjugate is
+    # smaller on the bytes decided, so few of the shard's 4,704 genus-4
+    # solutions reach the leaf test of their class
+    ctx = GenusContext(4)
+    shard = sum(1 for _ in _iter_solution_images(ctx, (_least_shard(ctx),)))
+    tested = []
+    is_least = enumeration._is_least
+
+    def counting(rows, img):
+        tested.append(img)
+        return is_least(rows, img)
+
+    monkeypatch.setattr(enumeration, "_is_least", counting)
+    count, classes, _ = _count_and_classify(ctx)
+    assert (shard, count, classes) == (4704, 65856, 168)
+    assert len(tested) <= 2 * classes
+
+
+def test_counting_keeps_no_representatives(pool_sizes, monkeypatch):
+    # count_classes, bounds --exact and enumerate --count-only ask each
+    # task for counts only; listing asks for the representatives
+    asked = []
+    classify = enumeration._classify
+
+    def recording(args):
+        asked.append(args[2])
+        return classify(args)
+
+    monkeypatch.setattr(enumeration, "_classify", recording)
+    ctx = GenusContext(3)
+    assert _count_and_classify(ctx, keep=False) == (600, 5, [])
+    assert count_classes(ctx, jobs=2) == 5
+    assert bounds_report(3, exact=True).exact_N == 5
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", "--genus", "3", "--count-only"]) == 0
+    assert asked == [False] * 28 and pool_sizes == [2]
+    class_representatives(ctx)
+    assert asked[28:] == [True] * 7
+
+
+def test_one_admitting_index_per_size():
+    # listing reads the elements fixing 1 off the sorted group, and the
+    # class test and the orbit sizes share one index
+    enumeration._admitting.cache_clear()
+    enumerate_filling(GenusContext(3))
+    assert enumeration._admitting.cache_info().misses == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", "--genus", "4", "--classes"]) == 0
+    rep = class_representatives(GenusContext(4))[7].perm
+    assert canonical_class_rep(GenusContext(4), rep) == rep
+    info = enumeration._admitting.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_conjugates_filtered_by_first_byte(g3_solutions):
@@ -405,19 +483,23 @@ def test_counting_checks_the_regular_action(monkeypatch):
             cache.cache_clear()
 
 
-def test_least_shard_splits_by_second_level(pool_sizes):
-    # the second level interleaves one of the 2g-2 even transpositions
-    # that the first level left, in either orientation; genus 1 has one
-    # level, so one task and no pool
+def test_least_shard_splits_at_a_fixed_depth(pool_sizes):
+    # the tasks are the prefixes of the orderly search that survive its
+    # first three levels; genus 1 has one level, so one task and no pool,
+    # and genus 2 none
     for g in (1, 2, 3, 4):
         ctx = GenusContext(g)
         assert _count_and_classify(ctx, jobs=5000) == _count_and_classify(ctx)
-    assert pool_sizes == [4, 8, 12]
+    assert pool_sizes == [7, 24]
+    ctx = GenusContext(5)
+    assert sum(1 for _ in _orderly(ctx, (_least_shard(ctx),), _SPLIT_DEPTH)) == 51
 
 
 def test_genus_5_class_count(g5_class_reps):
     n5 = len(g5_class_reps)
     assert n5 == 25_908
+    joined = b"".join(bytes(fp.perm.images) for fp in g5_class_reps)
+    assert hashlib.sha1(joined).hexdigest() == "239b622791f9e4df33a4530b02ae973a4567e88a"
     assert lower_bound(5) <= n5 <= upper_bound(5)
 
 

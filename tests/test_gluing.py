@@ -13,7 +13,7 @@ from fillperm import gluing
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.enumeration import (
     _count_and_classify,
-    _least_members,
+    _is_least,
     _moves,
     count_classes,
     enumerate_filling,
@@ -452,8 +452,8 @@ def test_both_searches_run_through_grow_cycles(monkeypatch):
 
     monkeypatch.setattr("fillperm.enumeration.grow_cycles", counting)
     monkeypatch.setattr("fillperm.gluing.grow_cycles", counting)
-    assert _count_and_classify(GenusContext(3))[0] == 600
-    assert calls[20, 1] == 8  # one call per second-level prefix
+    assert len(enumerate_filling(GenusContext(3))) == 600
+    assert calls[20, 1] == 1  # one search of the shard where s(1) = 2
     assert len(_search_all.__wrapped__(3, 6)) == 49
     assert calls[24, 2] == 1
 
@@ -471,29 +471,25 @@ def test_no_search_row_writes_an_arc_within_one_parity():
 
 
 def test_both_searches_share_one_class_test(monkeypatch):
-    # both searches stream through the one helper, and each classifies
-    # every table it finds once: the enumeration the 60 solutions of its
-    # shard, in 8 second-level prefixes, and the pattern search its
-    # leaves in one stream
-    calls = Counter()
+    # both searches put their leaves to the one test, which each table
+    # passes at most once: the orderly enumeration reaches only the 5
+    # least members of the genus-3 shard, and the pattern search streams
+    # every leaf through `_least_members`
     seen = Counter()
     kept = Counter()
 
-    def counting(i, images, *admitted):
-        count, reps = _least_members(i, images, *admitted)
-        calls[i] += 1
-        seen[i] += count
-        kept[i] += len(reps)
-        return count, reps
+    def counting(rows, img):
+        fixed = _is_least(rows, img)
+        seen[len(rows)] += 1
+        kept[len(rows)] += fixed > 0
+        return fixed
 
-    monkeypatch.setattr("fillperm.enumeration._least_members", counting)
-    monkeypatch.setattr("fillperm.gluing._least_members", counting)
-    assert _count_and_classify(GenusContext(3))[0] == 600
+    monkeypatch.setattr("fillperm.enumeration._is_least", counting)
+    assert _count_and_classify(GenusContext(3))[:2] == (600, 5)
     assert len(_search_all.__wrapped__(3, 6)) == 49
     leaves = sum(1 for _ in grow_cycles(24, _crossing_rows(6), 2))
-    assert calls == {5: 8, 6: 1}
-    assert seen == {5: 60, 6: leaves}
-    assert kept == {5: 5, 6: 49}
+    assert seen == {20: 5, 24: leaves}
+    assert kept == {20: 5, 24: 49}
     ctx = GenusContext(3)
     assert twisting_closure(ctx) is relabeling_group(ctx.i_min)
 

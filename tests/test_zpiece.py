@@ -338,6 +338,7 @@ def refuse(*args, **kwargs):
     raise AssertionError("enumeration called")
 
 fillperm.enumeration._iter_solution_images = refuse
+fillperm.enumeration._orderly = refuse
 template = derive_template()
 assert isinstance(template, ZTemplate)
 torus = FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))

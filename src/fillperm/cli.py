@@ -167,7 +167,7 @@ def cmd_enumerate(args) -> int:
         ]
         if args.classes:
             # orbit-stabilizer: |G| / #{t in G : t rep t^-1 = rep}, the
-            # stabiliser order found by the class test
+            # stabiliser order found by the orderly search
             order = len(twisting_closure(ctx))
             for entry, (_, fixed) in zip(results, listed):
                 entry["orbit_size"] = order // fixed

@@ -17,12 +17,13 @@ complementary polygons of the pair; a single face with m odd is exactly
 an oriented minimally intersecting filling pair, and then the successor
 is its filling permutation.
 
-`crossing_steps` is the one place where the quarter turn is written out:
-the successor table of a whole diagram and the crossing-by-crossing
-pattern search both take their entries from it, and `diagram_of` reads
-a diagram back from the first of its steps, the image of each alpha
-arc.  A diagram builds its successor table once, on construction, and
-keeps it: the round trip of `diagram_of`, `faces`, `is_filling_pair`
+`_quarter_turns` is the one place where the quarter turn is written
+out: one call writes the successor table of a whole diagram, crossing
+by crossing, and `crossing_steps` reads the four steps of one crossing
+off it for the crossing-by-crossing pattern search.  `diagram_of` reads
+a diagram back from the first step at each crossing, the image of each
+alpha arc.  A diagram builds its successor table once, on construction,
+and keeps it: the round trip of `diagram_of`, `faces`, `is_filling_pair`
 and `to_filling_permutation` all read that one table.  A filling
 permutation keeps its diagram once it has one: the pairs that
 `PairDiagram.to_filling_permutation` makes keep the diagram they were
@@ -37,28 +38,49 @@ the small-pattern search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .filling import FillingPermutation, GenusContext
 from .perms import Permutation, table_orbits
 
 
-def crossing_steps(m: int, j: int, p: int, sign: int
-                   ) -> tuple[tuple[int, int], ...]:
-    """The four face-walk steps (s, successor of s) at point p, the end
-    of beta arc j, in an m-crossing diagram.
+def _quarter_turns(succ, m: int, first: int, ends: Sequence[int],
+                   signs: Sequence[int]) -> None:
+    """Write into succ the four face-walk steps (s, successor of s) at
+    each point p = ends[i], the end of beta arc j = first + i, in an
+    m-crossing diagram whose point p has the sign signs[p - 1].
 
     The arc heads at p are alpha arc p (symbol a), beta arc j (b) and
     the inverses of alpha arc p+1 (a2 + 2m) and beta arc j+1 (b2 + 2m).
     A quarter turn visits them a, b, a2 + 2m, b2 + 2m, or a, b2 + 2m,
     a2 + 2m, b when the sign is -1, and each corner steps to the inverse
-    of the next one.
+    of the next one.  The steps are written in that order.
     """
     half = 2 * m
-    a, b = 2 * p - 1, 2 * j
-    a2, b2 = 2 * (p % m) + 1, 2 * (j % m) + 2
-    if sign > 0:
-        return (a, b + half), (b, a2), (a2 + half, b2), (b2 + half, a + half)
-    return (a, b2), (b2 + half, a2), (a2 + half, b + half), (b, a + half)
+    for j, p in enumerate(ends, first):
+        a, b = 2 * p - 1, 2 * j
+        a2 = a + 2 if p < m else 1
+        b2 = b + 2 if j < m else 2
+        if signs[p - 1] > 0:
+            succ[a] = b + half
+            succ[b] = a2
+            succ[a2 + half] = b2
+            succ[b2 + half] = a + half
+        else:
+            succ[a] = b2
+            succ[b2 + half] = a2
+            succ[a2 + half] = b + half
+            succ[b] = a + half
+
+
+def crossing_steps(m: int, j: int, p: int, sign: int
+                   ) -> tuple[tuple[int, int], ...]:
+    """The four face-walk steps (s, successor of s) at point p, the end
+    of beta arc j, in an m-crossing diagram, in the order of the quarter
+    turn (`_quarter_turns`)."""
+    steps: dict[int, int] = {}
+    _quarter_turns(steps, m, j, (p,), {p - 1: sign})
+    return tuple(steps.items())
 
 
 @dataclass(frozen=True)
@@ -90,15 +112,8 @@ class PairDiagram:
     def _next_arc(self) -> list[int]:
         """The face-walk successor on directed arc symbols, padded at 0,
         which construction keeps as `_succ`."""
-        m, signs = self.m, self.signs
-        nxt = [0] * (4 * m + 1)
-        for j, p in enumerate(self.beta_seq, 1):
-            (s1, t1), (s2, t2), (s3, t3), (s4, t4) = crossing_steps(
-                m, j, p, signs[p - 1])
-            nxt[s1] = t1
-            nxt[s2] = t2
-            nxt[s3] = t3
-            nxt[s4] = t4
+        nxt = [0] * (4 * self.m + 1)
+        _quarter_turns(nxt, self.m, 1, self.beta_seq, self.signs)
         return nxt
 
     # -- faces -----------------------------------------------------------
@@ -120,13 +135,18 @@ class PairDiagram:
     def is_filling_pair(self) -> bool:
         """Single complementary disk (and hence minimal intersection).
 
-        Only the face through symbol 1 is walked: it is the only face
-        exactly when it uses all 4m arc sides.
+        Only the face through symbol 1 is walked, as `is_filling` walks
+        it, counting its steps: it is the only face exactly when it uses
+        all 4m arc sides.
         """
         if self.m % 2 == 0:
             return False
-        face = table_orbits(self._succ, (1,))[1][0]
-        return len(face) == 4 * self.m
+        succ = self._succ
+        steps, j = 1, succ[1]
+        while j != 1:
+            j = succ[j]
+            steps += 1
+        return steps == 4 * self.m
 
     # -- conversion to the polygon encoding ------------------------------
 
@@ -161,10 +181,10 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
     """Extract the crossing diagram of a filling permutation.
 
     The points are labelled along the first curve: the head of alpha arc
-    k is point k.  If beta arc j ends there, the first step of
-    `crossing_steps` makes the image x = s(2k-1) of alpha arc k either
-    2j + 2m, at a +1 crossing, or 2(j mod m) + 2, the inverse of the
-    corner at beta arc j+1, at a -1 crossing.  One pass over the alpha
+    k is point k.  If beta arc j ends there, the first step of its
+    quarter turn (`_quarter_turns`) makes the image x = s(2k-1) of alpha
+    arc k either 2j + 2m, at a +1 crossing, or 2(j mod m) + 2, the
+    inverse of the corner at beta arc j+1, at a -1 crossing.  One pass over the alpha
     images reads beta_seq and signs back from x.  The one check is that
     the diagram read off this way walks back to fp, ValueError otherwise.
 

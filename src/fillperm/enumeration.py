@@ -275,28 +275,22 @@ def _least_members(i: int, images: Iterable[bytes], anchor: int = 1,
     return count, kept
 
 
-def _is_least(rows, img: bytes) -> int:
-    """0 if an admitted conjugate of img is smaller, and otherwise the
-    order of img's stabiliser: 1 for the identity, which the index leaves
-    out, plus the admitted t whose conjugate is img.  A conjugate is
+def _is_least(rows, img: bytes) -> bool:
+    """Whether no admitted conjugate of img is smaller.  A conjugate is
     built only when its first two bytes tie with img's."""
     first, second = img[0], img[1]
-    fixed = 1
     for row, b in zip(rows, img):
         for j1, j2, getter, table, _ in row[b]:
             lead = table[img[j1]]
             if lead < first:
-                return 0
+                return False
             if lead == first:
                 lead = table[img[j2]]
                 if lead < second:
-                    return 0
-                if lead == second:
-                    conj = bytes(getter(img)).translate(table)
-                    if conj < img:
-                        return 0
-                    fixed += conj == img
-    return fixed
+                    return False
+                if lead == second and bytes(getter(img)).translate(table) < img:
+                    return False
+    return True
 
 
 def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
@@ -364,11 +358,13 @@ def _resume(table: list[int], tied: Iterable[tuple]) -> list[tuple] | None:
 
 
 def _orderly(ctx: GenusContext, prefix: Sequence[int],
-             stop: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield (path, table) at every node of the shard's orderly search
-    that survives at depth min(stop, 2g-1), the leaves at 2g-1: path
-    lists its choices of `_symbol_choices`, table its sigma, padded at 0
-    and at n + 1.  Both are live and change when the search resumes.
+             stop: int) -> Iterator[tuple[list[int], list[int], list[tuple]]]:
+    """Yield (path, table, tied) at every node of the shard's orderly
+    search that survives at depth min(stop, 2g-1), the leaves at 2g-1:
+    path lists its choices of `_symbol_choices`, table its sigma, padded
+    at 0 and at n + 1, and tied the admitted elements still tied with it
+    (`_resume`).  Path and table are live and change when the search
+    resumes.
 
     Each level takes the least symbol x whose s(x) is still open and
     interleaves its transposition with an unused one of the other
@@ -379,7 +375,11 @@ def _orderly(ctx: GenusContext, prefix: Sequence[int],
     carries the elements t that s admits (`_admitting`: t o s o t^-1 has
     first byte 2) and that still tie with it (`_resume`); t joins when
     the level writes s(t^-1(1)), and a prefix that one of them undercuts
-    is dropped, as is every extension."""
+    is dropped, as is every extension.
+
+    So every leaf is the least member of its class, and its tied
+    elements are its stabiliser's but the identity: at a leaf every
+    admitted element has joined and been compared to the end."""
     n = ctx.n
     stop = min(stop, ctx.i_min)
     choices = _symbol_choices(ctx)
@@ -433,7 +433,7 @@ def _orderly(ctx: GenusContext, prefix: Sequence[int],
                 if left is not None:
                     path.append(k)
                     if depth + 1 == stop:
-                        yield path, table
+                        yield path, table, left
                         path.pop()
                     else:
                         taken[depth] = arcs, mark
@@ -519,21 +519,19 @@ def _classify(args) -> tuple[int, int, list[tuple[bytes, int]]]:
     """The solutions and classes below one prefix of the orderly search,
     and each class's representative with its stabiliser order if keep.
 
-    A leaf is kept when `_is_least` finds no admitted conjugate smaller;
-    its class has |G| / |Stab| members, all of them solutions."""
+    Each leaf is its class's least member, and its stabiliser has order
+    1 + the number of elements still tied with it (`_orderly`); its class
+    has |G| / |Stab| members, all of them solutions."""
     ctx, prefix, keep = args
-    rows = _admitting(ctx.i_min, 1, (2,))
     order = len(relabeling_group(ctx.i_min))
     count = classes = 0
     kept = []
-    for _, table in _orderly(ctx, prefix, ctx.i_min):
-        img = bytes(table[1:-1])
-        fixed = _is_least(rows, img)
-        if fixed:
-            count += order // fixed
-            classes += 1
-            if keep:
-                kept.append((img, fixed))
+    for _, table, tied in _orderly(ctx, prefix, ctx.i_min):
+        fixed = 1 + len(tied)
+        count += order // fixed
+        classes += 1
+        if keep:
+            kept.append((bytes(table[1:-1]), fixed))
     return count, classes, kept
 
 
@@ -553,7 +551,7 @@ def _count_and_classify(
     check_guard(ctx.g, force)
     shard = (_least_shard(ctx),)
     _admitting(ctx.i_min, 1, (2,))  # built once, before a pool forks
-    tasks = [(ctx, tuple(path), keep) for path, _ in _orderly(ctx, shard, _SPLIT_DEPTH)]
+    tasks = [(ctx, tuple(path), keep) for path, _, _ in _orderly(ctx, shard, _SPLIT_DEPTH)]
     workers = min(max(1, jobs), len(tasks))
     if workers <= 1:
         parts = list(map(_classify, tasks))

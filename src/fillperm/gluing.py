@@ -33,10 +33,10 @@ conditions too, so `_check` would find no failure:
     forward arcs is exactly the chaining condition, as `_check` reads
     the same `arc_tables` at 4i = 8g - 4.
   * The faces of a `PairDiagram`, and of a leaf of the pattern search,
-    are the cycles of a successor table that `crossing_steps` writes,
-    crossing by crossing: four corners that alternate between the
-    curves and chain head to tail, each step from one curve to the
-    other.
+    are the cycles of a successor table written crossing by crossing
+    by the quarter turn of `diagram._quarter_turns`: four corners that
+    alternate between the curves and chain head to tail, each step from
+    one curve to the other.
 """
 
 from __future__ import annotations

@@ -44,10 +44,16 @@ class ZTemplate:
     signs: tuple[int, int, int, int, int]
 
     def __post_init__(self):
+        # as `PairDiagram` checks its fields: a list would leave the
+        # template unhashable, and a True sign would equal +1
+        if not (isinstance(self.order, tuple) and isinstance(self.signs, tuple)):
+            raise ValueError("order and signs must be tuples")
+        if not {*map(type, self.order), *map(type, self.signs)} <= {int}:
+            raise ValueError("order and signs must be ints")
         if sorted(self.order) != [1, 2, 3, 4, 5]:
             raise ValueError("order must be a permutation of 1..5")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +1/-1")
+        if len(self.signs) != 5 or not set(self.signs) <= {-1, 1}:
+            raise ValueError("signs must be +1/-1 at each of the five crossings")
 
     def to_json(self) -> dict:
         return {"order": list(self.order), "signs": list(self.signs)}
@@ -75,6 +81,12 @@ class LSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        # as `PairDiagram` checks its fields: a float entry would fail
+        # only inside a build, and a True entry would equal 1
+        if not isinstance(self.entries, tuple):
+            raise ValueError("entries must be a tuple")
+        if type(self.g) is not int or not set(map(type, self.entries)) <= {int}:
+            raise ValueError("genus and entries must be ints")
         if self.g % 2 == 0 or self.g < 3:
             raise ValueError("attachment sequences need odd genus >= 3")
         if len(self.entries) != (self.g - 1) // 2:
@@ -111,22 +123,14 @@ TORUS_DIAGRAM = PairDiagram(1, (1,), (-1,))
 
 
 def _splice_diagram(d: PairDiagram, k: int, t: ZTemplate) -> PairDiagram:
-    vsign = d.signs[k - 1]
-    relabel = lambda x: x if x < k else x + 4
-    block = [k - 1 + o for o in t.order]
-    bseq: list[int] = []
-    for entry in d.beta_seq:
-        if entry == k:
-            bseq.extend(block)
-        else:
-            bseq.append(relabel(entry))
-    signs = [0] * (d.m + 4)
-    for p in range(1, d.m + 1):
-        if p != k:
-            signs[relabel(p) - 1] = d.signs[p - 1]
-    for i in range(5):
-        signs[k - 1 + i] = t.signs[i] * vsign
-    return PairDiagram(d.m + 4, tuple(bseq), tuple(signs))
+    """d with crossing k excised and the piece glued in: labels above k
+    shift up by four, and the second curve visits the five new labels
+    k..k+4 in the template's order where it visited k."""
+    beta_seq = [x + 4 if x > k else x for x in d.beta_seq]
+    at = d.beta_seq.index(k)
+    beta_seq[at:at + 1] = [k - 1 + o for o in t.order]
+    piece = t.signs if d.signs[k - 1] > 0 else tuple(-s for s in t.signs)
+    return PairDiagram(d.m + 4, tuple(beta_seq), d.signs[:k - 1] + piece + d.signs[k:])
 
 
 def splice(fp: FillingPermutation, k: int, t: ZTemplate) -> FillingPermutation:
@@ -158,17 +162,22 @@ def build_from_sequence(seq: LSequence, t: ZTemplate) -> FillingPermutation:
     disk, so checking only the result would accept builds that pass
     through a non-filling stage.  ValueError names the failing stage and
     vertex.  Only the final diagram is converted to a (validated)
-    filling permutation.
+    filling permutation, and the `is_filling` walk of that conversion is
+    the last stage's one-face check, so its face is walked once.
     """
     d = TORUS_DIAGRAM
+    last = len(seq.entries)
     for stage, a in enumerate(seq.entries, start=1):
         if not 1 <= a <= d.m:
             raise ValueError(f"vertex out of range at stage {stage} (vertex {a})")
         d = _splice_diagram(d, a, t)
-        if not d.is_filling_pair():
+        if stage < last and not d.is_filling_pair():
             raise ValueError(
                 f"complement is not a single disk at stage {stage} (vertex {a})")
-    fp = d.to_filling_permutation()
+    try:
+        fp = d.to_filling_permutation()
+    except ValueError as exc:
+        raise ValueError(f"{exc} at stage {stage} (vertex {a})") from None
     assert fp.ctx.g == seq.g
     return fp
 

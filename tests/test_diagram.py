@@ -2,9 +2,11 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fillperm import diagram
-from fillperm.diagram import PairDiagram, diagram_of
+from fillperm.diagram import PairDiagram, crossing_steps, diagram_of
 from fillperm.filling import FillingPermutation, GenusContext, corner_orbits
 from fillperm.perms import Permutation
 
@@ -67,19 +69,20 @@ def test_diagram_of_keeps_what_it_reads(g3_solutions, monkeypatch):
 
 
 def test_a_diagram_builds_its_successor_table_once(g4_solutions, monkeypatch):
-    steps = diagram.crossing_steps
-    calls = []
+    turns = diagram._quarter_turns
+    builds = []
 
-    def counted(*args):
-        calls.append(args)
-        return steps(*args)
+    def counted(succ, m, first, ends, signs):
+        builds.append((len(succ), m, first, len(ends)))
+        return turns(succ, m, first, ends, signs)
 
-    monkeypatch.setattr(diagram, "crossing_steps", counted)
+    monkeypatch.setattr(diagram, "_quarter_turns", counted)
     fp = g4_solutions[4321]
     d = diagram_of(fp)
     assert d.to_filling_permutation() == fp
     assert len(d.faces()) == 1 and d.is_filling_pair()
-    assert len(calls) == d.m == 7  # one per crossing, for the one table
+    # one table build, which writes all of its crossings in one call
+    assert builds == [(4 * 7 + 1, 7, 1, 7)] and d.m == 7
 
 
 @pytest.mark.parametrize("m, beta_seq, signs", [
@@ -357,3 +360,35 @@ def test_is_filling_pair_walks_one_face_to_the_face_count_answer():
         assert d.is_filling_pair() == expected
         filling += expected
     assert filling
+
+
+# The tuple-returning `crossing_steps` that `_quarter_turns` replaced,
+# kept verbatim as its reference.
+def reference_crossing_steps(m: int, j: int, p: int, sign: int
+                             ) -> tuple[tuple[int, int], ...]:
+    half = 2 * m
+    a, b = 2 * p - 1, 2 * j
+    a2, b2 = 2 * (p % m) + 1, 2 * (j % m) + 2
+    if sign > 0:
+        return (a, b + half), (b, a2), (a2 + half, b2), (b2 + half, a + half)
+    return (a, b2), (b2 + half, a2), (a2 + half, b + half), (b, a + half)
+
+
+def test_crossing_steps_match_the_reference():
+    # the pattern search writes these steps in this order
+    cases = [(m, j, p, sign) for m in range(1, 10) for j in range(1, m + 1)
+             for p in range(1, m + 1) for sign in (-1, 1)]
+    assert len(cases) == 570
+    for case in cases:
+        assert crossing_steps(*case) == reference_crossing_steps(*case)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 41).flatmap(lambda m: st.tuples(
+    st.permutations(range(1, m + 1)),
+    st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))))
+def test_kernels_match_the_references_up_to_41_crossings(case):
+    beta_seq, signs = case
+    d = PairDiagram(len(beta_seq), tuple(beta_seq), tuple(signs))
+    assert d._next_arc() == reference_next_arc(d)
+    assert d.is_filling_pair() == (d.m % 2 == 1 and d.face_count() == 1)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -374,23 +375,32 @@ def test_orbit_sizes_add_up_to_the_solutions(g):
     assert count == 2 * ctx.i_min * len(shard) == [2, 0, 600, 65856][g - 1]
 
 
+def orderly_leaves(monkeypatch) -> list[bytes]:
+    """The image arrays of the leaves that the orderly search yields to
+    `_classify`, through the module global it reads, as they come."""
+    leaves = []
+    orderly = enumeration._orderly
+
+    def counted(ctx, prefix, stop):
+        for node in orderly(ctx, prefix, stop):
+            if stop >= ctx.i_min:
+                leaves.append(bytes(node[1][1:-1]))
+            yield node
+
+    monkeypatch.setattr(enumeration, "_orderly", counted)
+    return leaves
+
+
 def test_orderly_search_prunes_before_the_leaves(monkeypatch):
     # the undercut prune drops a prefix once an admitted conjugate is
     # smaller on the bytes decided, so few of the shard's 4,704 genus-4
-    # solutions reach the leaf test of their class
+    # solutions reach a leaf
     ctx = GenusContext(4)
     shard = sum(1 for _ in _iter_solution_images(ctx, (_least_shard(ctx),)))
-    tested = []
-    is_least = enumeration._is_least
-
-    def counting(rows, img):
-        tested.append(img)
-        return is_least(rows, img)
-
-    monkeypatch.setattr(enumeration, "_is_least", counting)
+    leaves = orderly_leaves(monkeypatch)
     count, classes, _ = _count_and_classify(ctx)
     assert (shard, count, classes) == (4704, 65856, 168)
-    assert len(tested) <= 2 * classes
+    assert len(leaves) <= 2 * classes
 
 
 def test_counting_keeps_no_representatives(pool_sizes, monkeypatch):
@@ -663,3 +673,20 @@ def test_canonical_class_rep_refuses_genus_above_the_byte_limit(monkeypatch):
         canonical_class_rep(fp.ctx, fp.perm)
     assert "\n" not in str(info.value)
     assert str(MAX_ENUMERATED_GENUS) in str(info.value)
+
+
+@pytest.mark.parametrize("g, orders", [(3, {1: 1, 2: 4}), (4, {1: 168})])
+def test_each_leaf_is_least_and_its_ties_are_its_stabiliser(g, orders):
+    # the streaming least-member test, run on every leaf of the orderly
+    # search, finds it least, and the admitted conjugates equal to the
+    # leaf are its tied elements, counted with the identity
+    ctx = GenusContext(g)
+    rows = enumeration._admitting(ctx.i_min, 1, (2,))
+    reported = Counter()
+    for _, table, tied in _orderly(ctx, (_least_shard(ctx),), ctx.i_min):
+        img = bytes(table[1:-1])
+        assert enumeration._is_least(rows, img)
+        fixed = 1 + sum(conj == img for conj in _admitted_conjugates(ctx.i_min, img))
+        assert fixed == 1 + len(tied)
+        reported[fixed] += 1
+    assert reported == orders

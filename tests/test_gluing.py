@@ -35,6 +35,7 @@ from fillperm.gluing import (
 )
 from fillperm.perms import Permutation, grow_cycles, table_orbits
 from fillperm.zpiece import LSequence, build_from_sequence, splice
+from test_enumeration import orderly_leaves
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
@@ -471,25 +472,28 @@ def test_no_search_row_writes_an_arc_within_one_parity():
 
 
 def test_both_searches_share_one_class_test(monkeypatch):
-    # both searches put their leaves to the one test, which each table
-    # passes at most once: the orderly enumeration reaches only the 5
-    # least members of the genus-3 shard, and the pattern search streams
-    # every leaf through `_least_members`
+    # both searches test classes against one index of admitted
+    # conjugates (`_admitting`): the orderly enumeration prunes by it
+    # and reaches only the 5 least members of the genus-3 shard, with no
+    # leaf test after, and the pattern search streams every leaf through
+    # `_least_members`, which each table passes at most once
     seen = Counter()
     kept = Counter()
 
     def counting(rows, img):
-        fixed = _is_least(rows, img)
+        least = _is_least(rows, img)
         seen[len(rows)] += 1
-        kept[len(rows)] += fixed > 0
-        return fixed
+        kept[len(rows)] += least
+        return least
 
     monkeypatch.setattr("fillperm.enumeration._is_least", counting)
+    orderly = orderly_leaves(monkeypatch)
     assert _count_and_classify(GenusContext(3))[:2] == (600, 5)
+    assert len(orderly) == len(set(orderly)) == 5
     assert len(_search_all.__wrapped__(3, 6)) == 49
     leaves = sum(1 for _ in grow_cycles(24, _crossing_rows(6), 2))
-    assert seen == {20: 5, 24: leaves}
-    assert kept == {20: 5, 24: 49}
+    assert seen == {24: leaves}
+    assert kept == {24: 49}
     ctx = GenusContext(3)
     assert twisting_closure(ctx) is relabeling_group(ctx.i_min)
 

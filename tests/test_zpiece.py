@@ -32,6 +32,7 @@ from fillperm.zpiece import (
     splice,
 )
 from test_filling import alpha_reversal, beta_reversal
+from test_diagram import reference_next_arc
 from test_enumeration import every_conjugate
 
 TORUS = lambda: FillingPermutation(GenusContext(1), Permutation([2, 3, 4, 1]))
@@ -280,6 +281,39 @@ def test_lsequence_validation():
         LSequence(5, (1, 1))  # strictly increasing
     with pytest.raises(ValueError):
         LSequence(4, (1, 2))
+
+
+@pytest.mark.parametrize("g, entries", [
+    (5, (1.0, 2)), (5, (1, 2.0)), (5, (True, 2)), (5.0, (1, 2)), (True, (1,)),
+    (5, (1, "2")), (5, (1, None))])
+def test_lsequence_rejects_entries_that_are_not_ints(g, entries):
+    # a float entry would fail only inside a build, and a True entry
+    # would equal 1
+    with pytest.raises(ValueError, match="must be ints"):
+        LSequence(g, entries)
+
+
+@pytest.mark.parametrize("entries", [[1, 2], range(1, 3)])
+def test_lsequence_rejects_entries_that_are_not_a_tuple(entries):
+    # a list would construct a sequence that no hash can take
+    with pytest.raises(ValueError, match="must be a tuple"):
+        LSequence(5, entries)
+
+
+@pytest.mark.parametrize("order, signs, match", [
+    ([1, 3, 2, 5, 4], (1, -1, -1, -1, -1), "must be tuples"),
+    ((1, 3, 2, 5, 4), [1, -1, -1, -1, -1], "must be tuples"),
+    ((1.0, 3, 2, 5, 4), (1, -1, -1, -1, -1), "must be ints"),
+    ((True, 3, 2, 5, 4), (1, -1, -1, -1, -1), "must be ints"),
+    ((1, 3, 2, 5, 4), (True, -1, -1, -1, -1), "must be ints"),
+    ((1, 3, 2, 5, 4), (1, -1, -1, -1, -1.0), "must be ints"),
+    ((1, 3, 2, 5, 4), (1, -1, -1, -1), "five crossings"),
+    ((1, 3, 2, 5, 4), (1, -1, -1, -1, -1, 1), "five crossings"),
+    ((1, 3, 2, 5, 4), (1, -1, -1, -1, 0), "five crossings"),
+    ((1, 3, 2, 5, 5), (1, -1, -1, -1, -1), "permutation of 1..5")])
+def test_template_rejects_what_is_not_a_decoration(order, signs, match):
+    with pytest.raises(ValueError, match=match):
+        ZTemplate(order, signs)
 
 
 def test_build_single_stage_equals_splice(template):
@@ -603,3 +637,107 @@ def test_splicing_a_pair_at_every_vertex_reads_its_diagram_once(
     spliced = {splice(fp, k, template).perm for fp in pairs for k in range(1, 6)}
     assert len(spliced) == 5 * len(pairs)
     assert counts == {"reads": len(pairs), "calls": 5 * len(pairs)}
+
+
+# The splice kernel and stage loop that the one-pass `_splice_diagram`
+# and the last-stage walk of `build_from_sequence` replaced, kept
+# verbatim as their reference, the one-face check read off the face
+# count.
+def reference_splice_diagram(d: PairDiagram, k: int, t: ZTemplate) -> PairDiagram:
+    vsign = d.signs[k - 1]
+    relabel = lambda x: x if x < k else x + 4
+    block = [k - 1 + o for o in t.order]
+    bseq: list[int] = []
+    for entry in d.beta_seq:
+        if entry == k:
+            bseq.extend(block)
+        else:
+            bseq.append(relabel(entry))
+    signs = [0] * (d.m + 4)
+    for p in range(1, d.m + 1):
+        if p != k:
+            signs[relabel(p) - 1] = d.signs[p - 1]
+    for i in range(5):
+        signs[k - 1 + i] = t.signs[i] * vsign
+    return PairDiagram(d.m + 4, tuple(bseq), tuple(signs))
+
+
+def reference_diagram_build(seq: LSequence, t: ZTemplate) -> FillingPermutation:
+    d = TORUS_DIAGRAM
+    for stage, a in enumerate(seq.entries, start=1):
+        if not 1 <= a <= d.m:
+            raise ValueError(f"vertex out of range at stage {stage} (vertex {a})")
+        d = reference_splice_diagram(d, a, t)
+        if not (d.m % 2 == 1 and d.face_count() == 1):
+            raise ValueError(
+                f"complement is not a single disk at stage {stage} (vertex {a})")
+    fp = d.to_filling_permutation()
+    assert fp.ctx.g == seq.g
+    return fp
+
+
+def assert_same_diagram(d: PairDiagram, ref: PairDiagram) -> None:
+    """Equal diagrams, field by field, and d's table is the dart model's."""
+    assert d == ref
+    assert (d.m, d.beta_seq, d.signs) == (ref.m, ref.beta_seq, ref.signs)
+    assert type(d.beta_seq) is type(d.signs) is tuple
+    assert d._succ == tuple(reference_next_arc(ref))
+
+
+def test_splice_kernel_matches_the_reference_stage_by_stage(template):
+    seqs = all_L5_sequences() + all_L7_sequences() + all_L9_sequences()
+    seqs += seeded_sequences(21, 200, seed=2013)
+    stages = 0
+    for seq in seqs:
+        d = ref = TORUS_DIAGRAM
+        for a in seq.entries:
+            d = _splice_diagram(d, a, template)
+            ref = reference_splice_diagram(ref, a, template)
+            assert_same_diagram(d, ref)
+            assert d.is_filling_pair()
+            stages += 1
+        assert build_from_sequence(seq, template).perm.padded == d._succ
+    assert stages == 4 * 2 + 22 * 3 + 140 * 4 + 200 * 10
+
+
+def test_splice_kernel_matches_the_reference_on_every_genus3_splice(
+        template, g3_solutions, g5_splices):
+    refs = [reference_splice_diagram(diagram_of(fp), k, template)
+            for fp in g3_solutions for k in range(1, 6)]
+    assert len(refs) == len(g5_splices) == 3000
+    for out, ref in zip(g5_splices, refs):
+        assert_same_diagram(out._diagram, ref)
+        assert out.perm.padded == out._diagram._succ
+
+
+def test_build_fails_where_the_reference_diagram_build_fails():
+    # every outcome, and the text of every failure, with the decorations
+    # that fail at some stage as well as those that pass
+    seqs = all_L5_sequences() + all_L7_sequences()
+    failed = set()
+    for t in islice(_candidate_templates(), 0, None, 29):
+        for seq in seqs:
+            outcomes = []
+            for build in (build_from_sequence, reference_diagram_build):
+                try:
+                    outcomes.append(build(seq, t).perm)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            if isinstance(outcomes[0], str):
+                failed.add(outcomes[0].split(" at ")[1].split(" (")[0])
+    # builds fail at the last stage and at earlier ones
+    assert failed == {"stage 1", "stage 2", "stage 3"}
+
+
+def test_the_last_stage_fails_with_its_stage_message():
+    # the torus stage gives a genus-3 pair, and the second stage's face
+    # is first walked by the conversion to a filling permutation
+    t = ZTemplate((1, 2, 4, 5, 3), (1, 1, 1, 1, 1))
+    seq = LSequence(5, (1, 2))
+    d = _splice_diagram(TORUS_DIAGRAM, 1, t)
+    assert d.is_filling_pair()
+    assert not _splice_diagram(d, 2, t).is_filling_pair()
+    with pytest.raises(ValueError,
+                       match=r"^complement is not a single disk at stage 2 \(vertex 2\)$"):
+        build_from_sequence(seq, t)

@@ -162,7 +162,7 @@ def cmd_enumerate(args) -> int:
         listed = reps if args.limit is None else reps[: args.limit]
         # validated here, for the listed representatives only
         results = [
-            _perm_payload(FillingPermutation(ctx, Permutation._unchecked(img)).perm)
+            _perm_payload(FillingPermutation(ctx, Permutation._unchecked((0, *img))).perm)
             for img, _ in listed
         ]
         if args.classes:
@@ -329,9 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search_options(p):
         p.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
-                       help="search in N processes, at most 2(2g-2); the output "
-                            "does not depend on N. On 2 cores a pool is slower "
-                            "up to genus 4 and faster at genus 5")
+                       help="search in N processes from genus 5 on, at most one "
+                            "per prefix of the search's first three levels (51 "
+                            "at genus 5, 88 at genus 6); below genus 5 the "
+                            "count runs in one process. The output does not "
+                            "depend on N")
         p.add_argument("--force", action="store_true",
                        help=f"run above the genus guard ({DEFAULT_GUARD}), up "
                             f"to genus {MAX_ENUMERATED_GENUS}")

@@ -167,12 +167,11 @@ class PairDiagram:
             raise ValueError("a filling pair has an odd crossing count")
         ctx = GenusContext((self.m + 1) // 2)
         try:
-            fp = FillingPermutation(ctx, Permutation._unchecked(self._succ[1:]))
+            fp = FillingPermutation(ctx, Permutation._unchecked(self._succ))
         except ValueError as exc:
             if str(exc).endswith("not an n-cycle"):
                 raise ValueError("complement is not a single disk") from None
             raise
-        fp.perm._img = self._succ  # one table for both, equal after the walk
         object.__setattr__(fp, "_diagram", self)
         return fp
 

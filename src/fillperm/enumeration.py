@@ -231,8 +231,11 @@ def _relabeller(t: Permutation) -> tuple[tuple[int, ...], itemgetter, bytes]:
     of the entries at t^-1(1), ..., t^-1(n), and the translation table of
     t: the image array of t o s o t^-1 is bytes(getter(img)).translate(table)."""
     n = t.n
-    inv = (0, *sorted(range(1, n + 1), key=t.padded.__getitem__), n + 1)
-    return inv, itemgetter(*(x - 1 for x in inv[1:-1])), bytes(t.padded).ljust(256, b"\0")
+    inv = [0] * (n + 1) + [n + 1]
+    for x, y in enumerate(t.padded):
+        inv[y] = x
+    getter = itemgetter(*(x - 1 for x in inv[1:-1]))
+    return tuple(inv), getter, bytes(t.padded).ljust(256, b"\0")
 
 
 @lru_cache(maxsize=None)
@@ -308,6 +311,11 @@ def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
 # Pool tasks are the surviving prefixes of this many levels, the shard's
 # included: 51 at genus 5 and 88 at genus 6.
 _SPLIT_DEPTH = 3
+# The least genus whose count starts a pool.  Below it the whole count
+# takes about 11 ms at genus 4, less than importing multiprocessing and
+# forking two workers; at genus 5 it takes about 1 s, and a pool of two
+# nearly halves that on two cores.
+_POOL_GENUS = 5
 
 
 @lru_cache(maxsize=None)
@@ -481,7 +489,7 @@ def enumerate_filling(
     check_guard(ctx.g, force)
     shard = list(_iter_solution_images(ctx, (_least_shard(ctx),)))
     group = twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
-    out = [FillingPermutation(ctx, Permutation._unchecked(img)) for img in shard]
+    out = [FillingPermutation(ctx, Permutation._unchecked((0, *img))) for img in shard]
     # the t with t(1) = 1 but the identity: the group is sorted, and one
     # element sends 2 to each of the 2i even symbols (`_least_shard`)
     for t in sorted(group[1:2 * ctx.i_min], key=lambda t: t(2)):
@@ -545,14 +553,17 @@ def _count_and_classify(
     The orderly search (`_orderly`) of the one shard where s(1) = 2
     meets each class once, at its least member, which has s(1) = 2
     (`_check_regular_on_evens`).  Its surviving prefixes of
-    `_SPLIT_DEPTH` levels are the tasks; with jobs > 1 they run in a pool
-    of at most one worker each.  Without keep a task returns counts only,
-    so nothing grows with the number of classes."""
+    `_SPLIT_DEPTH` levels are the tasks.  From genus `_POOL_GENUS` on,
+    with jobs > 1, they run in a pool of at most one worker each; below
+    it, or with one task, they run in this process whatever jobs is.
+    The parts are merged in task order and the representatives sorted,
+    so the result does not depend on jobs.  Without keep a task returns
+    counts only, so nothing grows with the number of classes."""
     check_guard(ctx.g, force)
     shard = (_least_shard(ctx),)
     _admitting(ctx.i_min, 1, (2,))  # built once, before a pool forks
     tasks = [(ctx, tuple(path), keep) for path, _, _ in _orderly(ctx, shard, _SPLIT_DEPTH)]
-    workers = min(max(1, jobs), len(tasks))
+    workers = min(max(1, jobs), len(tasks)) if ctx.g >= _POOL_GENUS else 1
     if workers <= 1:
         parts = list(map(_classify, tasks))
     else:
@@ -569,7 +580,7 @@ def class_representatives(
 ) -> list[FillingPermutation]:
     """Canonical representative of every twisting class, sorted."""
     reps = _count_and_classify(ctx, jobs=jobs, force=force)[2]
-    return [FillingPermutation(ctx, Permutation._unchecked(img)) for img, _ in reps]
+    return [FillingPermutation(ctx, Permutation._unchecked((0, *img))) for img, _ in reps]
 
 
 def classify_solutions(
@@ -579,7 +590,7 @@ def classify_solutions(
     members with s(1) = 2 that pass the class test, sorted."""
     images = (bytes(fp.perm.images) for fp in solutions)
     _, reps = _least_members(ctx.i_min, (img for img in images if img[0] == 2))
-    return [FillingPermutation(ctx, Permutation._unchecked(img)) for img in sorted(reps)]
+    return [FillingPermutation(ctx, Permutation._unchecked((0, *img))) for img in sorted(reps)]
 
 
 def count_classes(ctx: GenusContext, *, jobs: int = 1, force: bool = False) -> int:

@@ -209,10 +209,10 @@ class FillingPermutation:
     a solution.
 
     Image tables the library built itself (search bytes, a diagram's
-    successor table) come as FillingPermutation(ctx,
-    Permutation._unchecked(table)): the bounded walk of `is_filling`
+    successor table) come padded at index 0 as FillingPermutation(ctx,
+    Permutation._unchecked(padded)): the bounded walk of `is_filling`
     proves such a table a bijection (see there), so this accepts and
-    rejects what the checked Permutation(table) does, with an equal
+    rejects what the checked Permutation(padded[1:]) does, with an equal
     result, in one walk.  The one object built without that walk is a
     conjugate of a walked solution by a twisting element whose
     generators `twisting_closure` has checked, in `enumerate_filling`

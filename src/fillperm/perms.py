@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -53,13 +54,15 @@ class Permutation:
         self._img = (0,) + tuple(images)
 
     @classmethod
-    def _unchecked(cls, images: Sequence[int]) -> "Permutation":
-        """`images` wrapped without the per-symbol checks, for one use
+    def _unchecked(cls, padded: tuple[int, ...]) -> "Permutation":
+        """An image table, a tuple padded at index 0 as `padded` returns
+        it, kept as it is and without the per-symbol checks, for one use
         only: as the perm of FillingPermutation(ctx, ...), whose
-        construction walk proves the table a bijection or raises."""
+        construction walk proves the table a bijection or raises.  A
+        caller holding the images alone passes (0, *images)."""
         p = object.__new__(cls)
-        p.n = len(images)
-        p._img = (0, *images)
+        p.n = len(padded) - 1
+        p._img = padded
         return p
 
     # -- basic access -------------------------------------------------
@@ -272,20 +275,23 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
 
     Only intended for small groups (the twisting groups used here have a
     few hundred elements at most).  Products are composed as padded image
-    tables; each distinct element becomes a Permutation once, at the end.
+    tables, a o b as itemgetter(*b)(a), one getter per generator b; each
+    distinct element becomes a Permutation once, at the end.
     """
     gens = [g.padded for g in generators]
     if not gens:
         raise ValueError("closure of empty set")
     if len({len(g) for g in gens}) > 1:
         raise ValueError("degree mismatch")
+    # n >= 1, so each getter takes at least two entries and returns a tuple
+    rights = [itemgetter(*b) for b in gens]
     group = set(gens)
     frontier = gens
     while frontier:
         nxt = []
         for a in frontier:
-            for b in gens:
-                c = tuple(map(a.__getitem__, b))  # a o b, padded: a[0] = 0
+            for right in rights:
+                c = right(a)  # a o b, padded: a[0] = 0
                 if c not in group:
                     group.add(c)
                     nxt.append(c)

@@ -73,7 +73,9 @@ def test_orbit_sizes_match_the_explicit_orbits(capsys):
     assert sum(entry["orbit_size"] for entry in results) == 600
 
 
-def test_huge_jobs_starts_one_worker_per_shard(capsys, pool_sizes):
+def test_huge_jobs_starts_one_worker_per_shard(capsys, pool_sizes, monkeypatch):
+    # the pool's genus is lowered so that genus 3 starts one
+    monkeypatch.setattr(enumeration, "_POOL_GENUS", 1)
     code, out, _ = run(capsys, "enumerate", "--genus", "3", "--count-only",
                        "--jobs", "5000")
     assert code == 0
@@ -152,6 +154,26 @@ def test_python_m_fillperm_version():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.strip() == fillperm.__version__
+
+
+COUNT_WITHOUT_MULTIPROCESSING = """
+import contextlib, io, sys
+from fillperm.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["bounds", "--genus", "4", "--exact", "--jobs", "2"]) == 0
+    assert main(["enumerate", "--genus", "4", "--classes", "--jobs", "8"]) == 0
+assert "multiprocessing" not in sys.modules, "a genus-4 count imported multiprocessing"
+"""
+
+
+def test_genus_4_counts_never_import_multiprocessing():
+    # below genus 5 a count runs in one process whatever --jobs asks
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fillperm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", COUNT_WITHOUT_MULTIPROCESSING],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_verify_pass(capsys):

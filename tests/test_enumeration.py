@@ -22,6 +22,7 @@ from fillperm.enumeration import (
     _least_members,
     _least_shard,
     _orderly,
+    _relabeller,
     _roots,
     base_involution,
     bounds_report,
@@ -45,6 +46,7 @@ from fillperm.filling import (
     canonical_perms,
     is_filling,
     relabeling_generators,
+    relabeling_group,
     twisting_closure,
 )
 from fillperm.perms import Permutation, closure, from_cycles
@@ -274,10 +276,11 @@ def test_solution_images_independent_of_jobs(g):
     assert _count_and_classify(ctx, jobs=3) == one
 
 
-def test_workers_never_exceed_shards(pool_sizes):
+def test_workers_never_exceed_shards(pool_sizes, monkeypatch):
     # one task per prefix of the orderly search that survives its first
     # three levels: 7 at genus 3, and genus 1 has one level, so one task
-    # and no pool
+    # and no pool; the pool's genus is lowered so that genus 3 starts one
+    monkeypatch.setattr(enumeration, "_POOL_GENUS", 1)
     ctx = GenusContext(3)
     assert _count_and_classify(ctx, jobs=5000) == _count_and_classify(ctx)
     assert pool_sizes == [7]
@@ -285,6 +288,25 @@ def test_workers_never_exceed_shards(pool_sizes):
     assert _count_and_classify(GenusContext(1), jobs=5000) == (
         2, 1, [(bytes([2, 3, 4, 1]), 4)])
     assert pool_sizes == [7, 4]
+
+
+def test_no_pool_below_the_pool_genus(pool_sizes):
+    # a count below genus 5 finishes before a pool of two could start
+    for g in (1, 2, 3, 4):
+        ctx = GenusContext(g)
+        one = _count_and_classify(ctx)
+        for jobs in (2, 8, 5000):
+            assert _count_and_classify(ctx, jobs=jobs) == one
+            assert _count_and_classify(ctx, jobs=jobs, keep=False) == (*one[:2], [])
+    assert pool_sizes == []
+
+
+def test_genus_5_pool_lists_the_single_process_classes(g5_listing):
+    # the one count in this suite that forks real workers
+    count, classes, reps = _count_and_classify(GenusContext(5), jobs=2)
+    data = g5_listing[1]
+    assert (count, classes) == (data["filling_count"], data["class_count"])
+    assert [img for img, _ in reps] == [bytes(entry["images"]) for entry in data["results"]]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -405,7 +427,9 @@ def test_orderly_search_prunes_before_the_leaves(monkeypatch):
 
 def test_counting_keeps_no_representatives(pool_sizes, monkeypatch):
     # count_classes, bounds --exact and enumerate --count-only ask each
-    # task for counts only; listing asks for the representatives
+    # task for counts only, in a pool too; listing asks for the
+    # representatives
+    monkeypatch.setattr(enumeration, "_POOL_GENUS", 1)
     asked = []
     classify = enumeration._classify
 
@@ -423,6 +447,16 @@ def test_counting_keeps_no_representatives(pool_sizes, monkeypatch):
     assert asked == [False] * 28 and pool_sizes == [2]
     class_representatives(ctx)
     assert asked[28:] == [True] * 7
+
+
+def test_relabeller_inverts_like_the_sort():
+    # one pass over t's padded table gives the inverse a keyed sort of
+    # the symbols by their images does
+    for i in range(1, 9):
+        for t in relabeling_group(i):
+            n = t.n
+            by_image = sorted(range(1, n + 1), key=t.padded.__getitem__)
+            assert _relabeller(t)[0] == (0, *by_image, n + 1)
 
 
 def test_one_admitting_index_per_size():
@@ -493,10 +527,11 @@ def test_counting_checks_the_regular_action(monkeypatch):
             cache.cache_clear()
 
 
-def test_least_shard_splits_at_a_fixed_depth(pool_sizes):
+def test_least_shard_splits_at_a_fixed_depth(pool_sizes, monkeypatch):
     # the tasks are the prefixes of the orderly search that survive its
     # first three levels; genus 1 has one level, so one task and no pool,
-    # and genus 2 none
+    # and genus 2 none; the pool's genus is lowered to see them all
+    monkeypatch.setattr(enumeration, "_POOL_GENUS", 1)
     for g in (1, 2, 3, 4):
         ctx = GenusContext(g)
         assert _count_and_classify(ctx, jobs=5000) == _count_and_classify(ctx)

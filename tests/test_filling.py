@@ -604,7 +604,7 @@ def test_canonical_class_rep_rejects_non_solutions():
 # The one-walk construction the library uses for tables it built,
 # against the checked path FillingPermutation(ctx, Permutation(table)).
 def from_table(ctx, images):
-    return FillingPermutation(ctx, Permutation._unchecked(images))
+    return FillingPermutation(ctx, Permutation._unchecked((0, *images)))
 
 
 def test_unchecked_table_rejects_tables_that_are_not_permutations(g3_solutions):

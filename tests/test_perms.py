@@ -12,6 +12,7 @@ from fillperm.perms import (
     identity,
     parse,
 )
+from fillperm.filling import relabeling_generators
 from conftest import is_n_cycle
 
 
@@ -197,3 +198,34 @@ def test_closure_is_sorted_and_rejects_bad_generators():
         closure([])
     with pytest.raises(ValueError, match="degree mismatch"):
         closure([identity(2), identity(3)])
+
+
+def map_closure(generators):
+    """The closure's breadth-first search, composing a o b as
+    tuple(map(a.__getitem__, b)): the oracle for its getter products."""
+    gens = [g.padded for g in generators]
+    group = set(gens)
+    frontier = gens
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                c = tuple(map(a.__getitem__, b))
+                if c not in group:
+                    group.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return [Permutation(c[1:]) for c in sorted(group)]
+
+
+def test_closure_matches_the_map_composition():
+    for i in range(1, 9):
+        gens = relabeling_generators(i)
+        assert closure(gens) == map_closure(gens)
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gens = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
+        group = closure(gens)
+        assert group == map_closure(gens)
+        assert all(type(p) is Permutation and len(p.padded) == n + 1 for p in group)

@@ -38,9 +38,10 @@ the small-pattern search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
-from .filling import FillingPermutation, GenusContext
+from .filling import FillingPermutation, genus_context
 from .perms import Permutation, table_orbits
 
 
@@ -83,6 +84,12 @@ def crossing_steps(m: int, j: int, p: int, sign: int
     return tuple(steps.items())
 
 
+@lru_cache(maxsize=None)
+def _labels(m: int) -> list[int]:
+    """The point labels 1..m, as the sorted visit order of a diagram."""
+    return list(range(1, m + 1))
+
+
 @dataclass(frozen=True)
 class PairDiagram:
     """Two curves crossing in m labelled points."""
@@ -101,7 +108,8 @@ class PairDiagram:
             raise ValueError("m, beta_seq and signs must be ints")
         if self.m < 1:
             raise ValueError("diagram needs at least one crossing")
-        if sorted(self.beta_seq) != list(range(1, self.m + 1)):
+        # the length first: the labels are cached only at sizes made
+        if len(self.beta_seq) != self.m or sorted(self.beta_seq) != _labels(self.m):
             raise ValueError("beta_seq must visit each point exactly once")
         if len(self.signs) != self.m or not set(self.signs) <= {-1, 1}:
             raise ValueError("signs must be +1/-1 per point")
@@ -165,7 +173,7 @@ class PairDiagram:
         """
         if self.m % 2 == 0:
             raise ValueError("a filling pair has an odd crossing count")
-        ctx = GenusContext((self.m + 1) // 2)
+        ctx = genus_context((self.m + 1) // 2)
         try:
             fp = FillingPermutation(ctx, Permutation._unchecked(self._succ))
         except ValueError as exc:

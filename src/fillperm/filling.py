@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Permutation, closure, from_cycles, table_orbits
@@ -30,7 +31,13 @@ from .perms import Permutation, closure, from_cycles, table_orbits
 
 @dataclass(frozen=True)
 class GenusContext:
-    """Genus g together with the derived symbol counts."""
+    """Genus g together with the derived symbol counts, stored on
+    construction: n = 8g - 4, the number of directed arc labels, and
+    i_min = 2g - 1, the minimal crossing count of a filling pair.
+
+    n and i_min are not fields: they take no part in ==, hash or repr.
+    Per-pair code takes its context from `genus_context`.
+    """
 
     g: int
 
@@ -40,16 +47,15 @@ class GenusContext:
             raise ValueError(f"genus must be an int, not {type(self.g).__name__}")
         if self.g < 1:
             raise ValueError("genus must be at least 1")
+        object.__setattr__(self, "n", 8 * self.g - 4)
+        object.__setattr__(self, "i_min", 2 * self.g - 1)
 
-    @property
-    def n(self) -> int:
-        """Number of directed arc labels: 8g - 4."""
-        return 8 * self.g - 4
 
-    @property
-    def i_min(self) -> int:
-        """Minimal crossing count of a filling pair: 2g - 1."""
-        return 2 * self.g - 1
+@lru_cache(maxsize=None, typed=True)
+def genus_context(g: int) -> GenusContext:
+    """The GenusContext of genus g, built and validated once per process;
+    typed, so that a bool is not taken for the int it equals."""
+    return GenusContext(g)
 
 
 class CanonicalPerms(NamedTuple):
@@ -281,7 +287,8 @@ def corner_orbits(
     orbit index of each symbol and the orbits (see `table_orbits`).
     """
     iota = arc_tables(len(succ) // 4)[0]
-    return table_orbits([iota[y] for y in succ], starts)
+    # succ holds 4i + 1 >= 5 entries, so the getter returns a tuple
+    return table_orbits(itemgetter(*succ)(iota), starts)
 
 
 def reconstruct(fp: FillingPermutation) -> SurfaceReport:
@@ -322,10 +329,10 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     pos_of = [0] * (n + 1)
     for p, s in enumerate(word, 1):
         pos_of[s] = p
-    at = pos_of.__getitem__
+    # each orbit has four corners, so its getter returns a tuple
     return SurfaceReport(
         genus=genus,
-        vertex_classes=tuple([tuple(map(at, o)) for o in orbits]),
+        vertex_classes=tuple([itemgetter(*o)(pos_of) for o in orbits]),
         alpha_is_single_curve=alpha_ok,
         beta_is_single_curve=beta_ok,
         boundary_word=word,

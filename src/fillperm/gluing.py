@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .diagram import PairDiagram, crossing_steps
@@ -228,7 +229,9 @@ def t1(pat: GluingPattern) -> int:
     pair once (the chord of that polygon joining the two sides).
     """
     polygon = _valid_polygon(pat)
-    return sum(polygon[s] == polygon[s + 2 * pat.i] for s in range(1, 2 * pat.i + 1))
+    # the forward symbols 1..2i against their inverses 2i+1..4i
+    h = 2 * pat.i
+    return sum(map(eq, polygon[1:h + 1], polygon[h + 1:]))
 
 
 def from_filling(fp: FillingPermutation) -> GluingPattern:
@@ -240,8 +243,9 @@ def from_filling(fp: FillingPermutation) -> GluingPattern:
     module docstring).
     """
     i = fp.ctx.i_min
-    ids = signed_ids(i)
-    pat = GluingPattern.make(i, [[ids[s] for s in fp.boundary_word()]])
+    # the word has 8g - 4 >= 4 symbols, so the getter returns a tuple
+    polygon = itemgetter(*fp.boundary_word())(signed_ids(i))
+    pat = GluingPattern(i, (polygon,))
     object.__setattr__(pat, "_polygon", [0] * (4 * i + 1))
     return pat
 
@@ -265,7 +269,9 @@ def _cut(m: int, succ: Sequence[int]) -> GluingPattern:
     polygon, faces = table_orbits(succ, range(1, 4 * m + 1))
     polygon[0] = 0  # as `_check` pads it
     ids = signed_ids(m)
-    pat = GluingPattern.make(m, [[ids[s] for s in face] for face in faces])
+    # each face alternates between the curves, so it has two symbols or
+    # more and its getter returns a tuple
+    pat = GluingPattern(m, tuple([itemgetter(*face)(ids) for face in faces]))
     object.__setattr__(pat, "_polygon", polygon)
     return pat
 

@@ -88,10 +88,16 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self._img)
 
+    # NotImplemented lets Python try the reflected comparison and then
+    # raise TypeError, as for any two unorderable types
     def __lt__(self, other: "Permutation") -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self._img < other._img
 
     def __le__(self, other: "Permutation") -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self._img <= other._img
 
     def __repr__(self) -> str:

@@ -23,6 +23,7 @@ that search as the oracle for the constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .diagram import PairDiagram, diagram_of
@@ -122,6 +123,15 @@ class ZMatch:
 TORUS_DIAGRAM = PairDiagram(1, (1,), (-1,))
 
 
+@lru_cache(maxsize=None)
+def _piece_tables(t: ZTemplate) -> tuple[tuple[int, ...], dict, tuple[int, ...]]:
+    """The per-template constants of splicing and detection: the 0-based
+    run offsets of the visit order, the chirality of the piece's sign
+    pattern and of its mirror image, and the mirrored signs."""
+    mirrored = tuple([-s for s in t.signs])
+    return tuple([o - 1 for o in t.order]), {t.signs: 1, mirrored: -1}, mirrored
+
+
 def _splice_diagram(d: PairDiagram, k: int, t: ZTemplate) -> PairDiagram:
     """d with crossing k excised and the piece glued in: labels above k
     shift up by four, and the second curve visits the five new labels
@@ -129,7 +139,7 @@ def _splice_diagram(d: PairDiagram, k: int, t: ZTemplate) -> PairDiagram:
     beta_seq = [x + 4 if x > k else x for x in d.beta_seq]
     at = d.beta_seq.index(k)
     beta_seq[at:at + 1] = [k - 1 + o for o in t.order]
-    piece = t.signs if d.signs[k - 1] > 0 else tuple(-s for s in t.signs)
+    piece = t.signs if d.signs[k - 1] > 0 else _piece_tables(t)[2]
     return PairDiagram(d.m + 4, tuple(beta_seq), d.signs[:k - 1] + piece + d.signs[k:])
 
 
@@ -187,6 +197,12 @@ def build_from_sequence(seq: LSequence, t: ZTemplate) -> FillingPermutation:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _wrap(m: int) -> tuple[int, ...]:
+    """wrap[x]: label x reduced into 1..m, for 0 <= x <= 2m."""
+    return (m, *range(1, m + 1), *range(1, m + 1))
+
+
 def detect_zpieces(fp: FillingPermutation, t: ZTemplate) -> list[ZMatch]:
     """All occurrences of the piece's crossing pattern, either framing.
 
@@ -214,16 +230,14 @@ def detect_zpieces(fp: FillingPermutation, t: ZTemplate) -> list[ZMatch]:
     m = d.m
     if m < 5:
         return []
-    # doubled arrays instead of modulo: wrap[x] is label x reduced into
-    # 1..m for 0 <= x <= 2m, and bseq[j] the label at 0-based position
-    # j of the second curve for -1 <= j < 2m
-    wrap = (m, *range(1, m + 1), *range(1, m + 1))
+    # doubled arrays instead of modulo: `_wrap`, and bseq[j] the label
+    # at 0-based position j of the second curve for -1 <= j < 2m
+    wrap = _wrap(m)
     bseq = d.beta_seq * 2
     bpos = [0] * (m + 1)
     for j, label in enumerate(d.beta_seq):
         bpos[label] = j
-    o0, o1, o2, o3, o4 = (o - 1 for o in t.order)  # 0-based run offsets
-    chirality = {tuple(t.signs): 1, tuple(-s for s in t.signs): -1}
+    (o0, o1, o2, o3, o4), chirality, _ = _piece_tables(t)
     found: dict[tuple[frozenset[int], frozenset[int]], ZMatch] = {}
 
     def record(alpha_start: int, beta_start: int, orientation: str, chir: int,

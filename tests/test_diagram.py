@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fillperm import diagram
 from fillperm.diagram import PairDiagram, crossing_steps, diagram_of
-from fillperm.filling import FillingPermutation, GenusContext, corner_orbits
+from fillperm.filling import FillingPermutation, GenusContext, corner_orbits, genus_context
 from fillperm.perms import Permutation
 
 
@@ -66,6 +66,21 @@ def test_diagram_of_keeps_what_it_reads(g3_solutions, monkeypatch):
             diagram_of(fake)
     assert len(reads) == 3
     assert vars(fake).keys() == {"ctx", "perm"}
+
+
+def test_a_made_pair_is_the_checked_pair_of_its_images(g1_solutions, g3_solutions,
+                                                       g4_solutions):
+    # to_filling_permutation takes its context from the per-genus cache
+    pairs = [*g1_solutions, *g3_solutions[::7], *g4_solutions[::997]]
+    for listed in pairs:
+        d = diagram_of(FillingPermutation(listed.ctx, listed.perm))
+        made = d.to_filling_permutation()
+        g = (d.m + 1) // 2
+        checked = FillingPermutation(GenusContext(g), Permutation(list(made.perm.images)))
+        assert made == checked and hash(made) == hash(checked)
+        assert repr(made) == repr(checked) and str(made) == str(checked)
+        assert made.ctx == GenusContext(g) and made.ctx is genus_context(g)
+        assert (made.ctx.n, made.ctx.i_min) == (8 * g - 4, 2 * g - 1)
 
 
 def test_a_diagram_builds_its_successor_table_once(g4_solutions, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from itertools import permutations
 
@@ -14,6 +16,7 @@ from fillperm.filling import (
     arc_tables,
     canonical_perms,
     corner_orbits,
+    genus_context,
     is_filling,
     reconstruct,
     relabeling_generators,
@@ -56,6 +59,38 @@ def test_context_rejects_a_genus_that_is_not_an_int(g):
     # 1.5 would give n = 8.0, and True would pass for genus 1
     with pytest.raises(ValueError, match="genus must be an int"):
         GenusContext(g)
+    # the per-genus cache keys by type too, so it builds and rejects
+    with pytest.raises(ValueError, match="genus must be an int"):
+        genus_context(g)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 9])
+def test_context_value_is_the_genus_alone(g):
+    ctx = GenusContext(g)
+    assert (ctx.n, ctx.i_min) == (8 * g - 4, 2 * g - 1)
+    # n and i_min are stored, not fields
+    assert tuple(f.name for f in dataclasses.fields(ctx)) == ("g",)
+    assert repr(ctx) == f"GenusContext(g={g})"
+    other = GenusContext(g)
+    assert other is not ctx and other == ctx and hash(other) == hash(ctx)
+    assert ctx != GenusContext(g + 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.n = 0
+    cached = genus_context(g)
+    assert cached is genus_context(g)
+    assert cached == ctx and hash(cached) == hash(ctx) and repr(cached) == repr(ctx)
+    assert (cached.n, cached.i_min) == (ctx.n, ctx.i_min)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_context_round_trips_through_pickle(protocol):
+    # the pool tasks of a genus >= 5 count pickle their context
+    for g in (1, 4, 5):
+        ctx = genus_context(g)
+        back = pickle.loads(pickle.dumps(ctx, protocol))
+        assert back == ctx and hash(back) == hash(ctx) and repr(back) == repr(ctx)
+        assert (back.n, back.i_min) == (8 * g - 4, 2 * g - 1)
+        assert canonical_perms(back) is canonical_perms(ctx)
 
 
 def test_canonical_perms_g1():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -182,6 +183,29 @@ def test_ordering_is_lexicographic_on_images():
     b = Permutation([1, 3, 2])
     assert a < b
     assert min([b, a]) == a
+
+
+@pytest.mark.parametrize("other", [None, 5, (2, 1), [2, 1]])
+def test_ordering_against_a_non_permutation_raises_type_error(other):
+    p = Permutation([2, 1])
+    for compare in (lambda: p < other, lambda: p <= other,
+                    lambda: other < p, lambda: other <= p,
+                    lambda: p > other, lambda: p >= other):
+        with pytest.raises(TypeError):
+            compare()
+    # equality stays defined: a permutation equals no other type
+    assert p != other
+
+
+def test_sorting_permutations_is_unchanged():
+    perms = [Permutation(list(q)) for q in permutations([1, 2, 3, 4])]
+    shuffled = perms[:]
+    random.Random(30).shuffle(shuffled)
+    assert sorted(shuffled) == perms
+    assert sorted(shuffled, reverse=True) == perms[::-1]
+    assert max(shuffled) == perms[-1] and min(shuffled) == perms[0]
+    p, q = perms[0], perms[1]
+    assert p < q and p <= q and p <= p and not q < p and q > p and q >= p
 
 
 def test_closure_small_group():

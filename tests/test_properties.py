@@ -1,11 +1,14 @@
 """Property tests of invariants that span several modules."""
 
+import random
+
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.filling import FillingPermutation, reconstruct
-from fillperm.gluing import euler_genus, from_filling, pattern_of_diagram
+from fillperm.gluing import euler_genus, from_filling, pattern_of_diagram, t1
 from fillperm.perms import Permutation, format_perm, parse
 from fillperm.zpiece import LSequence, build_from_sequence, detect_zpieces, splice
 
@@ -77,3 +80,21 @@ def attachment_sequences(draw):
 def test_detect_finds_the_last_attached_piece(template, seq):
     out = build_from_sequence(seq, template)
     assert inserted_piece_is_detected(out, seq.entries[-1], template)
+
+
+@pytest.mark.parametrize("genus", [1, 3, 4])
+def test_the_two_one_polygon_cuts_agree(genus, request):
+    # from_filling cuts the pair's polygon from its boundary word and
+    # pattern_of_diagram from its diagram's one face; every pair of genus
+    # 1 and 3, and a seeded sample at genus 4
+    solutions = request.getfixturevalue(f"g{genus}_solutions")
+    if genus == 4:
+        solutions = random.Random(3000).sample(solutions, 2000)
+    for listed in solutions:
+        fp = FillingPermutation(listed.ctx, listed.perm)
+        i = fp.ctx.i_min
+        cut, face = from_filling(fp), pattern_of_diagram(diagram_of(fp))
+        assert cut == face
+        assert cut._polygon == face._polygon == [0] * (4 * i + 1)
+        assert t1(cut) == t1(face) == 2 * i
+        assert euler_genus(cut) == euler_genus(face) == genus

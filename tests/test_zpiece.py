@@ -639,6 +639,65 @@ def test_splicing_a_pair_at_every_vertex_reads_its_diagram_once(
     assert counts == {"reads": len(pairs), "calls": 5 * len(pairs)}
 
 
+def count_contexts(monkeypatch):
+    """A counter of the `GenusContext` objects constructed from now on."""
+    counts = {"contexts": 0}
+    check = GenusContext.__post_init__
+
+    def counted(ctx):
+        counts["contexts"] += 1
+        check(ctx)
+
+    monkeypatch.setattr(GenusContext, "__post_init__", counted)
+    return counts
+
+
+def test_warm_census_items_and_splices_build_no_context(
+        g3_solutions, g4_solutions, template, monkeypatch):
+    # the per-pair calls take their contexts from the per-genus cache
+    ctx3, ctx4 = GenusContext(3), GenusContext(4)
+    items = [FillingPermutation(ctx4, fp.perm)
+             for fp in random.Random(3000).sample(g4_solutions, 101)]
+    pairs = [FillingPermutation(ctx3, fp.perm) for fp in g3_solutions[::30]]
+
+    def census_item(fp):
+        reconstruct(fp)
+        d = diagram_of(fp)
+        assert d.to_filling_permutation() == fp
+        t1(from_filling(fp))
+        euler_genus(pattern_of_diagram(d))
+        detect_zpieces(fp, template)
+
+    # one item and one splice warm the caches
+    census_item(items.pop())
+    splice(pairs[0], 1, template)
+    counts = count_contexts(monkeypatch)
+    for fp in items:
+        census_item(fp)
+    assert counts == {"contexts": 0}
+    spliced = [splice(fp, k, template) for fp in pairs for k in range(1, 6)]
+    assert len(spliced) == 100 and all(out.ctx.g == 5 for out in spliced)
+    assert counts == {"contexts": 0}
+    # the counter does see a construction
+    GenusContext(5)
+    assert counts == {"contexts": 1}
+
+
+def test_detect_reads_an_equal_template_as_the_constant(
+        template, g3_solutions, g4_solutions, g5_splices):
+    # the per-template tables are cached by value; the benchmark builds
+    # its own template
+    own = ZTemplate(tuple(list(template.order)), tuple(list(template.signs)))
+    assert own == template and own is not template
+    assert own.order is not template.order and own.signs is not template.signs
+    matches = 0
+    for fp in [*g3_solutions, *g4_solutions[::16], *g5_splices]:
+        found = detect_zpieces(fp, own)
+        assert found == detect_zpieces(fp, template)
+        matches += len(found)
+    assert matches >= len(g5_splices)
+
+
 # The splice kernel and stage loop that the one-pass `_splice_diagram`
 # and the last-stage walk of `build_from_sequence` replaced, kept
 # verbatim as their reference, the one-face check read off the face

@@ -148,6 +148,9 @@ def _perm_payload(p: Permutation) -> dict:
 
 def cmd_enumerate(args) -> int:
     started = time.time()
+    if args.count_only and (args.classes or args.limit is not None):
+        # both shape the listing that --count-only leaves out
+        args.parser.error("--count-only takes neither --classes nor --limit")
     ctx = GenusContext(args.genus)
     count, classes, reps = _count_and_classify(
         ctx, jobs=args.jobs, force=args.force, keep=not args.count_only)
@@ -341,13 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate filling permutations")
     add_genus(p)
     p.add_argument("--count-only", action="store_true",
-                   help="report counts without the representative listing")
+                   help="report counts without the representative listing; "
+                        "not with --classes or --limit")
     p.add_argument("--classes", action="store_true",
                    help="annotate each representative with its orbit size")
     p.add_argument("--limit", type=_int_in(0), default=None,
                    help="list at most this many representatives")
     add_search_options(p)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, parser=p)
 
     p = sub.add_parser("verify", help="check the three filling conditions")
     add_perm(p)

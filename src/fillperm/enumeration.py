@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial, lgamma, log
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .filling import (
@@ -226,16 +225,22 @@ def _least_shard(ctx: GenusContext) -> int:
 # ----------------------------------------------------------------------
 
 
-def _relabeller(t: Permutation) -> tuple[tuple[int, ...], itemgetter, bytes]:
-    """The padded table of t^-1, closed by n + 1 at index n + 1, a getter
-    of the entries at t^-1(1), ..., t^-1(n), and the translation table of
-    t: the image array of t o s o t^-1 is bytes(getter(img)).translate(table)."""
+def _translation(img: bytes) -> bytes:
+    """The translation table of the permutation with image array img:
+    x.translate(table) maps each symbol of x to its image."""
+    return (b"\0" + img).ljust(256, b"\0")
+
+
+def _relabeller(t: Permutation) -> tuple[tuple[int, ...], bytes, bytes]:
+    """The padded table of t^-1, closed by n + 1 at index n + 1, the
+    images of t^-1 as bytes and the translation table of t: the image
+    array of t o s o t^-1 is inv.translate(_translation(img)).translate(table).
+    t^-1 is read off `bytes.maketrans` (n < 256), which leaves n + 1
+    fixed."""
     n = t.n
-    inv = [0] * (n + 1) + [n + 1]
-    for x, y in enumerate(t.padded):
-        inv[y] = x
-    getter = itemgetter(*(x - 1 for x in inv[1:-1]))
-    return tuple(inv), getter, bytes(t.padded).ljust(256, b"\0")
+    img = bytes(t.padded)
+    inv = bytes.maketrans(img, bytes(range(n + 1)))
+    return tuple(inv[:n + 2]), inv[1:n + 1], img.ljust(256, b"\0")
 
 
 @lru_cache(maxsize=None)
@@ -245,14 +250,16 @@ def _admitting(i: int, anchor: int, targets: tuple[int, ...]) -> tuple:
     admit, those that send anchor into targets: rows[a - 1][b] lists the
     t with t^-1(anchor) = a and t^-1(target) = b for a target, so s
     admits exactly those at rows[a - 1][s(a)].  Each t is listed as the
-    indices of t^-1(1) and t^-1(2), then its getter, translation table
-    and t^-1 table (`_relabeller`).  No argument has a default, so each
-    index is one cache entry, built once per process."""
+    indices of t^-1(1) and t^-1(2) in an image array, the images of t^-1
+    and the translation table of t (`_relabeller`), then the padded
+    tables of t and of t^-1 that the orderly search reads.  No argument
+    has a default, so each index is one cache entry, built once per
+    process."""
     n = 4 * i
     cells: dict[tuple[int, int], list] = {}
     for t in relabeling_group(i)[1:]:
-        inv, getter, table = _relabeller(t)
-        entry = (inv[1] - 1, inv[2] - 1, getter, table, inv)
+        inv, images, table = _relabeller(t)
+        entry = (inv[1] - 1, inv[2] - 1, images, table, t.padded, inv)
         for target in set(targets):  # 2m + 1 = 3 at m = 1
             cells.setdefault((inv[anchor], inv[target]), []).append(entry)
     return tuple(tuple(tuple(cells.get((a, b), ())) for b in range(n + 1))
@@ -282,8 +289,9 @@ def _is_least(rows, img: bytes) -> bool:
     """Whether no admitted conjugate of img is smaller.  A conjugate is
     built only when its first two bytes tie with img's."""
     first, second = img[0], img[1]
+    own = _translation(img)
     for row, b in zip(rows, img):
-        for j1, j2, getter, table, _ in row[b]:
+        for j1, j2, inv, table, _, _ in row[b]:
             lead = table[img[j1]]
             if lead < first:
                 return False
@@ -291,7 +299,7 @@ def _is_least(rows, img: bytes) -> bool:
                 lead = table[img[j2]]
                 if lead < second:
                     return False
-                if lead == second and bytes(getter(img)).translate(table) < img:
+                if lead == second and inv.translate(own).translate(table) < img:
                     return False
     return True
 
@@ -299,9 +307,10 @@ def _is_least(rows, img: bytes) -> bool:
 def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
     """The conjugates of the permutation with image array img that have
     first byte 2, by every element but the identity."""
+    own = _translation(img)
     for row, b in zip(_admitting(i, 1, (2,)), img):
-        for _, _, getter, table, _ in row[b]:
-            yield bytes(getter(img)).translate(table)
+        for _, _, inv, table, _, _ in row[b]:
+            yield inv.translate(own).translate(table)
 
 
 # ----------------------------------------------------------------------
@@ -312,57 +321,49 @@ def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
 # included: 51 at genus 5 and 88 at genus 6.
 _SPLIT_DEPTH = 3
 # The least genus whose count starts a pool.  Below it the whole count
-# takes about 11 ms at genus 4, less than importing multiprocessing and
-# forking two workers; at genus 5 it takes about 1 s, and a pool of two
-# nearly halves that on two cores.
+# takes about 6 ms at genus 4, less than the 20 ms of importing
+# multiprocessing and forking two workers; at genus 5 `bounds --exact`
+# takes about 0.32 s in one process and 0.26 s with a pool of two on
+# two cores (medians of five alternating runs).
 _POOL_GENUS = 5
 
 
 @lru_cache(maxsize=None)
-def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-    """choices[x]: the choices of the orderly search at a node whose least
-    open symbol is x, as (p, arcs).  Each interleaves x's transposition
-    of iota o tau with one of the other parity, p being one of its
-    symbols, by the four arcs of sigma that the `_moves` choice for the
-    pair writes; a choice is open exactly when p is.  The choices at the
-    symbols of the i-th odd transposition are the row `_moves(ctx)[i]`,
-    in order."""
+def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """(choices, first): choices[x] lists the choices of the orderly
+    search at a node whose least open symbol is x, as (k, p, arcs,
+    joining), k being the choice's index.  Each interleaves x's
+    transposition of iota o tau with one of the other parity, p being
+    its lesser symbol, by the four arcs of sigma that the `_moves` choice
+    for the pair writes; a choice is open exactly when p is.  Its two
+    orientations are choices first[p] and first[p] + 1.  The choices at
+    the symbols of the i-th odd transposition are the row
+    `_moves(ctx)[i]`, in order.
+
+    joining lists the elements that the choice admits, those at
+    `_admitting` row a, column b for each of its arcs a -> b, as (t,
+    t^-1, 2): the padded tables of t and of t^-1 and the first position
+    not yet known to tie (`_orderly`)."""
     base = base_involution(ctx)
     moves = _moves(ctx)
+    rows = _admitting(ctx.i_min, 1, (2,))
+
+    def choice(k, p, arcs):
+        return k, p, arcs, tuple((t, inv, 2) for a, b in arcs
+                                 for _, _, _, _, t, inv in rows[a - 1][b])
+
     choices: list[tuple] = [()] * (ctx.n + 1)
-    for row, (a, b) in zip(moves, base.odd):
-        choices[a] = choices[b] = tuple((base.even[j][0], arcs) for j, arcs in row)
+    first = [0] * (ctx.n + 1)
+    for i, (row, (a, b)) in enumerate(zip(moves, base.odd)):
+        choices[a] = choices[b] = tuple(
+            choice(k, base.even[j][0], arcs) for k, (j, arcs) in enumerate(row))
+        first[a] = 2 * i
     for j, (c, d) in enumerate(base.even):
         choices[c] = choices[d] = tuple(
-            (a, row[2 * j + k][1]) for row, (a, _) in zip(moves, base.odd) for k in (0, 1))
-    return tuple(choices)
-
-
-def _resume(table: list[int], tied: Iterable[tuple]) -> list[tuple] | None:
-    """The tied elements (t, t^-1, y), as the translation table of t and
-    the padded table of t^-1 (`_relabeller`), that still tie with the
-    partial table s, each with the position y where its comparison now
-    stops, or None if one of them undercuts s.
-
-    t o s o t^-1 ties with s before position y.  Position y decides when
-    both s(y) and s(t^-1(y)) are written: a smaller t(s(t^-1(y))) drops
-    every completion of s, a larger one drops t.  table[n + 1] is 0, so
-    the stabiliser's elements stay tied at y = n + 1."""
-    left = []
-    for t, inv, y in tied:
-        while True:
-            v = table[y]
-            w = table[inv[y]]
-            if not (v and w):
-                left.append((t, inv, y))
-                break
-            w = t[w]
-            if w != v:
-                if w < v:
-                    return None
-                break
-            y += 1
-    return left
+            choice(2 * i + k, a, row[2 * j + k][1])
+            for i, (row, (a, _)) in enumerate(zip(moves, base.odd)) for k in (0, 1))
+        first[c] = 2 * j
+    return tuple(choices), tuple(first)
 
 
 def _orderly(ctx: GenusContext, prefix: Sequence[int],
@@ -370,94 +371,132 @@ def _orderly(ctx: GenusContext, prefix: Sequence[int],
     """Yield (path, table, tied) at every node of the shard's orderly
     search that survives at depth min(stop, 2g-1), the leaves at 2g-1:
     path lists its choices of `_symbol_choices`, table its sigma, padded
-    at 0 and at n + 1, and tied the admitted elements still tied with it
-    (`_resume`).  Path and table are live and change when the search
-    resumes.
+    at 0 and at n + 1, and tied the admitted elements still tied with it.
+    Path and table are live and change when the search resumes.
 
     Each level takes the least symbol x whose s(x) is still open and
     interleaves its transposition with an unused one of the other
     parity, so every root is reached once.  `prefix` fixes level k to
     its choice prefix[k], and its first entry must set s(1) = 2
     (`_least_shard`).  As in `perms.grow_cycles`, a prefix on which
-    sigma closes a cycle shorter than n is dropped.  Each node also
-    carries the elements t that s admits (`_admitting`: t o s o t^-1 has
-    first byte 2) and that still tie with it (`_resume`); t joins when
-    the level writes s(t^-1(1)), and a prefix that one of them undercuts
-    is dropped, as is every extension.
+    sigma closes a cycle shorter than n is dropped: the unclosed arcs
+    form paths, each end of which knows the other as far[end], and each
+    choice merges the paths on a copy of its level's far ends.  At the
+    last level one transposition of each parity is open, so two choices
+    are, and no copy is made: the four arcs close one n-cycle exactly
+    when the path ends they leave, each sent to the far end of the path
+    its arc enters, form one 4-cycle.
+
+    Each node also carries the elements t that s admits (`_admitting`:
+    t o s o t^-1 has first byte 2) and that still tie with it, as (t,
+    t^-1, y): the padded tables of t and of t^-1 (`_relabeller`) and
+    the position y before which t o s o t^-1 ties with s.  t joins when
+    a choice writes s(t^-1(1)) (`_symbol_choices`).  Position y decides
+    once both s(y) and s(t^-1(y)) are written: a smaller t(s(t^-1(y)))
+    drops the node with every extension, a larger one drops t.
+    table[n + 1] is 0, so the stabiliser's elements stay tied at
+    y = n + 1.
 
     So every leaf is the least member of its class, and its tied
     elements are its stabiliser's but the identity: at a leaf every
     admitted element has joined and been compared to the end."""
     n = ctx.n
+    last = ctx.i_min - 1
     stop = min(stop, ctx.i_min)
-    choices = _symbol_choices(ctx)
-    rows = _admitting(ctx.i_min, 1, (2,))
+    choices, first = _symbol_choices(ctx)
     table = [0] * (n + 2)
-    far = list(range(n + 1))
-    # path merges to undo, as in `perms.grow_cycles`
-    trail: list[tuple[int, int, int, int]] = []
     path: list[int] = []
 
-    def options(depth: int, x: int) -> Iterator[tuple[int, tuple]]:
+    def options(depth: int, x: int) -> tuple:
         if depth < len(prefix):
-            return iter(((prefix[depth], choices[x][prefix[depth]]),))
-        return enumerate(choices[x])
+            return (choices[x][prefix[depth]],)
+        if depth < last:
+            return choices[x]
+        # the open transposition of the other parity, by its lesser symbol
+        p = x + 1
+        while table[p]:
+            p += 2
+        k = first[p]
+        return choices[x][k:k + 2]
 
-    def undo(arcs: tuple, mark: int) -> None:
-        for a, _ in arcs:
-            table[a] = 0
-        while len(trail) > mark:
-            s, a, e, b = trail.pop()
-            far[s] = a
-            far[e] = b
-
-    # per level: its choices left, the elements tied at its start and its
-    # least open symbol; per level above the current one, the arcs and
-    # trail length of the choice taken
+    # per level: its choices, the elements tied at its start, its least
+    # open symbol and its far ends; per level above the current one, the
+    # arcs of the choice taken
     levels: list = [None] * stop
     taken: list = [None] * stop
-    levels[0] = options(0, 1), [], 1
+    levels[0] = iter(options(0, 1)), [], 1, list(range(n + 1))
     depth = 0
     while True:
-        todo, tied, x = levels[depth]
-        for k, (p, arcs) in todo:
+        todo, tied, x, ends = levels[depth]
+        for k, p, arcs, joining in todo:
             if table[p]:
                 continue
-            mark = len(trail)
-            for a, b in arcs:
-                table[a] = b
-                s = far[a]
-                if b == s:
-                    if len(trail) + 1 < n:
+            if depth < last:
+                far = ends[:]
+                for a, b in arcs:
+                    table[a] = b
+                    s = far[a]
+                    if b == s:
                         break
+                    e = far[b]
+                    far[s] = e
+                    far[e] = s
+                if b == s:  # the loop broke: a cycle shorter than n closed
+                    for a, _ in arcs:
+                        table[a] = 0
                     continue
-                e = far[b]
-                trail.append((s, a, e, b))
-                far[s] = e
-                far[e] = s
             else:
-                left = _resume(table, chain(tied, (
-                    (t[3], t[4], 2) for a, b in arcs for t in rows[a - 1][b])))
-                if left is not None:
-                    path.append(k)
-                    if depth + 1 == stop:
-                        yield path, table, left
-                        path.pop()
-                    else:
-                        taken[depth] = arcs, mark
-                        depth += 1
-                        y = x + 1
-                        while table[y]:
-                            y += 1
-                        levels[depth] = options(depth, y), left, y
+                (u1, h1), (u2, h2), (u3, h3), (u4, h4) = arcs
+                table[u1] = h1
+                table[u2] = h2
+                table[u3] = h3
+                table[u4] = h4
+                # the path end u1 reaches after one, two and three arcs
+                s = ends[h1]
+                if s == u1 or ends[table[s]] == u1 or ends[table[ends[table[s]]]] == u1:
+                    table[u1] = table[u2] = table[u3] = table[u4] = 0
+                    continue
+            left = []
+            for tie in chain(tied, joining):
+                t, inv, y = tie
+                v = table[y]
+                w = table[inv[y]]
+                if not (v and w):
+                    left.append(tie)
+                    continue
+                w = t[w]
+                while w == v:
+                    y += 1
+                    v = table[y]
+                    w = table[inv[y]]
+                    if not (v and w):
+                        left.append((t, inv, y))
                         break
-            undo(arcs, mark)
+                    w = t[w]
+                else:
+                    if w < v:  # t undercuts s
+                        break
+            else:
+                path.append(k)
+                if depth + 1 < stop:
+                    y = x + 1
+                    while table[y]:
+                        y += 1
+                    taken[depth] = arcs
+                    depth += 1
+                    levels[depth] = iter(options(depth, y)), left, y, far
+                    break
+                yield path, table, left
+                path.pop()
+            for a, _ in arcs:
+                table[a] = 0
         else:
             depth -= 1
             if depth < 0:
                 return
             path.pop()
-            undo(*taken[depth])
+            for a, _ in taken[depth]:
+                table[a] = 0
 
 
 # ----------------------------------------------------------------------
@@ -492,10 +531,11 @@ def enumerate_filling(
     out = [FillingPermutation(ctx, Permutation._unchecked((0, *img))) for img in shard]
     # the t with t(1) = 1 but the identity: the group is sorted, and one
     # element sends 2 to each of the 2i even symbols (`_least_shard`)
+    owns = [_translation(img) for img in shard]
     for t in sorted(group[1:2 * ctx.i_min], key=lambda t: t(2)):
-        _, getter, table = _relabeller(t)
-        out.extend(_trusted_conjugate(ctx, bytes(getter(img)).translate(table))
-                   for img in shard)
+        _, inv, table = _relabeller(t)
+        out.extend(_trusted_conjugate(ctx, inv.translate(own).translate(table))
+                   for own in owns)
     return out
 
 

@@ -56,10 +56,17 @@ class Permutation:
     @classmethod
     def _unchecked(cls, padded: tuple[int, ...]) -> "Permutation":
         """An image table, a tuple padded at index 0 as `padded` returns
-        it, kept as it is and without the per-symbol checks, for one use
-        only: as the perm of FillingPermutation(ctx, ...), whose
-        construction walk proves the table a bijection or raises.  A
-        caller holding the images alone passes (0, *images)."""
+        it, kept as it is and without the per-symbol checks.  A caller
+        holding the images alone passes (0, *images).  It has two uses,
+        each of which proves the table a bijection of {1..n}:
+
+        * the perm of FillingPermutation(ctx, ...), whose construction
+          walk proves the table a bijection or raises;
+        * an element of `closure`, a product b1 o ... o bk of checked
+          generators of one degree, composed as padded tables.  Each
+          factor is a bijection of {1..n} that fixes index 0, so each
+          product is too, and nothing else reaches the table: the check
+          could only pass."""
         p = object.__new__(cls)
         p.n = len(padded) - 1
         p._img = padded
@@ -282,7 +289,9 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
     Only intended for small groups (the twisting groups used here have a
     few hundred elements at most).  Products are composed as padded image
     tables, a o b as itemgetter(*b)(a), one getter per generator b; each
-    distinct element becomes a Permutation once, at the end.
+    distinct element becomes a Permutation once, at the end, without the
+    per-symbol checks: a product of the checked generators is a
+    permutation (`Permutation._unchecked`).
     """
     gens = [g.padded for g in generators]
     if not gens:
@@ -302,7 +311,7 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
                     group.add(c)
                     nxt.append(c)
         frontier = nxt
-    return [Permutation(c[1:]) for c in sorted(group)]
+    return [Permutation._unchecked(c) for c in sorted(group)]
 
 
 def table_orbits(

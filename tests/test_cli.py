@@ -94,6 +94,20 @@ def test_enumerate_limit(capsys):
     assert data["class_count"] == 5
 
 
+def test_count_only_refuses_the_listing_flags(capsys, monkeypatch):
+    # --classes and --limit shape the listing that --count-only leaves
+    # out, so each is refused with it before anything is counted
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(enumeration, "_orderly", refuse)
+    for extra in (["--classes"], ["--limit", "3"], ["--limit", "0", "--classes"]):
+        line = one_line_usage_error(capsys, "enumerate", "--genus", "6",
+                                    "--count-only", *extra)
+        assert line == ("fillperm enumerate: error: --count-only takes "
+                        "neither --classes nor --limit")
+
+
 def test_enumerate_guard_refusal(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the search started")

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -181,15 +183,22 @@ def unwrapped_unchecked(tree):
 
 def test_only_filling_construction_skips_permutation_checks():
     # a Permutation built without its per-symbol checks is sound only
-    # once the bounded is_filling walk of FillingPermutation accepts it,
-    # so each Permutation._unchecked(...) must be the perm argument of a
-    # FillingPermutation(...) call, and no other code may skip __init__
+    # where its table is proved a bijection otherwise: once the bounded
+    # is_filling walk of FillingPermutation accepts it, or as an element
+    # of perms.closure, a product of checked generators.  So each
+    # Permutation._unchecked(...) must be the perm argument of a
+    # FillingPermutation(...) call or sit in closure, and no other code
+    # may skip __init__
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(trees) >= 10
-    unwrapped = {name: lines for name, tree in trees.items()
-                 if (lines := unwrapped_unchecked(tree))}
-    assert unwrapped == {}
+    unwrapped = set()
+    for name, tree in trees.items():
+        lines = set(unwrapped_unchecked(tree))
+        mention = lambda node: (isinstance(node, ast.Attribute)
+                                and node.attr == "_unchecked" and node.lineno in lines)
+        unwrapped.update((name, owner) for owner in enclosing_defs(tree, mention))
+    assert unwrapped == {("perms.py", "closure")}
     new = {(name, owner) for name, tree in trees.items()
            for owner in defs_mentioning(tree, "__new__")}
     assert new == {("perms.py", "_unchecked"), ("filling.py", "_trusted_conjugate")}
@@ -203,7 +212,7 @@ def test_only_filling_construction_skips_permutation_checks():
     users = {name for name, tree in trees.items()
              if "_unchecked" in {n.attr for n in ast.walk(tree)
                                  if isinstance(n, ast.Attribute)}}
-    assert users == {"cli.py", "diagram.py", "enumeration.py"}
+    assert users == {"cli.py", "diagram.py", "enumeration.py", "perms.py"}
 
 
 def test_only_cut_patterns_carry_a_polygon_table():
@@ -257,3 +266,23 @@ def test_one_relabelling_action():
              if isinstance(node, ast.ImportFrom) and node.module == "enumeration"
              for alias in node.names}
     assert taken == {"_least_members"}
+
+
+CACHES_AFTER_IMPORT = """
+import fillperm, fillperm.cli
+from fillperm import enumeration, filling
+caches = (filling.relabeling_group, enumeration._admitting, enumeration._symbol_choices)
+print(*(cache.cache_info().currsize for cache in caches))
+"""
+
+
+def test_importing_builds_no_search_table():
+    # the group, the admitting index and the choice table are built on
+    # first use, so a command that needs none pays for none, and no
+    # count moves its work into the import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fillperm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", CACHES_AFTER_IMPORT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "0"]

@@ -253,3 +253,24 @@ def test_closure_matches_the_map_composition():
         group = closure(gens)
         assert group == map_closure(gens)
         assert all(type(p) is Permutation and len(p.padded) == n + 1 for p in group)
+
+
+def test_the_unchecked_closure_equals_the_checked_one():
+    # closure builds its elements without the per-symbol checks
+    # (Permutation._unchecked): each must equal the checked Permutation
+    # of its images, and the group the one that checked compositions reach
+    for i in range(1, 9):
+        gens = relabeling_generators(i)
+        group = closure(gens)
+        assert group == [Permutation(list(p.images)) for p in group]
+        reached, frontier = set(gens), list(gens)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in gens:
+                    c = a.compose(b)
+                    if c not in reached:
+                        reached.add(c)
+                        nxt.append(c)
+            frontier = nxt
+        assert set(group) == reached and len(group) == 8 * i * i

@@ -11,9 +11,9 @@ drops every prefix on which iota o C already closes a shorter cycle.
 Every search keeps only the roots whose first level sets s(1) = 2, one
 (4g-2)-th of the whole: the twisting elements that fix 1 act regularly
 on the values of s(1) and carry that shard onto each of the others.
-Listing walks the shard with `perms.grow_cycles`, the same search that
-finds the crossing diagrams of `gluing.search_patterns`.  Counting and
-classifying walk it by an orderly search (McKay 1998): it decides s in
+Listing walks the shard with `perms.grow_cycles`.  Counting and
+classifying walk it by an orderly search (McKay 1998), the one that also
+finds the crossing diagrams of `gluing.search_patterns`: it decides s in
 symbol order and drops every prefix that a twisting conjugate already
 undercuts on the bytes decided, so it meets each class once, at its
 least member.
@@ -181,17 +181,17 @@ def _iter_solution_images(
     """Yield image arrays (as bytes, symbols 1..n) of filling permutations
     by a depth-first search over the square roots C of iota o tau.
 
-    The search is `perms.grow_cycles` with one cycle: level i takes one
-    choice of `_moves(ctx)[i]`, which interleaves the i-th odd
-    transposition with an unused even transposition and writes four arcs
-    of sigma = iota o C, and a prefix on which sigma closes a cycle
-    shorter than n is dropped with all of its extensions.  `prefix`
-    fixes level i to choice prefix[i]; the prefixes (k,) for
-    k < 2(2g-1), in order, list the same solutions as the whole search.
+    The search is `perms.grow_cycles`: level i takes one choice of
+    `_moves(ctx)[i]`, which interleaves the i-th odd transposition with
+    an unused even transposition and writes four arcs of sigma = iota o
+    C, and a prefix on which sigma closes a cycle shorter than n is
+    dropped with all of its extensions.  `prefix` fixes level i to
+    choice prefix[i]; the prefixes (k,) for k < 2(2g-1), in order, list
+    the same solutions as the whole search.
     """
     moves = _moves(ctx)
     rows = [row[k:k + 1] for row, k in zip(moves, prefix)] + list(moves[len(prefix):])
-    for sigma in grow_cycles(ctx.n, rows, 1):
+    for sigma in grow_cycles(ctx.n, rows):
         yield bytes(sigma[1:])
 
 
@@ -250,58 +250,19 @@ def _admitting(i: int, anchor: int, targets: tuple[int, ...]) -> tuple:
     admit, those that send anchor into targets: rows[a - 1][b] lists the
     t with t^-1(anchor) = a and t^-1(target) = b for a target, so s
     admits exactly those at rows[a - 1][s(a)].  Each t is listed as the
-    indices of t^-1(1) and t^-1(2) in an image array, the images of t^-1
-    and the translation table of t (`_relabeller`), then the padded
-    tables of t and of t^-1 that the orderly search reads.  No argument
-    has a default, so each index is one cache entry, built once per
-    process."""
+    images of t^-1 and the translation table of t (`_relabeller`), then
+    the padded tables of t and of t^-1 that the orderly search reads.
+    No argument has a default, so each index is one cache entry, built
+    once per process."""
     n = 4 * i
     cells: dict[tuple[int, int], list] = {}
     for t in relabeling_group(i)[1:]:
         inv, images, table = _relabeller(t)
-        entry = (inv[1] - 1, inv[2] - 1, images, table, t.padded, inv)
+        entry = (images, table, t.padded, inv)
         for target in set(targets):  # 2m + 1 = 3 at m = 1
             cells.setdefault((inv[anchor], inv[target]), []).append(entry)
     return tuple(tuple(tuple(cells.get((a, b), ())) for b in range(n + 1))
                  for a in range(1, n + 1))
-
-
-def _least_members(i: int, images: Iterable[bytes], anchor: int = 1,
-                   targets: tuple[int, ...] = (2,)) -> tuple[int, list[bytes]]:
-    """The number of images and, in stream order, those that no admitted
-    conjugate (`_admitting`) undercuts.
-
-    Each image sends anchor into targets, and the other such members of
-    its class under `relabeling_group(i)` are its admitted conjugates.
-    So a stream that holds each of them once keeps one image per class,
-    its least there: the canonical representative in the enumeration's
-    shard where s(1) = 2, the least leaf in the pattern search.  Only
-    the kept images are held."""
-    rows = _admitting(i, anchor, targets)
-    count, kept = 0, []
-    for count, img in enumerate(images, 1):
-        if _is_least(rows, img):
-            kept.append(img)
-    return count, kept
-
-
-def _is_least(rows, img: bytes) -> bool:
-    """Whether no admitted conjugate of img is smaller.  A conjugate is
-    built only when its first two bytes tie with img's."""
-    first, second = img[0], img[1]
-    own = _translation(img)
-    for row, b in zip(rows, img):
-        for j1, j2, inv, table, _, _ in row[b]:
-            lead = table[img[j1]]
-            if lead < first:
-                return False
-            if lead == first:
-                lead = table[img[j2]]
-                if lead < second:
-                    return False
-                if lead == second and inv.translate(own).translate(table) < img:
-                    return False
-    return True
 
 
 def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
@@ -309,7 +270,7 @@ def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
     first byte 2, by every element but the identity."""
     own = _translation(img)
     for row, b in zip(_admitting(i, 1, (2,)), img):
-        for _, _, inv, table, _, _ in row[b]:
+        for inv, table, _, _ in row[b]:
             yield inv.translate(own).translate(table)
 
 
@@ -328,82 +289,98 @@ _SPLIT_DEPTH = 3
 _POOL_GENUS = 5
 
 
-@lru_cache(maxsize=None)
-def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+def _choice_table(n: int, moves: Sequence[Sequence[tuple[int, tuple]]],
+                  owners: Sequence[int], partners: Sequence[int], rows: tuple,
+                  start: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """(choices, first): choices[x] lists the choices of the orderly
-    search at a node whose least open symbol is x, as (k, p, arcs,
-    joining), k being the choice's index.  Each interleaves x's
-    transposition of iota o tau with one of the other parity, p being
-    its lesser symbol, by the four arcs of sigma that the `_moves` choice
-    for the pair writes; a choice is open exactly when p is.  Its two
-    orientations are choices first[p] and first[p] + 1.  The choices at
-    the symbols of the i-th odd transposition are the row
-    `_moves(ctx)[i]`, in order.
+    search (`_orderly`) at a node whose least open symbol is x, as (k,
+    p, arcs, joining), k being the choice's index in the list.
+
+    moves[i] pairs owner i with each partner j in two orientations, as
+    (j, arcs) at 2j and 2j + 1: the four arcs a -> b of s that the
+    pairing writes, from owners[i], from partners[j] (of the other
+    parity) and from a greater symbol of each.  At owners[i] the choices
+    are moves[i] in order, at partners[j] the two orientations of
+    moves[i] for each i in turn; p is the other side's symbol, and a
+    choice is open exactly when p is.  The choices with p are first[p]
+    and first[p] + 1 in each list of the other side.
 
     joining lists the elements that the choice admits, those at
-    `_admitting` row a, column b for each of its arcs a -> b, as (t,
-    t^-1, 2): the padded tables of t and of t^-1 and the first position
-    not yet known to tie (`_orderly`)."""
-    base = base_involution(ctx)
-    moves = _moves(ctx)
-    rows = _admitting(ctx.i_min, 1, (2,))
+    `_admitting` row a, column b (rows) for each of its arcs a -> b, as
+    (t, t^-1, start): the padded tables of t and of t^-1 and the first
+    position not yet known to tie."""
 
     def choice(k, p, arcs):
-        return k, p, arcs, tuple((t, inv, 2) for a, b in arcs
-                                 for _, _, _, _, t, inv in rows[a - 1][b])
+        return k, p, arcs, tuple((t, inv, start) for a, b in arcs
+                                 for _, _, t, inv in rows[a - 1][b])
 
-    choices: list[tuple] = [()] * (ctx.n + 1)
-    first = [0] * (ctx.n + 1)
-    for i, (row, (a, b)) in enumerate(zip(moves, base.odd)):
-        choices[a] = choices[b] = tuple(
-            choice(k, base.even[j][0], arcs) for k, (j, arcs) in enumerate(row))
-        first[a] = 2 * i
-    for j, (c, d) in enumerate(base.even):
-        choices[c] = choices[d] = tuple(
-            choice(2 * i + k, a, row[2 * j + k][1])
-            for i, (row, (a, _)) in enumerate(zip(moves, base.odd)) for k in (0, 1))
-        first[c] = 2 * j
+    choices: list[tuple] = [()] * (n + 1)
+    first = [0] * (n + 1)
+    for i, (row, x) in enumerate(zip(moves, owners)):
+        choices[x] = tuple(choice(k, partners[j], arcs) for k, (j, arcs) in enumerate(row))
+        first[x] = 2 * i
+    for j, x in enumerate(partners):
+        choices[x] = tuple(choice(2 * i + k, owner, row[2 * j + k][1])
+                           for i, (row, owner) in enumerate(zip(moves, owners))
+                           for k in (0, 1))
+        first[x] = 2 * j
     return tuple(choices), tuple(first)
 
 
-def _orderly(ctx: GenusContext, prefix: Sequence[int],
-             stop: int) -> Iterator[tuple[list[int], list[int], list[tuple]]]:
-    """Yield (path, table, tied) at every node of the shard's orderly
-    search that survives at depth min(stop, 2g-1), the leaves at 2g-1:
-    path lists its choices of `_symbol_choices`, table its sigma, padded
-    at 0 and at n + 1, and tied the admitted elements still tied with it.
-    Path and table are live and change when the search resumes.
+@lru_cache(maxsize=None)
+def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The choice table (`_choice_table`) of the filling pairs: `_moves`
+    pairs the odd transpositions of iota o tau with the even ones, each
+    named by its lesser symbol, so the choices at the symbols of the
+    i-th odd transposition are the row `_moves(ctx)[i]`.  An element
+    joins when the choice writes s(t^-1(1)) = t^-1(2), and the tie
+    starts at position 2: s(1) = 2 at every node of the shard."""
+    base = base_involution(ctx)
+    return _choice_table(ctx.n, _moves(ctx), [a for a, _ in base.odd],
+                         [c for c, _ in base.even], _admitting(ctx.i_min, 1, (2,)), 2)
 
-    Each level takes the least symbol x whose s(x) is still open and
-    interleaves its transposition with an unused one of the other
-    parity, so every root is reached once.  `prefix` fixes level k to
-    its choice prefix[k], and its first entry must set s(1) = 2
-    (`_least_shard`).  As in `perms.grow_cycles`, a prefix on which
-    sigma closes a cycle shorter than n is dropped: the unclosed arcs
-    form paths, each end of which knows the other as far[end], and each
-    choice merges the paths on a copy of its level's far ends.  At the
-    last level one transposition of each parity is open, so two choices
-    are, and no copy is made: the four arcs close one n-cycle exactly
-    when the path ends they leave, each sent to the far end of the path
-    its arc enters, form one 4-cycle.
 
-    Each node also carries the elements t that s admits (`_admitting`:
-    t o s o t^-1 has first byte 2) and that still tie with it, as (t,
-    t^-1, y): the padded tables of t and of t^-1 (`_relabeller`) and
-    the position y before which t o s o t^-1 ties with s.  t joins when
-    a choice writes s(t^-1(1)) (`_symbol_choices`).  Position y decides
-    once both s(y) and s(t^-1(y)) are written: a smaller t(s(t^-1(y)))
-    drops the node with every extension, a larger one drops t.
-    table[n + 1] is 0, so the stabiliser's elements stay tied at
-    y = n + 1.
+def _orderly(choices: Sequence[tuple], first: Sequence[int], cycles: int,
+             prefix: Sequence[int], stop: int
+             ) -> Iterator[tuple[list[int], list[int], list[tuple]]]:
+    """Yield (path, table, tied) at every node of the orderly search over
+    a choice table (`_choice_table`) of n symbols that survives at depth
+    min(stop, n / 4), the leaves at n / 4: path lists its choices, table
+    its s, padded at 0 and at n + 1, and tied the admitted elements
+    still tied with it.  Path and table are live and change when the
+    search resumes.
 
-    So every leaf is the least member of its class, and its tied
-    elements are its stabiliser's but the identity: at a leaf every
-    admitted element has joined and been compared to the end."""
-    n = ctx.n
-    last = ctx.i_min - 1
-    stop = min(stop, ctx.i_min)
-    choices, first = _symbol_choices(ctx)
+    Each level takes the least symbol x whose s(x) is still open and a
+    choice of choices[x] whose other side is open, so every table is
+    reached once.  `prefix` fixes level k to its choice prefix[k].  A
+    prefix is dropped once s closes a 2-cycle, or its `cycles`-th cycle
+    with arcs left.  As in `perms.grow_cycles`, the unclosed arcs form
+    paths, each end of which knows the other as far[end]; here each
+    choice merges the paths on a copy of its level's far ends, whose
+    entry 0, no symbol, counts the cycles closed.  A leaf has closed
+    exactly `cycles`.  At the last level one owner and one partner are
+    open, so two choices are.  With one cycle no copy is made there: the
+    four arcs close one n-cycle exactly when the path ends they leave,
+    each sent to the far end of the path its arc enters, form one
+    4-cycle.
+
+    Each node also carries the elements t that s admits (`_admitting`)
+    and that still tie with it, as (t, t^-1, y): the padded tables of t
+    and of t^-1 (`_relabeller`) and the position y before which t o s o
+    t^-1 ties with s.  t joins when a choice writes the arc that admits
+    it, with y where the table says.  Position y decides once both s(y)
+    and s(t^-1(y)) are written: a smaller t(s(t^-1(y))) drops the node
+    with every extension, a larger one drops t.  table[n + 1] is 0, so
+    the stabiliser's elements stay tied at y = n + 1.
+
+    So every leaf is the least member of its class among the tables it
+    admits, and its tied elements are its stabiliser's but the identity:
+    at a leaf every admitted element has joined and been compared to the
+    end."""
+    n = len(choices) - 1
+    last = n // 4 - 1
+    stop = min(stop, last + 1)
+    many = cycles > 1
     table = [0] * (n + 2)
     path: list[int] = []
 
@@ -412,7 +389,7 @@ def _orderly(ctx: GenusContext, prefix: Sequence[int],
             return (choices[x][prefix[depth]],)
         if depth < last:
             return choices[x]
-        # the open transposition of the other parity, by its lesser symbol
+        # the open symbol of the other side, the least open of its parity
         p = x + 1
         while table[p]:
             p += 2
@@ -431,17 +408,23 @@ def _orderly(ctx: GenusContext, prefix: Sequence[int],
         for k, p, arcs, joining in todo:
             if table[p]:
                 continue
-            if depth < last:
+            if depth < last or many:
                 far = ends[:]
                 for a, b in arcs:
                     table[a] = b
                     s = far[a]
-                    if b == s:
-                        break
+                    if b == s:  # a cycle closed: with one wanted, too early
+                        if not many or table[b] == a:
+                            break
+                        far[0] += 1
+                        if far[0] == cycles and depth < last:
+                            break
+                        s = 0
+                        continue
                     e = far[b]
                     far[s] = e
                     far[e] = s
-                if b == s:  # the loop broke: a cycle shorter than n closed
+                if b == s:  # the loop broke
                     for a, _ in arcs:
                         table[a] = 0
                     continue
@@ -486,7 +469,8 @@ def _orderly(ctx: GenusContext, prefix: Sequence[int],
                     depth += 1
                     levels[depth] = iter(options(depth, y)), left, y, far
                     break
-                yield path, table, left
+                if depth < last or not many or far[0] == cycles:
+                    yield path, table, left
                 path.pop()
             for a, _ in arcs:
                 table[a] = 0
@@ -574,7 +558,7 @@ def _classify(args) -> tuple[int, int, list[tuple[bytes, int]]]:
     order = len(relabeling_group(ctx.i_min))
     count = classes = 0
     kept = []
-    for _, table, tied in _orderly(ctx, prefix, ctx.i_min):
+    for _, table, tied in _orderly(*_symbol_choices(ctx), 1, prefix, ctx.i_min):
         fixed = 1 + len(tied)
         count += order // fixed
         classes += 1
@@ -592,17 +576,18 @@ def _count_and_classify(
 
     The orderly search (`_orderly`) of the one shard where s(1) = 2
     meets each class once, at its least member, which has s(1) = 2
-    (`_check_regular_on_evens`).  Its surviving prefixes of
-    `_SPLIT_DEPTH` levels are the tasks.  From genus `_POOL_GENUS` on,
-    with jobs > 1, they run in a pool of at most one worker each; below
-    it, or with one task, they run in this process whatever jobs is.
+    (`_check_regular_on_evens`), and every member of the shard admits
+    the others.  Its surviving prefixes of `_SPLIT_DEPTH` levels are the
+    tasks.  From genus `_POOL_GENUS` on, with jobs > 1, they run in a
+    pool of at most one worker each; below it, or with one task, they
+    run in this process whatever jobs is.
     The parts are merged in task order and the representatives sorted,
     so the result does not depend on jobs.  Without keep a task returns
     counts only, so nothing grows with the number of classes."""
     check_guard(ctx.g, force)
-    shard = (_least_shard(ctx),)
-    _admitting(ctx.i_min, 1, (2,))  # built once, before a pool forks
-    tasks = [(ctx, tuple(path), keep) for path, _, _ in _orderly(ctx, shard, _SPLIT_DEPTH)]
+    # the table is built here once, before a pool forks
+    shard = _orderly(*_symbol_choices(ctx), 1, (_least_shard(ctx),), _SPLIT_DEPTH)
+    tasks = [(ctx, tuple(path), keep) for path, _, _ in shard]
     workers = min(max(1, jobs), len(tasks)) if ctx.g >= _POOL_GENUS else 1
     if workers <= 1:
         parts = list(map(_classify, tasks))
@@ -627,9 +612,11 @@ def classify_solutions(
     ctx: GenusContext, solutions: Sequence[FillingPermutation]
 ) -> list[FillingPermutation]:
     """Class representatives of an already-enumerated solution list: its
-    members with s(1) = 2 that pass the class test, sorted."""
+    members with s(1) = 2 that no admitted conjugate undercuts, as in
+    `canonical_class_rep`, sorted."""
     images = (bytes(fp.perm.images) for fp in solutions)
-    _, reps = _least_members(ctx.i_min, (img for img in images if img[0] == 2))
+    reps = [img for img in images
+            if img[0] == 2 and min(img, *_admitted_conjugates(ctx.i_min, img)) == img]
     return [FillingPermutation(ctx, Permutation._unchecked((0, *img))) for img in sorted(reps)]
 
 

@@ -48,9 +48,9 @@ from operator import eq, itemgetter
 from typing import Sequence
 
 from .diagram import PairDiagram, crossing_steps
-from .enumeration import _least_members
+from .enumeration import _admitting, _choice_table, _orderly
 from .filling import FillingPermutation, arc_tables, corner_orbits, signed_ids
-from .perms import grow_cycles, table_orbits
+from .perms import table_orbits
 
 
 @dataclass(frozen=True)
@@ -283,38 +283,54 @@ def _cut(m: int, succ: Sequence[int]) -> GluingPattern:
 
 @lru_cache(maxsize=None)
 def _crossing_rows(m: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-    """The choices of the m-crossing diagram search, one row per beta arc.
+    """The crossings of an m-crossing diagram, one row per beta arc.
 
     Choice (p - 1, steps) of row j - 1 ends beta arc j at point p with
     one sign and holds the four `crossing_steps` of that crossing, the
-    sign -1 first; beta arc 1 ends at point 1.
+    sign -1 first.  They write the steps from alpha arc p (2p - 1), from
+    beta arc j (2j) and from the inverses of alpha arc p + 1 and beta
+    arc j + 1, so the rows pair the beta arcs with the alpha arcs as
+    `enumeration._moves` pairs the odd transpositions with the even.
     """
-    return tuple(
-        tuple((p - 1, crossing_steps(m, j, p, sign))
-              for p in (range(1, m + 1) if j > 1 else (1,)) for sign in (-1, 1))
-        for j in range(1, m + 1))
+    return tuple(tuple((p - 1, crossing_steps(m, j, p, sign))
+                       for p in range(1, m + 1) for sign in (-1, 1))
+                 for j in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def _crossing_choices(m: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The choice table (`_choice_table`) of the m-crossing diagrams:
+    `_crossing_rows` pairs beta arc j, symbol 2j, with alpha arc p,
+    symbol 2p - 1.  An element joins when the choice writes the step
+    from t^-1(2) to t^-1(3) or t^-1(2m + 1), so that beta arc 1 of the
+    relabelled diagram ends at point 1, and the tie starts at position
+    1."""
+    return _choice_table(4 * m, _crossing_rows(m), range(2, 2 * m + 1, 2),
+                         range(1, 2 * m, 2), _admitting(m, 2, (3, 2 * m + 1)), 1)
 
 
 @lru_cache(maxsize=None)
 def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
     """One pattern per pattern class at one size.
 
-    The diagrams come from `perms.grow_cycles` over `_crossing_rows`,
-    the pruned depth-first search that also enumerates filling
-    permutations, as face-successor tables with want_faces faces and no
-    bigon.  In every leaf beta arc 1 ends at point 1, so its entry 2 is
-    3 or 2m + 1.  Relabelling a pattern conjugates its table, so the
-    enumeration's class test `_least_members`, with the leaves among the
-    conjugates admitted, keeps each class's least leaf and no other.  It
-    is cut by `_cut`, so the pattern carries its polygon table, and the
-    patterns come in the order of their tables."""
+    The diagrams are face-successor tables with want_faces faces and no
+    bigon, found by the orderly search (`enumeration._orderly`) over
+    `_crossing_choices`, the search that counts the filling pairs.  Its
+    first level writes the step from alpha arc 1 and is fixed to the two
+    signs of beta arc 1 ending at point 1, so entry 2 of every leaf is 3
+    or 2m + 1.  Relabelling a pattern conjugates its table, and the
+    search admits exactly the conjugates that are leaves, so it yields
+    each class's least leaf and no other.  Each is cut by `_cut`, so the
+    pattern carries its polygon table, and the patterns come in the
+    order of their tables."""
     m = intersections
     want_faces = intersections - 2 * genus + 2
     if want_faces < 1:
         return ()
-    leaves = grow_cycles(4 * m, _crossing_rows(m), want_faces)
-    _, kept = _least_members(m, (bytes(nxt[1:]) for nxt in leaves), 2, (3, 2 * m + 1))
-    return tuple(_cut(m, b"\0" + table) for table in sorted(kept))
+    choices, first = _crossing_choices(m)
+    leaves = sorted(bytes(table[1:-1]) for k in (0, 1)
+                    for _, table, _ in _orderly(choices, first, want_faces, (k,), m))
+    return tuple(_cut(m, b"\0" + table) for table in leaves)
 
 
 def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPattern]:
@@ -323,18 +339,22 @@ def search_patterns(genus: int, intersections: int, limit: int) -> list[GluingPa
     Searches crossing diagrams (second-curve visit orders anchored at
     the first crossing, with a sign at each crossing) depth first, one
     crossing at a time, for those whose face count matches the genus;
-    a prefix that closes a bigon or too many faces is dropped at once.
-    The search is `perms.grow_cycles`, as in the filling-permutation
-    enumeration.
-    One pattern is kept per class under arc relabelling: the one cut
-    from the class's least successor table among the diagrams found,
-    and the patterns come in the order of those tables.  Cached per
-    size.
+    a prefix that closes a bigon or too many faces is dropped at once,
+    and so is one that a relabelling of its crossings already
+    undercuts.  The search is the orderly search of the
+    filling-permutation count (`_search_all`).  One pattern is kept per
+    class under arc relabelling: the one cut from the class's least
+    successor table among the diagrams found, and the patterns come in
+    the order of those tables.  Cached per size.
 
     Patterns with a bigon face are rejected: a two-sided complementary
     region certifies the curves are not in minimal position, so the
     declared crossing count would not be the geometric intersection
     number.
+
+    Sizes with 4 * intersections > 28 are refused.  The search itself
+    runs past that bound: `_search_all` takes about 0.23 s at (4, 8) and
+    0.8 s at (5, 9), where it finds N(5) = 25,908.
     """
     if genus < 1 or intersections < 1 or limit < 0:
         raise ValueError("limit must be non-negative, genus and intersections positive")

@@ -339,25 +339,20 @@ def table_orbits(
 
 
 def grow_cycles(
-    n: int, rows: Sequence[Sequence[tuple[int, Sequence[tuple[int, int]]]]],
-    cycles: int,
+    n: int, rows: Sequence[Sequence[tuple[int, Sequence[tuple[int, int]]]]]
 ) -> Iterator[list[int]]:
-    """Permutation tables on {1..n} with exactly `cycles` cycles and no
-    2-cycle, grown depth first a few arcs at a time.
+    """Permutation tables on {1..n} that are one n-cycle, grown depth
+    first a few arcs at a time.
 
     Level i takes a choice (key, arcs) of rows[i] whose key, one of
     0..len(rows)-1, no earlier level took, and writes its arcs x -> y
-    into the table.  No row may write an arc x -> x.  The unclosed arcs
-    form disjoint paths; each path end x knows only its far end far[x],
-    with an undo trail.  x -> y closes a cycle exactly when y is far[x];
-    every arc merges two paths or closes one, so len(trail) + closed
-    arcs are written.  The closing path has an arc, as x != y, so y's
-    own arc is written and current; it points back to x only when it is
-    the whole path.  So the cycle closed is a 2-cycle exactly when
-    table[y] == x.  A prefix is dropped as soon as a 2-cycle closes or
-    `cycles` cycles have closed with arcs left, which would close one
-    more.  The table, padded at index 0, is yielded live in choice
-    order and changes when the search resumes.
+    into the table.  The unclosed arcs form disjoint paths; each path end
+    x knows only its far end far[x], with an undo trail.  x -> y closes
+    a cycle exactly when y is far[x]; every arc merges two paths or
+    closes one, so a cycle that closes while the trail holds fewer than
+    n - 1 merges is shorter than n, and the prefix is dropped.  The
+    table, padded at index 0, is yielded live in choice order and
+    changes when the search resumes.
     """
     depth = len(rows)
     table = [0] * (n + 1)
@@ -366,7 +361,6 @@ def grow_cycles(
     # path merges to undo, as (s, x, e, y): s and e regain their old far
     # ends x and y
     trail: list[tuple[int, int, int, int]] = []
-    closed = 0
 
     def retract(mark: int) -> None:
         while len(trail) > mark:
@@ -375,22 +369,21 @@ def grow_cycles(
             far[e] = y
 
     # per level: the choices left, and the key taken with the trail
-    # length and closed count before its arcs
+    # length before its arcs
     levels = [iter(())] * depth
     levels[0] = iter(rows[0])
-    marks = [(0, 0, 0)] * depth
+    marks = [(0, 0)] * depth
     i = 0
     while True:
         for key, arcs in levels[i]:
             if used[key]:
                 continue
-            mark, before = len(trail), closed
+            mark = len(trail)
             for x, y in arcs:
                 table[x] = y
                 s = far[x]
                 if y == s:
-                    closed += 1
-                    if table[y] == x or (closed == cycles and len(trail) + closed < n):
+                    if len(trail) + 1 < n:
                         break
                     continue
                 e = far[y]
@@ -399,20 +392,18 @@ def grow_cycles(
                 far[e] = s
             else:
                 if i + 1 == depth:
-                    if closed == cycles:
-                        yield table
+                    yield table
                 else:
                     used[key] = True
-                    marks[i] = key, mark, before
+                    marks[i] = key, mark
                     i += 1
                     levels[i] = iter(rows[i])
                     break
             retract(mark)
-            closed = before
         else:
             i -= 1
             if i < 0:
                 return
-            key, mark, closed = marks[i]
+            key, mark = marks[i]
             used[key] = False
             retract(mark)

@@ -260,12 +260,18 @@ def test_one_relabelling_action():
     mentions = {name for name, tree in trees.items()
                 if "relabeling_group" in set(referenced_names(tree))}
     assert mentions == {"filling.py", "enumeration.py"}
-    # the pattern search takes its class test from the enumeration, by
-    # the one helper's name
+    # the pattern search takes its class test from the enumeration: the
+    # one orderly search, its choice table and the admitting index
     taken = {alias.name for node in ast.walk(trees["gluing.py"])
              if isinstance(node, ast.ImportFrom) and node.module == "enumeration"
              for alias in node.names}
-    assert taken == {"_least_members"}
+    assert taken == {"_admitting", "_choice_table", "_orderly"}
+    # and no leaf test is left beside it: the streaming least-member
+    # test lives on in the tests only, as an oracle
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_orderly" in defined
+    assert not defined & {"_least_members", "_is_least"}
 
 
 CACHES_AFTER_IMPORT = """

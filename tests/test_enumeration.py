@@ -19,11 +19,11 @@ from fillperm.enumeration import (
     _check_regular_on_evens,
     _count_and_classify,
     _iter_solution_images,
-    _least_members,
     _least_shard,
     _orderly,
     _relabeller,
     _roots,
+    _symbol_choices,
     base_involution,
     bounds_report,
     canonical_class_rep,
@@ -324,6 +324,46 @@ def test_first_level_shards_are_equal(g):
     assert shard == [img for img in total if img[0] == 2]
 
 
+# The streaming least-member test: an oracle of the orderly search, of
+# its leaves in the shard and, with anchor 2 and targets (3, 2m + 1), of
+# the pattern search's, and of `classify_solutions`.
+def _least_members(i, images, anchor=1, targets=(2,)):
+    """The number of images and, in stream order, those that no admitted
+    conjugate (`_admitting`) undercuts.
+
+    Each image sends anchor into targets, and the other such members of
+    its class under `relabeling_group(i)` are its admitted conjugates.
+    So a stream that holds each of them once keeps one image per class,
+    its least there: the canonical representative in the enumeration's
+    shard where s(1) = 2, the least leaf in the pattern search.  Only
+    the kept images are held."""
+    rows = enumeration._admitting(i, anchor, targets)
+    count, kept = 0, []
+    for count, img in enumerate(images, 1):
+        if _is_least(rows, img):
+            kept.append(img)
+    return count, kept
+
+
+def _is_least(rows, img):
+    """Whether no admitted conjugate of img is smaller.  A conjugate is
+    built only when its first two bytes tie with img's."""
+    first, second = img[0], img[1]
+    own = enumeration._translation(img)
+    for row, b in zip(rows, img):
+        for inv, table, _, tinv in row[b]:
+            lead = table[img[tinv[1] - 1]]
+            if lead < first:
+                return False
+            if lead == first:
+                lead = table[img[tinv[2] - 1]]
+                if lead < second:
+                    return False
+                if lead == second and inv.translate(own).translate(table) < img:
+                    return False
+    return True
+
+
 def full_sweep_class_minima(ctx, images):
     """The class sweep as it was before the first-byte filter: every
     conjugate t o s o t^-1 of every representative s is built, from
@@ -403,9 +443,9 @@ def orderly_leaves(monkeypatch) -> list[bytes]:
     leaves = []
     orderly = enumeration._orderly
 
-    def counted(ctx, prefix, stop):
-        for node in orderly(ctx, prefix, stop):
-            if stop >= ctx.i_min:
+    def counted(choices, first, cycles, prefix, stop):
+        for node in orderly(choices, first, cycles, prefix, stop):
+            if 4 * stop >= len(choices) - 1:
                 leaves.append(bytes(node[1][1:-1]))
             yield node
 
@@ -537,7 +577,8 @@ def test_least_shard_splits_at_a_fixed_depth(pool_sizes, monkeypatch):
         assert _count_and_classify(ctx, jobs=5000) == _count_and_classify(ctx)
     assert pool_sizes == [7, 24]
     ctx = GenusContext(5)
-    assert sum(1 for _ in _orderly(ctx, (_least_shard(ctx),), _SPLIT_DEPTH)) == 51
+    shard = _orderly(*_symbol_choices(ctx), 1, (_least_shard(ctx),), _SPLIT_DEPTH)
+    assert sum(1 for _ in shard) == 51
 
 
 def test_genus_5_class_count(g5_class_reps):
@@ -718,9 +759,9 @@ def test_each_leaf_is_least_and_its_ties_are_its_stabiliser(g, orders):
     ctx = GenusContext(g)
     rows = enumeration._admitting(ctx.i_min, 1, (2,))
     reported = Counter()
-    for _, table, tied in _orderly(ctx, (_least_shard(ctx),), ctx.i_min):
+    for _, table, tied in _orderly(*_symbol_choices(ctx), 1, (_least_shard(ctx),), ctx.i_min):
         img = bytes(table[1:-1])
-        assert enumeration._is_least(rows, img)
+        assert _is_least(rows, img)
         fixed = 1 + sum(conj == img for conj in _admitted_conjugates(ctx.i_min, img))
         assert fixed == 1 + len(tied)
         reported[fixed] += 1

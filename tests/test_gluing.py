@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fillperm import gluing
+from fillperm import enumeration, gluing
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.enumeration import (
     _count_and_classify,
-    _is_least,
     _moves,
+    _orderly,
     count_classes,
     enumerate_filling,
 )
@@ -23,6 +23,7 @@ from fillperm.filling import relabeling_group, signed_ids, twisting_closure
 from fillperm.gluing import (
     GluingPattern,
     _check,
+    _crossing_choices,
     _crossing_rows,
     _search_all,
     euler_genus,
@@ -35,7 +36,7 @@ from fillperm.gluing import (
 )
 from fillperm.perms import Permutation, grow_cycles, table_orbits
 from fillperm.zpiece import LSequence, build_from_sequence, splice
-from test_enumeration import orderly_leaves
+from test_enumeration import _least_members, orderly_leaves
 
 TORUS_SQUARE = GluingPattern.make(1, [[1, 2, -1, -2]])
 SEARCH_SIZES = [(1, 1), (2, 4), (2, 6), (3, 5), (3, 6)]
@@ -309,6 +310,32 @@ def test_search_reproduces_the_genus_4_class_count():
         assert euler_genus(pat) == 4
 
 
+@pytest.mark.parametrize("g, i, classes", [(4, 8, 4_549), (5, 9, 25_908)])
+def test_search_runs_past_the_bound_of_search_patterns(g, i, classes, monkeypatch):
+    # search_patterns refuses 4 * intersections > 28, but the search
+    # itself runs there in about 0.2 s and 0.8 s; at (5, 9) it counts
+    # N(5) by crossing diagrams, with none of the enumeration's choice
+    # tables.  The orderly search yields no leaf but the classes' least,
+    # of the 1,845,504 anchored one-face diagrams at nine crossings.
+    leaves = Counter()
+    search = gluing._orderly
+
+    def counted(choices, first, cycles, prefix, stop):
+        for node in search(choices, first, cycles, prefix, stop):
+            leaves[prefix] += 1
+            yield node
+
+    monkeypatch.setattr(gluing, "_orderly", counted)
+    res = _search_all.__wrapped__(g, i)
+    assert len(res) == sum(leaves.values()) == classes
+    assert set(leaves) <= {(0,), (1,)}
+    for pat in res[::97]:
+        assert validate(pat).ok
+        assert euler_genus(pat) == g
+    if (g, i) == (5, 9):
+        assert classes == count_classes(GenusContext(5))
+
+
 # t1 counts over the patterns of each size: {t1: number of patterns}
 T1_TABLE = {
     (1, 1): {2: 1},
@@ -413,13 +440,36 @@ def reference_leaves(m, want_faces):
             yield d.beta_seq, d.signs
 
 
+def reference_tables(m, want_faces):
+    """The successor tables of `reference_leaves`, padded at 0."""
+    return [PairDiagram(m, beta_seq, signs)._next_arc()
+            for beta_seq, signs in reference_leaves(m, want_faces)]
+
+
+def least_reference_tables(m, want_faces):
+    """The tables of `reference_tables` that the streaming least-member
+    test keeps, sorted: one per class, its least."""
+    images = (bytes(nxt[1:]) for nxt in reference_tables(m, want_faces))
+    _, kept = _least_members(m, images, 2, (3, 2 * m + 1))
+    return [[0, *img] for img in sorted(kept)]
+
+
+def orderly_tables(m, want_faces):
+    """The leaf tables of the orderly search over `_crossing_choices`,
+    padded at 0, sorted: first beta arc 1 ends at point 1 with sign -1,
+    then with +1, as `_search_all` runs it."""
+    choices, first = _crossing_choices(m)
+    return sorted([*nxt[:-1]] for k in (0, 1)
+                  for _, nxt, _ in _orderly(choices, first, want_faces, (k,), m))
+
+
 def search_leaves(m, want_faces):
     """(beta_seq, signs, successor table) of each diagram that
-    `_search_all` gets from `grow_cycles`, read off the table: alpha arc
-    p steps to 2j + 2m at a +1 point and to 2(j mod m) + 2 at a -1
-    point, where p is the end of beta arc j."""
+    `_search_all` gets from the orderly search, read off the table:
+    alpha arc p steps to 2j + 2m at a +1 point and to 2(j mod m) + 2 at
+    a -1 point, where p is the end of beta arc j."""
     half = 2 * m
-    for nxt in grow_cycles(4 * m, _crossing_rows(m), want_faces):
+    for nxt in orderly_tables(m, want_faces):
         beta_seq = [0] * m
         signs = []
         for p in range(1, m + 1):
@@ -433,75 +483,91 @@ def search_leaves(m, want_faces):
 @pytest.mark.parametrize("m, cycles", [
     (m, c) for m in range(1, 6) for c in range(1, m + 3)])
 def test_grow_cycles_yields_each_diagram_with_that_face_count(m, cycles):
-    """Every anchored diagram with `cycles` faces and no bigon, once,
-    also at face counts that no searched genus asks for: the sphere's
-    m + 2 and counts of the wrong parity, whose answer is empty."""
-    tables = [tuple(nxt) for nxt in grow_cycles(4 * m, _crossing_rows(m), cycles)]
-    assert len(tables) == len(set(tables))
-    assert set(tables) == {tuple(PairDiagram(m, beta_seq, signs)._next_arc())
-                           for beta_seq, signs in reference_leaves(m, cycles)}
+    """At every face count, also those that no searched genus asks for
+    (the sphere's m + 2 and counts of the wrong parity, whose answer is
+    empty), the orderly search over the crossings yields, once each, the
+    anchored diagrams with `cycles` faces and no bigon that the
+    streaming least-member test keeps.  With one face `grow_cycles`
+    over the anchored rows yields every such diagram once."""
+    tables = orderly_tables(m, cycles)
+    assert tables == least_reference_tables(m, cycles)
     if (cycles - m) % 2 or (m, cycles) == (3, 1):  # genus 2 has no minimal pair
         assert tables == []
+    if cycles == 1:
+        rows = _crossing_rows(m)
+        listed = [tuple(nxt) for nxt in grow_cycles(4 * m, (rows[0][:2], *rows[1:]))]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(map(tuple, reference_tables(m, 1)))
 
 
-def test_both_searches_run_through_grow_cycles(monkeypatch):
+def test_both_class_searches_run_through_the_orderly_search(monkeypatch):
     calls = Counter()
+    listed = Counter()
+    orderly = enumeration._orderly
+    listing = enumeration.grow_cycles
 
-    def counting(n, rows, cycles):
-        calls[n, cycles] += 1
-        return grow_cycles(n, rows, cycles)
+    def counting(choices, first, cycles, prefix, stop):
+        calls[len(choices) - 1, cycles] += 1
+        return orderly(choices, first, cycles, prefix, stop)
 
-    monkeypatch.setattr("fillperm.enumeration.grow_cycles", counting)
-    monkeypatch.setattr("fillperm.gluing.grow_cycles", counting)
-    assert len(enumerate_filling(GenusContext(3))) == 600
-    assert calls[20, 1] == 1  # one search of the shard where s(1) = 2
+    def counting_lists(n, rows):
+        listed[n] += 1
+        return listing(n, rows)
+
+    monkeypatch.setattr("fillperm.enumeration._orderly", counting)
+    monkeypatch.setattr("fillperm.gluing._orderly", counting)
+    monkeypatch.setattr("fillperm.enumeration.grow_cycles", counting_lists)
+    assert count_classes(GenusContext(3)) == 5
+    assert calls == {(20, 1): 1 + 7}  # the split of the shard, then its 7 tasks
     assert len(_search_all.__wrapped__(3, 6)) == 49
-    assert calls[24, 2] == 1
+    assert calls[24, 2] == 2  # beta arc 1 ends at point 1 with either sign
+    assert not listed
+    assert len(enumerate_filling(GenusContext(3))) == 600
+    assert listed == {20: 1}  # one listing of the shard where s(1) = 2
+    assert sum(calls.values()) == 10  # and no orderly search
 
 
 def test_no_search_row_writes_an_arc_within_one_parity():
     """Every arc that a row of either search writes changes parity, so
-    no row writes a fixed point x -> x: `grow_cycles` needs that to read
-    a closed 2-cycle off its table."""
+    no row writes a fixed point x -> x: `_orderly` needs that to read a
+    closed 2-cycle off its table."""
     searches = [*(_moves(GenusContext(g)) for g in range(1, 7)),
                 *(_crossing_rows(m) for m in range(1, 10))]
     arcs = [arc for rows in searches for row in rows
             for _, choice in row for arc in choice]
-    assert len(arcs) == 4_280
+    assert len(arcs) == 4_568  # 8i^2 per size, i = 1, 3, ..., 11 and 1..9
     assert all((x ^ y) & 1 for x, y in arcs)
 
 
 def test_both_searches_share_one_class_test(monkeypatch):
-    # both searches test classes against one index of admitted
-    # conjugates (`_admitting`): the orderly enumeration prunes by it
-    # and reaches only the 5 least members of the genus-3 shard, with no
-    # leaf test after, and the pattern search streams every leaf through
-    # `_least_members`, which each table passes at most once
-    seen = Counter()
-    kept = Counter()
-
-    def counting(rows, img):
-        least = _is_least(rows, img)
-        seen[len(rows)] += 1
-        kept[len(rows)] += least
-        return least
-
-    monkeypatch.setattr("fillperm.enumeration._is_least", counting)
+    # both searches prune by an index of admitted conjugates
+    # (`_admitting`) in the one orderly search, with no leaf test after:
+    # it reaches only the 5 least members of the genus-3 shard, and only
+    # the 49 least of the 2-face diagrams at six crossings, the tables
+    # that the streaming least-member test keeps
     orderly = orderly_leaves(monkeypatch)
     assert _count_and_classify(GenusContext(3))[:2] == (600, 5)
     assert len(orderly) == len(set(orderly)) == 5
+    leaves = []
+    search = gluing._orderly
+
+    def counted(choices, first, cycles, prefix, stop):
+        for node in search(choices, first, cycles, prefix, stop):
+            leaves.append(node[1][:-1])
+            yield node
+
+    monkeypatch.setattr(gluing, "_orderly", counted)
     assert len(_search_all.__wrapped__(3, 6)) == 49
-    leaves = sum(1 for _ in grow_cycles(24, _crossing_rows(6), 2))
-    assert seen == {24: leaves}
-    assert kept == {24: 49}
+    assert sorted(leaves) == least_reference_tables(6, 2)
     ctx = GenusContext(3)
     assert twisting_closure(ctx) is relabeling_group(ctx.i_min)
 
 
 def test_pattern_sweep_keeps_no_orbit():
-    # the first run builds the caches of the size; the sweep then holds
-    # the leaf tables, about 0.25 MiB, while a set of the normalized
-    # relabelled forms of every class found takes about 2 MiB
+    # the first run builds the caches of the size; the search then holds
+    # the 49 least leaf tables and the patterns, about 26 KiB, while a
+    # set of the normalized relabelled forms of every class found takes
+    # about 2 MiB
     _search_all.__wrapped__(3, 6)
     tracemalloc.start()
     try:
@@ -514,10 +580,13 @@ def test_pattern_sweep_keeps_no_orbit():
 
 @pytest.mark.parametrize("g, i", SEARCH_SIZES)
 def test_pruned_search_keeps_every_leaf(g, i):
+    # the least leaf of every class, cut into the search's patterns
     want_faces = i - 2 * g + 2
     leaves = [(beta_seq, signs) for beta_seq, signs, _ in search_leaves(i, want_faces)]
-    assert len(leaves) == len(set(leaves))
-    assert set(leaves) == set(reference_leaves(i, want_faces))
+    assert len(leaves) == len(set(leaves)) == len(_search_all(g, i))
+    assert set(leaves) <= set(reference_leaves(i, want_faces))
+    assert [list(successor_table(pat)) for pat in _search_all(g, i)] == (
+        least_reference_tables(i, want_faces))
 
 
 @pytest.mark.parametrize("g, i", SEARCH_SIZES)
@@ -585,7 +654,7 @@ def successor_table(pat):
 def test_canonical_key_matches_the_reference_on_searched_patterns(g, i):
     # each pattern found is cut from a leaf of the search, and no leaf of
     # its class is smaller: relabelling conjugates the successor table
-    leaves = {tuple(nxt) for nxt in grow_cycles(4 * i, _crossing_rows(i), i - 2 * g + 2)}
+    leaves = set(map(tuple, reference_tables(i, i - 2 * g + 2)))
     group = [(0, *t.images) for t in relabeling_group(i)]
     for pat in search_patterns(g, i, 10**6):
         assert canonical_key(pat) == reference_canonical_key(pat)

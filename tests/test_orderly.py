@@ -20,6 +20,7 @@ from fillperm.enumeration import (
     _least_shard,
     _moves,
     _orderly,
+    _symbol_choices,
     base_involution,
 )
 from fillperm.filling import GenusContext
@@ -108,7 +109,7 @@ def reference_orderly(ctx, prefix, stop):
             else:
                 # an admitted element as its translation table and t^-1
                 left = reference_resume(table, chain(tied, (
-                    (t[3], t[5], 2) for a, b in arcs for t in rows[a - 1][b])))
+                    (t[1], t[3], 2) for a, b in arcs for t in rows[a - 1][b])))
                 if left is not None:
                     path.append(k)
                     if depth + 1 == stop:
@@ -131,6 +132,11 @@ def reference_orderly(ctx, prefix, stop):
             undo(*taken[depth])
 
 
+def shard_search(ctx, prefix, stop):
+    """`_orderly` over the filling pairs' choice table, one cycle."""
+    return _orderly(*_symbol_choices(ctx), 1, prefix, stop)
+
+
 def nodes(search, ctx, prefix, stop):
     """The nodes a search yields, copied: the path, the table's bytes and
     the tied elements as a set of (t^-1, position), which names each
@@ -140,7 +146,7 @@ def nodes(search, ctx, prefix, stop):
 
 
 def assert_same_nodes(ctx, prefix, stop):
-    got = nodes(_orderly, ctx, prefix, stop)
+    got = nodes(shard_search, ctx, prefix, stop)
     assert got == nodes(reference_orderly, ctx, prefix, stop)
     return got
 
@@ -153,13 +159,13 @@ def test_the_whole_shard_matches_the_reference(g):
     leaves = assert_same_nodes(ctx, shard, 2 * g - 1)
     assert (len(split), len(leaves)) == [(1, 1), (0, 0), (7, 5), (24, 168)][g - 1]
     # the leaves under each task, in task order, are the whole search's
-    below = [leaf for path, _, _ in split for leaf in nodes(_orderly, ctx, path, 2 * g - 1)]
+    below = [leaf for path, _, _ in split for leaf in nodes(shard_search, ctx, path, 2 * g - 1)]
     assert below == leaves
 
 
 def test_genus_5_tasks_match_the_reference():
     ctx = GenusContext(5)
-    tasks = [tuple(path) for path, _, _ in _orderly(ctx, (_least_shard(ctx),), _SPLIT_DEPTH)]
+    tasks = [tuple(path) for path, _, _ in shard_search(ctx, (_least_shard(ctx),), _SPLIT_DEPTH)]
     assert len(tasks) == 51
     # eight tasks, the largest of 5,421 classes among them
     leaves = sum(len(assert_same_nodes(ctx, task, ctx.i_min))
@@ -182,7 +188,7 @@ def test_genus_6_prefixes_match_the_reference():
 def test_a_fixed_last_level_is_followed():
     # a prefix as long as the search fixes its last level too
     ctx = GenusContext(3)
-    for path, _, _ in nodes(_orderly, ctx, (_least_shard(ctx),), ctx.i_min):
+    for path, _, _ in nodes(shard_search, ctx, (_least_shard(ctx),), ctx.i_min):
         assert [node[0] for node in assert_same_nodes(ctx, path, ctx.i_min)] == [path]
     # two choices are open at the last level, the two orientations of one
     # pair, so a prefix that names another there yields nothing

@@ -314,35 +314,21 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fillperm",
-                     description="Minimally intersecting filling pairs: "
-                                 "enumeration, verification, splicing, "
-                                 "patterns, hyperbolic data.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_genus(p):
+    p.add_argument("--genus", type=_genus, required=True,
+                   help=f"a genus from 1 to {MAX_GENUS}")
 
-    def add_genus(p):
-        p.add_argument("--genus", type=_genus, required=True,
-                       help=f"a genus from 1 to {MAX_GENUS}")
 
-    def add_perm(p):
-        p.add_argument("perm", help="an image list [2,3,4,1] or cycles "
-                                    "(1 2 3 4), of degree 8g-4")
+def _add_perm(p):
+    p.add_argument("perm", help="an image list [2,3,4,1] or cycles "
+                                "(1 2 3 4), of degree 8g-4")
 
-    def add_search_options(p):
-        p.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
-                       help="search in N processes from genus 5 on, at most one "
-                            "per prefix of the search's first three levels (51 "
-                            "at genus 5, 88 at genus 6); below genus 5 the "
-                            "count runs in one process. The output does not "
-                            "depend on N")
-        p.add_argument("--force", action="store_true",
-                       help=f"run above the genus guard ({DEFAULT_GUARD}), up "
-                            f"to genus {MAX_ENUMERATED_GENUS}")
 
-    p = sub.add_parser("enumerate", help="enumerate filling permutations")
-    add_genus(p)
+def _add_pattern(p):
+    p.add_argument("pattern", help="pattern JSON path or - for stdin")
+
+
+def _add_listing(p):
     p.add_argument("--count-only", action="store_true",
                    help="report counts without the representative listing; "
                         "not with --classes or --limit")
@@ -350,57 +336,80 @@ def build_parser() -> argparse.ArgumentParser:
                    help="annotate each representative with its orbit size")
     p.add_argument("--limit", type=_int_in(0), default=None,
                    help="list at most this many representatives")
-    add_search_options(p)
-    p.set_defaults(func=cmd_enumerate, parser=p)
 
-    p = sub.add_parser("verify", help="check the three filling conditions")
-    add_perm(p)
-    add_genus(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reconstruct", help="glue the polygon and report the surface")
-    add_perm(p)
-    add_genus(p)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("extend", help="splice the two-handle piece at a vertex")
-    add_perm(p)
-    add_genus(p)
+def _add_vertex(p):
     p.add_argument("--vertex", type=int, required=True,
                    help="the crossing to splice at, from 1 to 2g-1")
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("t1", help="count once-crossing curves of a pattern file")
-    p.add_argument("pattern", help="pattern JSON path or - for stdin")
-    p.set_defaults(func=cmd_t1)
 
-    p = sub.add_parser("genus", help="genus of a pattern file")
-    p.add_argument("pattern", help="pattern JSON path or - for stdin")
-    p.set_defaults(func=cmd_genus)
-
-    p = sub.add_parser("bounds", help="class-count bounds at a genus")
-    add_genus(p)
+def _add_exact(p):
     p.add_argument("--exact", action="store_true",
                    help="also run the enumeration for the exact count")
-    add_search_options(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("hyp", help="hyperbolic quantities at a genus")
-    add_genus(p)
-    p.set_defaults(func=cmd_hyp)
 
-    p = sub.add_parser("diagram", help="SVG of the identified polygon")
-    add_perm(p)
-    add_genus(p)
+def _add_search_options(p):
+    p.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
+                   help="search in N processes from genus 5 on, at most one "
+                        "per prefix of the search's first three levels (51 "
+                        "at genus 5, 88 at genus 6); below genus 5 the "
+                        "count runs in one process. The output does not "
+                        "depend on N")
+    p.add_argument("--force", action="store_true",
+                   help=f"run above the genus guard ({DEFAULT_GUARD}), up "
+                        f"to genus {MAX_ENUMERATED_GENUS}")
+
+
+def _add_output(p):
     p.add_argument("-o", "--output", default="-",
                    help="SVG file path, or - (the default) for stdout")
-    p.set_defaults(func=cmd_diagram)
 
+
+# The subcommands in the order `fillperm --help` lists them: the help
+# line, the arguments in the order they are added, and the handler.
+_COMMANDS = {
+    "enumerate": ("enumerate filling permutations",
+                  (_add_genus, _add_listing, _add_search_options), cmd_enumerate),
+    "verify": ("check the three filling conditions", (_add_perm, _add_genus), cmd_verify),
+    "reconstruct": ("glue the polygon and report the surface",
+                    (_add_perm, _add_genus), cmd_reconstruct),
+    "extend": ("splice the two-handle piece at a vertex",
+               (_add_perm, _add_genus, _add_vertex), cmd_extend),
+    "t1": ("count once-crossing curves of a pattern file", (_add_pattern,), cmd_t1),
+    "genus": ("genus of a pattern file", (_add_pattern,), cmd_genus),
+    "bounds": ("class-count bounds at a genus",
+               (_add_genus, _add_exact, _add_search_options), cmd_bounds),
+    "hyp": ("hyperbolic quantities at a genus", (_add_genus,), cmd_hyp),
+    "diagram": ("SVG of the identified polygon",
+                (_add_perm, _add_genus, _add_output), cmd_diagram),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one.  Each subcommand's parser is built the same way in both, and
+    its name, help, usage and errors do not depend on the others, so
+    `main` builds only the one its first argument names.  The listing of
+    every subcommand, in `--help` and in the invalid-choice error, is
+    reached only without a named subcommand, where every one is built."""
+    parser = _Parser(prog="fillperm",
+                     description="Minimally intersecting filling pairs: "
+                                 "enumeration, verification, splicing, "
+                                 "patterns, hyperbolic data.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_line, adders, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for add in adders:
+            add(p)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -231,6 +231,9 @@ def _translation(img: bytes) -> bytes:
     return (b"\0" + img).ljust(256, b"\0")
 
 
+_SYMBOLS = bytes(range(256))
+
+
 def _relabeller(t: Permutation) -> tuple[tuple[int, ...], bytes, bytes]:
     """The padded table of t^-1, closed by n + 1 at index n + 1, the
     images of t^-1 as bytes and the translation table of t: the image
@@ -239,7 +242,7 @@ def _relabeller(t: Permutation) -> tuple[tuple[int, ...], bytes, bytes]:
     fixed."""
     n = t.n
     img = bytes(t.padded)
-    inv = bytes.maketrans(img, bytes(range(n + 1)))
+    inv = bytes.maketrans(img, _SYMBOLS[:n + 1])
     return tuple(inv[:n + 2]), inv[1:n + 1], img.ljust(256, b"\0")
 
 
@@ -252,17 +255,20 @@ def _admitting(i: int, anchor: int, targets: tuple[int, ...]) -> tuple:
     admits exactly those at rows[a - 1][s(a)].  Each t is listed as the
     images of t^-1 and the translation table of t (`_relabeller`), then
     the padded tables of t and of t^-1 that the orderly search reads.
-    No argument has a default, so each index is one cache entry, built
+    One pass over the group appends each t to its cells, which are
+    indexed by position, not hashed, and frozen at the end.  No
+    argument has a default, so each index is one cache entry, built
     once per process."""
     n = 4 * i
-    cells: dict[tuple[int, int], list] = {}
+    rows = [[[] for _ in range(n + 1)] for _ in range(n + 1)]
+    ends = set(targets)  # 2m + 1 = 3 at m = 1
     for t in relabeling_group(i)[1:]:
         inv, images, table = _relabeller(t)
         entry = (images, table, t.padded, inv)
-        for target in set(targets):  # 2m + 1 = 3 at m = 1
-            cells.setdefault((inv[anchor], inv[target]), []).append(entry)
-    return tuple(tuple(tuple(cells.get((a, b), ())) for b in range(n + 1))
-                 for a in range(1, n + 1))
+        row = rows[inv[anchor]]
+        for end in ends:
+            row[inv[end]].append(entry)
+    return tuple(tuple(map(tuple, row)) for row in rows[1:])
 
 
 def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:

@@ -93,7 +93,14 @@ def relabeling_generators(i: int) -> tuple[Permutation, ...]:
 @lru_cache(maxsize=None)
 def relabeling_group(i: int) -> tuple[Permutation, ...]:
     """The closure of `relabeling_generators(i)`, sorted: the one group
-    that classifies both filling permutations and gluing patterns."""
+    that classifies both filling permutations and gluing patterns.
+
+    `closure` refuses a degree 4i above 255, which no caller in the
+    library reaches: the filling pairs build it at i = 2g - 1 only past
+    `check_guard` or the bound of `canonical_class_rep`, both of
+    which refuse a genus above `MAX_ENUMERATED_GENUS` (4i = 8g - 4 <=
+    252), and the pattern search at i = m only within the 4m <= 28 cap
+    of `search_patterns`."""
     return tuple(closure(relabeling_generators(i)))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -62,11 +61,11 @@ class Permutation:
 
         * the perm of FillingPermutation(ctx, ...), whose construction
           walk proves the table a bijection or raises;
-        * an element of `closure`, a product b1 o ... o bk of checked
-          generators of one degree, composed as padded tables.  Each
-          factor is a bijection of {1..n} that fixes index 0, so each
-          product is too, and nothing else reaches the table: the check
-          could only pass."""
+        * an element of `closure`, a product bk o ... o b1 of checked
+          generators of one degree, composed as padded byte strings
+          and read back with tuple().  Each factor is a bijection of
+          {1..n} that fixes index 0, so each product is too, and
+          nothing else reaches the table: the check could only pass."""
         p = object.__new__(cls)
         p.n = len(padded) - 1
         p._img = padded
@@ -287,8 +286,11 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
     """The group generated by the given permutations, as a sorted list.
 
     Only intended for small groups (the twisting groups used here have a
-    few hundred elements at most).  Products are composed as padded image
-    tables, a o b as itemgetter(*b)(a), one getter per generator b; each
+    few hundred elements at most).  The breadth-first search runs on the
+    padded image tables as byte strings, so the degree is at most 255:
+    g o a is a.translate(table of g), the table of g padded with zeros
+    to 256 bytes, and membership is a set of bytes, whose hash is
+    cached.  Byte strings of one length sort as their tables do; each
     distinct element becomes a Permutation once, at the end, without the
     per-symbol checks: a product of the checked generators is a
     permutation (`Permutation._unchecked`).
@@ -298,20 +300,22 @@ def closure(generators: Iterable[Permutation]) -> list[Permutation]:
         raise ValueError("closure of empty set")
     if len({len(g) for g in gens}) > 1:
         raise ValueError("degree mismatch")
-    # n >= 1, so each getter takes at least two entries and returns a tuple
-    rights = [itemgetter(*b) for b in gens]
-    group = set(gens)
-    frontier = gens
+    if len(gens[0]) > 256:
+        raise ValueError(f"closure of degree {len(gens[0]) - 1}: the byte-string "
+                         "search takes degrees up to 255")
+    frontier = [bytes(g) for g in gens]
+    lefts = [g.ljust(256, b"\0") for g in frontier]
+    group = set(frontier)
     while frontier:
         nxt = []
         for a in frontier:
-            for right in rights:
-                c = right(a)  # a o b, padded: a[0] = 0
+            for left in lefts:
+                c = a.translate(left)  # g o a, padded: c[0] = 0
                 if c not in group:
                     group.add(c)
                     nxt.append(c)
         frontier = nxt
-    return [Permutation._unchecked(c) for c in sorted(group)]
+    return [Permutation._unchecked(tuple(c)) for c in sorted(group)]
 
 
 def table_orbits(

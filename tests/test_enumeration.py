@@ -490,13 +490,18 @@ def test_counting_keeps_no_representatives(pool_sizes, monkeypatch):
 
 
 def test_relabeller_inverts_like_the_sort():
-    # one pass over t's padded table gives the inverse a keyed sort of
-    # the symbols by their images does
+    # bytes.maketrans over t's padded image bytes, the form in which
+    # closure composes the group, gives the inverse that a keyed sort of
+    # the symbols by their images does, and t's own table is those
+    # bytes padded with zeros
     for i in range(1, 9):
         for t in relabeling_group(i):
             n = t.n
             by_image = sorted(range(1, n + 1), key=t.padded.__getitem__)
-            assert _relabeller(t)[0] == (0, *by_image, n + 1)
+            inv, images, table = _relabeller(t)
+            assert inv == (0, *by_image, n + 1)
+            assert images == bytes(by_image)
+            assert table == bytes(t.padded) + bytes(255 - n)
 
 
 def test_one_admitting_index_per_size():

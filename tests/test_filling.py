@@ -20,6 +20,7 @@ from fillperm.filling import (
     is_filling,
     reconstruct,
     relabeling_generators,
+    relabeling_group,
     signed_ids,
     twisting_closure,
 )
@@ -536,6 +537,21 @@ def product_set_closure(ctx):
 def test_twisting_closure_matches_the_product_set_closure(g):
     ctx = GenusContext(g)
     assert twisting_closure(ctx) == product_set_closure(ctx)
+
+
+def test_every_relabelling_commutes_with_iota_and_tau():
+    # the library checks the four generators only; every element of the
+    # group they generate must then keep iota, tau and the parity
+    # classes, at every size the filling pairs and the patterns use
+    for i in range(1, 10):
+        iota, tau = arc_tables(i)
+        group = relabeling_group(i)
+        assert len(group) == 8 * i * i
+        for t in group:
+            img = t.padded
+            assert all(img[iota[x]] == iota[img[x]] for x in range(4 * i + 1))
+            assert all(img[tau[x]] == tau[img[x]] for x in range(4 * i + 1))
+            assert t.is_parity_respecting()
 
 
 def test_twisting_generators_are_checked():

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 
@@ -13,7 +14,7 @@ from fillperm.perms import (
     identity,
     parse,
 )
-from fillperm.filling import relabeling_generators
+from fillperm.filling import relabeling_generators, relabeling_group
 from conftest import is_n_cycle
 
 
@@ -222,6 +223,53 @@ def test_closure_is_sorted_and_rejects_bad_generators():
         closure([])
     with pytest.raises(ValueError, match="degree mismatch"):
         closure([identity(2), identity(3)])
+
+
+def test_closure_refuses_what_its_byte_strings_cannot_hold():
+    with pytest.raises(ValueError, match="^closure of empty set$"):
+        closure([])
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        closure([identity(2), identity(3)])
+    # one line naming the limit, raised before any byte string is built
+    with pytest.raises(ValueError, match=r"^closure of degree 256: .* up to 255$"):
+        closure([from_cycles([range(1, 257)], 256)])
+    assert len(closure([from_cycles([range(1, 256)], 255)])) == 255
+
+
+def tuple_closure(generators):
+    """The closure's earlier breadth-first search, on padded tuples with
+    a o b composed as itemgetter(*b)(a): the oracle for the byte-string
+    search."""
+    gens = [g.padded for g in generators]
+    rights = [itemgetter(*b) for b in gens]
+    group = set(gens)
+    frontier = gens
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for right in rights:
+                c = right(a)
+                if c not in group:
+                    group.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return [Permutation(c[1:]) for c in sorted(group)]
+
+
+def test_closure_matches_the_tuple_search():
+    for i in range(1, 13):
+        gens = relabeling_generators(i)
+        group = closure(gens)
+        assert group == tuple_closure(gens)
+        assert list(relabeling_group(i)) == group and len(group) == 8 * i * i
+        kappa, delta, _, _ = gens
+        assert closure([kappa, delta]) == tuple_closure([kappa, delta])
+    # a mixed set: a transposition, a 3-cycle on other symbols and a
+    # fixed-point-free involution, of degree 9
+    mixed = [from_cycles([(1, 2)], 9), from_cycles([(4, 6, 9)], 9),
+             from_cycles([(1, 9), (2, 8), (3, 7), (4, 6)], 9)]
+    group = closure(mixed)
+    assert group == tuple_closure(mixed) and len(group) > 100
 
 
 def map_closure(generators):

@@ -11,12 +11,12 @@ drops every prefix on which iota o C already closes a shorter cycle.
 Every search keeps only the roots whose first level sets s(1) = 2, one
 (4g-2)-th of the whole: the twisting elements that fix 1 act regularly
 on the values of s(1) and carry that shard onto each of the others.
-Listing walks the shard with `perms.grow_cycles`.  Counting and
-classifying walk it by an orderly search (McKay 1998), the one that also
-finds the crossing diagrams of `gluing.search_patterns`: it decides s in
-symbol order and drops every prefix that a twisting conjugate already
-undercuts on the bytes decided, so it meets each class once, at its
-least member.
+Listing, counting and classifying walk it by one orderly search (McKay
+1998), the one that also finds the crossing diagrams of
+`gluing.search_patterns`: it decides s in symbol order and drops every
+prefix that a twisting conjugate already undercuts on the bytes decided,
+so it meets each class once, at its least member.  Listing admits no
+conjugate, so it meets every solution of the shard.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .filling import (
     relabeling_group,
     twisting_closure,
 )
-from .perms import Permutation, grow_cycles
+from .perms import Permutation
 
 DEFAULT_GUARD = 5
 # `enumerate_filling` keeps every solution as a FillingPermutation, about
@@ -179,20 +179,20 @@ def _iter_solution_images(
     ctx: GenusContext, prefix: Sequence[int] = ()
 ) -> Iterator[bytes]:
     """Yield image arrays (as bytes, symbols 1..n) of filling permutations
-    by a depth-first search over the square roots C of iota o tau.
+    by the orderly search (`_orderly`) over `_listing_choices`, which
+    admits no conjugate, so every solution is a leaf.
 
-    The search is `perms.grow_cycles`: level i takes one choice of
-    `_moves(ctx)[i]`, which interleaves the i-th odd transposition with
-    an unused even transposition and writes four arcs of sigma = iota o
-    C, and a prefix on which sigma closes a cycle shorter than n is
-    dropped with all of its extensions.  `prefix` fixes level i to
-    choice prefix[i]; the prefixes (k,) for k < 2(2g-1), in order, list
-    the same solutions as the whole search.
+    Each level interleaves the transposition of iota o tau at the least
+    open symbol with an unused one of the other parity and writes four
+    arcs of s = iota o C, and a prefix on which s closes a cycle shorter
+    than n is dropped with all of its extensions.  `prefix` fixes level
+    k to choice prefix[k]; the first level decides s(1), so the prefixes
+    (k,) for k < 2(2g-1), in order, list the same solutions as the
+    whole search.
     """
-    moves = _moves(ctx)
-    rows = [row[k:k + 1] for row, k in zip(moves, prefix)] + list(moves[len(prefix):])
-    for sigma in grow_cycles(ctx.n, rows):
-        yield bytes(sigma[1:])
+    choices, first = _listing_choices(ctx)
+    for _, table, _ in _orderly(choices, first, 1, prefix, ctx.i_min):
+        yield bytes(table[1:-1])
 
 
 def _check_regular_on_evens(ctx: GenusContext, group: Iterable[Permutation]) -> None:
@@ -289,9 +289,9 @@ def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
 _SPLIT_DEPTH = 3
 # The least genus whose count starts a pool.  Below it the whole count
 # takes about 6 ms at genus 4, less than the 20 ms of importing
-# multiprocessing and forking two workers; at genus 5 `bounds --exact`
-# takes about 0.32 s in one process and 0.26 s with a pool of two on
-# two cores (medians of five alternating runs).
+# multiprocessing and forking two workers.  At genus 5 the pool does not
+# pay either: on two cores `bounds --exact` took a median 0.36 s with
+# --jobs 1 and 0.42 s with --jobs 2 (nine alternating fresh processes).
 _POOL_GENUS = 5
 
 
@@ -333,17 +333,32 @@ def _choice_table(n: int, moves: Sequence[Sequence[tuple[int, tuple]]],
     return tuple(choices), tuple(first)
 
 
-@lru_cache(maxsize=None)
-def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-    """The choice table (`_choice_table`) of the filling pairs: `_moves`
-    pairs the odd transpositions of iota o tau with the even ones, each
-    named by its lesser symbol, so the choices at the symbols of the
-    i-th odd transposition are the row `_moves(ctx)[i]`.  An element
-    joins when the choice writes s(t^-1(1)) = t^-1(2), and the tie
-    starts at position 2: s(1) = 2 at every node of the shard."""
+def _filling_choices(ctx: GenusContext, rows: tuple
+                     ) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The choice table (`_choice_table`) of the filling pairs with
+    admission table rows: `_moves` pairs the odd transpositions of iota
+    o tau with the even ones, each named by its lesser symbol, so the
+    choices at the symbols of the i-th odd transposition are the row
+    `_moves(ctx)[i]`.  The tie starts at position 2: s(1) = 2 at every
+    node of the shard."""
     base = base_involution(ctx)
     return _choice_table(ctx.n, _moves(ctx), [a for a, _ in base.odd],
-                         [c for c, _ in base.even], _admitting(ctx.i_min, 1, (2,)), 2)
+                         [c for c, _ in base.even], rows, 2)
+
+
+@lru_cache(maxsize=None)
+def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The choice table that counts and classifies: an element joins
+    when the choice writes s(t^-1(1)) = t^-1(2)."""
+    return _filling_choices(ctx, _admitting(ctx.i_min, 1, (2,)))
+
+
+@lru_cache(maxsize=None)
+def _listing_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The choice table that lists: every admission cell is empty, so no
+    element ties and the search drops no node for its class."""
+    n = ctx.n
+    return _filling_choices(ctx, (((),) * (n + 1),) * n)
 
 
 def _orderly(choices: Sequence[tuple], first: Sequence[int], cycles: int,
@@ -360,15 +375,14 @@ def _orderly(choices: Sequence[tuple], first: Sequence[int], cycles: int,
     choice of choices[x] whose other side is open, so every table is
     reached once.  `prefix` fixes level k to its choice prefix[k].  A
     prefix is dropped once s closes a 2-cycle, or its `cycles`-th cycle
-    with arcs left.  As in `perms.grow_cycles`, the unclosed arcs form
-    paths, each end of which knows the other as far[end]; here each
-    choice merges the paths on a copy of its level's far ends, whose
-    entry 0, no symbol, counts the cycles closed.  A leaf has closed
-    exactly `cycles`.  At the last level one owner and one partner are
-    open, so two choices are.  With one cycle no copy is made there: the
-    four arcs close one n-cycle exactly when the path ends they leave,
-    each sent to the far end of the path its arc enters, form one
-    4-cycle.
+    with arcs left.  The unclosed arcs form paths, each end of which
+    knows the other as far[end]; each choice merges the paths on a copy
+    of its level's far ends, whose entry 0, no symbol, counts the cycles
+    closed.  A leaf has closed exactly `cycles`.  At the last level one
+    owner and one partner are open, so two choices are.  With one cycle
+    no copy is made there: the four arcs close one n-cycle exactly when
+    the path ends they leave, each sent to the far end of the path its
+    arc enters, form one 4-cycle.
 
     Each node also carries the elements t that s admits (`_admitting`)
     and that still tie with it, as (t, t^-1, y): the padded tables of t
@@ -498,15 +512,17 @@ def enumerate_filling(
     ctx: GenusContext, *, force: bool = False
 ) -> list[FillingPermutation]:
     """All filling permutations at the given genus, grouped by s(1) in
-    increasing order, each group in search order.
+    increasing order.  The s(1) = 2 group is sorted; each other group
+    holds the conjugates of that group by one t, in the same order.
 
-    The shard with s(1) = 2 is searched and conjugated by each twisting
-    element t with t(1) = 1, in increasing order of t(2), which gives the
-    solutions with s(1) = t(2).  Each pair of the shard is validated by
-    the `is_filling` walk of FillingPermutation; its conjugates are not,
-    because `twisting_closure` checks that its generators map solutions
-    to solutions (`_trusted_conjugate`).  The list holds every solution,
-    so above genus `LISTED_GENUS` it is refused unless force is set."""
+    The shard with s(1) = 2 is searched, sorted and conjugated by each
+    twisting element t with t(1) = 1, in increasing order of t(2), which
+    gives the solutions with s(1) = t(2).  Each pair of the shard is
+    validated by the `is_filling` walk of FillingPermutation; its
+    conjugates are not, because `twisting_closure` checks that its
+    generators map solutions to solutions (`_trusted_conjugate`).  The
+    list holds every solution, so above genus `LISTED_GENUS` it is
+    refused unless force is set."""
     if ctx.g > LISTED_GENUS and not force:
         raise GuardExceeded(
             f"genus {ctx.g} exceeds {LISTED_GENUS}, the largest genus "
@@ -516,7 +532,7 @@ def enumerate_filling(
             "only the class representatives; pass force=True to override."
         )
     check_guard(ctx.g, force)
-    shard = list(_iter_solution_images(ctx, (_least_shard(ctx),)))
+    shard = sorted(_iter_solution_images(ctx, (_least_shard(ctx),)))
     group = twisting_closure(ctx)  # raises unless conjugates of solutions are solutions
     out = [FillingPermutation(ctx, Permutation._unchecked((0, *img))) for img in shard]
     # the t with t(1) = 1 but the identity: the group is sorted, and one

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class PermutationError(ValueError):
@@ -341,73 +341,3 @@ def table_orbits(
         orbits.append(orbit)
     return orbit_of, orbits
 
-
-def grow_cycles(
-    n: int, rows: Sequence[Sequence[tuple[int, Sequence[tuple[int, int]]]]]
-) -> Iterator[list[int]]:
-    """Permutation tables on {1..n} that are one n-cycle, grown depth
-    first a few arcs at a time.
-
-    Level i takes a choice (key, arcs) of rows[i] whose key, one of
-    0..len(rows)-1, no earlier level took, and writes its arcs x -> y
-    into the table.  The unclosed arcs form disjoint paths; each path end
-    x knows only its far end far[x], with an undo trail.  x -> y closes
-    a cycle exactly when y is far[x]; every arc merges two paths or
-    closes one, so a cycle that closes while the trail holds fewer than
-    n - 1 merges is shorter than n, and the prefix is dropped.  The
-    table, padded at index 0, is yielded live in choice order and
-    changes when the search resumes.
-    """
-    depth = len(rows)
-    table = [0] * (n + 1)
-    far = list(range(n + 1))
-    used = [False] * depth
-    # path merges to undo, as (s, x, e, y): s and e regain their old far
-    # ends x and y
-    trail: list[tuple[int, int, int, int]] = []
-
-    def retract(mark: int) -> None:
-        while len(trail) > mark:
-            s, x, e, y = trail.pop()
-            far[s] = x
-            far[e] = y
-
-    # per level: the choices left, and the key taken with the trail
-    # length before its arcs
-    levels = [iter(())] * depth
-    levels[0] = iter(rows[0])
-    marks = [(0, 0)] * depth
-    i = 0
-    while True:
-        for key, arcs in levels[i]:
-            if used[key]:
-                continue
-            mark = len(trail)
-            for x, y in arcs:
-                table[x] = y
-                s = far[x]
-                if y == s:
-                    if len(trail) + 1 < n:
-                        break
-                    continue
-                e = far[y]
-                trail.append((s, x, e, y))
-                far[s] = e
-                far[e] = s
-            else:
-                if i + 1 == depth:
-                    yield table
-                else:
-                    used[key] = True
-                    marks[i] = key, mark
-                    i += 1
-                    levels[i] = iter(rows[i])
-                    break
-            retract(mark)
-        else:
-            i -= 1
-            if i < 0:
-                return
-            key, mark = marks[i]
-            used[key] = False
-            retract(mark)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fillperm import enumeration, gluing
 from fillperm.diagram import PairDiagram, diagram_of
 from fillperm.enumeration import (
+    _choice_table,
     _count_and_classify,
     _moves,
     _orderly,
@@ -34,7 +35,7 @@ from fillperm.gluing import (
     validate,
     ValidationReport,
 )
-from fillperm.perms import Permutation, grow_cycles, table_orbits
+from fillperm.perms import Permutation, table_orbits
 from fillperm.zpiece import LSequence, build_from_sequence, splice
 from test_enumeration import _least_members, orderly_leaves
 
@@ -487,44 +488,40 @@ def test_grow_cycles_yields_each_diagram_with_that_face_count(m, cycles):
     (the sphere's m + 2 and counts of the wrong parity, whose answer is
     empty), the orderly search over the crossings yields, once each, the
     anchored diagrams with `cycles` faces and no bigon that the
-    streaming least-member test keeps.  With one face `grow_cycles`
-    over the anchored rows yields every such diagram once."""
+    streaming least-member test keeps.  With one face and an admission
+    table whose cells are all empty, as listing runs it, the same search
+    yields every such diagram once."""
     tables = orderly_tables(m, cycles)
     assert tables == least_reference_tables(m, cycles)
     if (cycles - m) % 2 or (m, cycles) == (3, 1):  # genus 2 has no minimal pair
         assert tables == []
     if cycles == 1:
-        rows = _crossing_rows(m)
-        listed = [tuple(nxt) for nxt in grow_cycles(4 * m, (rows[0][:2], *rows[1:]))]
+        n = 4 * m
+        choices, first = _choice_table(n, _crossing_rows(m), range(2, 2 * m + 1, 2),
+                                       range(1, 2 * m, 2), (((),) * (n + 1),) * n, 1)
+        listed = [tuple(nxt[:-1]) for k in (0, 1)
+                  for _, nxt, _ in _orderly(choices, first, 1, (k,), m)]
         assert len(listed) == len(set(listed))
         assert set(listed) == set(map(tuple, reference_tables(m, 1)))
 
 
 def test_both_class_searches_run_through_the_orderly_search(monkeypatch):
     calls = Counter()
-    listed = Counter()
     orderly = enumeration._orderly
-    listing = enumeration.grow_cycles
 
     def counting(choices, first, cycles, prefix, stop):
         calls[len(choices) - 1, cycles] += 1
         return orderly(choices, first, cycles, prefix, stop)
 
-    def counting_lists(n, rows):
-        listed[n] += 1
-        return listing(n, rows)
-
     monkeypatch.setattr("fillperm.enumeration._orderly", counting)
     monkeypatch.setattr("fillperm.gluing._orderly", counting)
-    monkeypatch.setattr("fillperm.enumeration.grow_cycles", counting_lists)
     assert count_classes(GenusContext(3)) == 5
     assert calls == {(20, 1): 1 + 7}  # the split of the shard, then its 7 tasks
     assert len(_search_all.__wrapped__(3, 6)) == 49
     assert calls[24, 2] == 2  # beta arc 1 ends at point 1 with either sign
-    assert not listed
     assert len(enumerate_filling(GenusContext(3))) == 600
-    assert listed == {20: 1}  # one listing of the shard where s(1) = 2
-    assert sum(calls.values()) == 10  # and no orderly search
+    assert calls[20, 1] == 1 + 7 + 1  # one listing of the shard where s(1) = 2
+    assert sum(calls.values()) == 11
 
 
 def test_no_search_row_writes_an_arc_within_one_parity():

@@ -184,6 +184,22 @@ class PairDiagram:
         return fp
 
 
+def _trusted_diagram(m: int, beta_seq: tuple[int, ...],
+                     signs: tuple[int, ...]) -> PairDiagram:
+    """The PairDiagram(m, beta_seq, signs), built without the checks of
+    `PairDiagram.__post_init__`, for one use only: `diagram_of`, whose
+    one pass makes m a positive int, beta_seq a tuple of m ints that
+    visits each point once and signs a tuple of m entries +1/-1.  The
+    diagram equals, hashes and prints like the checked one and keeps
+    the same successor table."""
+    d = object.__new__(PairDiagram)
+    object.__setattr__(d, "m", m)
+    object.__setattr__(d, "beta_seq", beta_seq)
+    object.__setattr__(d, "signs", signs)
+    object.__setattr__(d, "_succ", tuple(d._next_arc()))
+    return d
+
+
 def diagram_of(fp: FillingPermutation) -> PairDiagram:
     """Extract the crossing diagram of a filling permutation.
 
@@ -191,9 +207,12 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
     k is point k.  If beta arc j ends there, the first step of its
     quarter turn (`_quarter_turns`) makes the image x = s(2k-1) of alpha
     arc k either 2j + 2m, at a +1 crossing, or 2(j mod m) + 2, the
-    inverse of the corner at beta arc j+1, at a -1 crossing.  One pass over the alpha
-    images reads beta_seq and signs back from x.  The one check is that
-    the diagram read off this way walks back to fp, ValueError otherwise.
+    inverse of the corner at beta arc j+1, at a -1 crossing.  One pass
+    over the alpha images reads beta_seq and signs back from x.  The m
+    reads end m beta arcs, so beta_seq visits each point once exactly
+    when no beta arc is left unread, ValueError otherwise.  The one
+    check is then that the diagram read off this way walks back to fp,
+    ValueError otherwise.
 
     A diagram read off fp is kept on it, once its round trip has passed,
     and shares fp's padded image table as its successor table, which
@@ -216,7 +235,10 @@ def diagram_of(fp: FillingPermutation) -> PairDiagram:
         else:
             ends[(x // 2 - 2) % m + 1] = k
             signs.append(-1)
-    d = PairDiagram(m, tuple(ends[1:]), tuple(signs))
+    beta_seq = tuple(ends[1:])
+    if 0 in beta_seq:
+        raise ValueError("beta_seq must visit each point exactly once")
+    d = _trusted_diagram(m, beta_seq, tuple(signs))
     succ = fp.perm.padded
     if d._succ != succ:
         raise ValueError("corner structure is not a transverse 4-valent pair")

@@ -289,9 +289,11 @@ def _admitted_conjugates(i: int, img: bytes) -> Iterator[bytes]:
 _SPLIT_DEPTH = 3
 # The least genus whose count starts a pool.  Below it the whole count
 # takes about 6 ms at genus 4, less than the 20 ms of importing
-# multiprocessing and forking two workers.  At genus 5 the pool does not
-# pay either: on two cores `bounds --exact` took a median 0.36 s with
-# --jobs 1 and 0.42 s with --jobs 2 (nine alternating fresh processes).
+# multiprocessing and forking two workers.  At genus 5 a pool of two
+# pays on two cores: `bounds --exact` took a median 0.43-0.45 s with
+# --jobs 1 and 0.35-0.36 s with --jobs 2 (two sets of nine alternating
+# fresh processes each); an earlier set read 0.36 s against 0.42 s, so
+# the gain depends on how free the second core is.
 _POOL_GENUS = 5
 
 

@@ -280,22 +280,30 @@ class ReconstructionError(RuntimeError):
     or a twisting relabelling that would leave the solution set."""
 
 
-def corner_orbits(
-    succ: Sequence[int], starts: Iterable[int]
-) -> tuple[list[int], list[list[int]]]:
-    """Orbits of the quarter-turn corner map s -> iota(succ(s)) on the
-    directed-arc symbols, walked from `starts`.
+def _corner_map(succ: Sequence[int]) -> tuple[int, ...]:
+    """The quarter-turn corner map s -> iota(succ(s)) as an image table
+    padded at index 0, for a successor table `succ` on the 4i
+    directed-arc symbols, itself padded at index 0.
 
-    `succ` is a successor table on the 4i symbols, padded at index 0:
-    symbol s stands for the polygon corner at the head of its edge, and
+    Symbol s stands for the polygon corner at the head of its edge, and
     succ[s] is the next edge along the same polygon; turning a quarter
-    around that corner leaves along the inverse of the next edge.  The
-    orbits are the vertex classes of the glued surface.  Returns the
-    orbit index of each symbol and the orbits (see `table_orbits`).
+    around that corner leaves along the inverse of the next edge.
     """
     iota = arc_tables(len(succ) // 4)[0]
     # succ holds 4i + 1 >= 5 entries, so the getter returns a tuple
-    return table_orbits(itemgetter(*succ)(iota), starts)
+    return itemgetter(*succ)(iota)
+
+
+def corner_orbits(
+    succ: Sequence[int], starts: Iterable[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Orbits of the quarter-turn corner map (`_corner_map`) on the
+    directed-arc symbols, walked from `starts`.
+
+    The orbits are the vertex classes of the glued surface.  Returns the
+    orbit index of each symbol and the orbits (see `table_orbits`).
+    """
+    return table_orbits(_corner_map(succ), starts)
 
 
 def reconstruct(fp: FillingPermutation) -> SurfaceReport:
@@ -307,13 +315,34 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     these would indicate an implementation bug, hence the hard error.
     Vertex classes list 1-based boundary-word positions, in the order of
     their first position.
+
+    One pass over the boundary word walks the orbits: at each corner s
+    not yet in an orbit it reads c(s), c^2(s) and c^3(s) off the corner
+    map c, a bijection.  The orbit of s has four corners exactly when
+    c^4(s) = s and c^2(s) != s, and then none of the four is in an
+    earlier orbit.  Four corners per orbit make at most n/4 = i orbits,
+    and exactly i when the word holds every symbol.
     """
     ctx = fp.ctx
     n, i = ctx.n, ctx.i_min
     iota = arc_tables(i)[0]
     word = fp.boundary_word()
-    cls, orbits = corner_orbits(fp.perm.padded, word)
-    if len(orbits) != i or set(map(len, orbits)) != {4}:
+    corner = _corner_map(fp.perm.padded)
+    pos_of = [0] * (n + 1)
+    for p, s in enumerate(word, 1):
+        pos_of[s] = p
+    cls = [-1] * (n + 1)  # the orbit index of each corner
+    orbits = []  # the word positions of each orbit's corners
+    for s in word:
+        if cls[s] < 0:
+            a = corner[s]
+            b = corner[a]
+            c = corner[b]
+            if corner[c] != s or b == s:
+                raise ReconstructionError("corner orbits are not 4-valent")
+            cls[s] = cls[a] = cls[b] = cls[c] = len(orbits)
+            orbits.append((pos_of[s], pos_of[a], pos_of[b], pos_of[c]))
+    if len(orbits) != i:
         raise ReconstructionError("corner orbits are not 4-valent")
 
     # the head of edge s is corner s; its tail is the corner before it,
@@ -333,13 +362,9 @@ def reconstruct(fp: FillingPermutation) -> SurfaceReport:
     # V - E + F with E = n/2, F = 1
     chi = len(orbits) - n // 2 + 1
     genus = (2 - chi) // 2
-    pos_of = [0] * (n + 1)
-    for p, s in enumerate(word, 1):
-        pos_of[s] = p
-    # each orbit has four corners, so its getter returns a tuple
     return SurfaceReport(
         genus=genus,
-        vertex_classes=tuple([itemgetter(*o)(pos_of) for o in orbits]),
+        vertex_classes=tuple(orbits),
         alpha_is_single_curve=alpha_ok,
         beta_is_single_curve=beta_ok,
         boundary_word=word,

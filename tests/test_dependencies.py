@@ -188,7 +188,7 @@ def test_only_filling_construction_skips_permutation_checks():
     # of perms.closure, a product of checked generators.  So each
     # Permutation._unchecked(...) must be the perm argument of a
     # FillingPermutation(...) call or sit in closure, and no other code
-    # may skip __init__
+    # may skip __init__ but the two trusted constructors pinned below
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert len(trees) >= 10
@@ -201,13 +201,20 @@ def test_only_filling_construction_skips_permutation_checks():
     assert unwrapped == {("perms.py", "closure")}
     new = {(name, owner) for name, tree in trees.items()
            for owner in defs_mentioning(tree, "__new__")}
-    assert new == {("perms.py", "_unchecked"), ("filling.py", "_trusted_conjugate")}
+    assert new == {("perms.py", "_unchecked"), ("filling.py", "_trusted_conjugate"),
+                   ("diagram.py", "_trusted_diagram")}
     # the one exception, a conjugate of a walked solution by a checked
     # twisting element, built only by the listing after twisting_closure
     named = lambda node: isinstance(node, ast.Name) and node.id == "_trusted_conjugate"
     callers = {(name, owner) for name, tree in trees.items()
                for owner in enclosing_defs(tree, named)}
     assert callers == {("enumeration.py", "enumerate_filling")}
+    # and a diagram skips PairDiagram's checks only where diagram_of has
+    # read it off a pair, whose round trip then checks it
+    named = lambda node: isinstance(node, ast.Name) and node.id == "_trusted_diagram"
+    callers = {(name, owner) for name, tree in trees.items()
+               for owner in enclosing_defs(tree, named)}
+    assert callers == {("diagram.py", "diagram_of")}
     # the tables the library builds: search bytes and diagram successors
     users = {name for name, tree in trees.items()
              if "_unchecked" in {n.attr for n in ast.walk(tree)

@@ -293,7 +293,7 @@ def reference_next_arc(d: PairDiagram) -> list[int]:
     return [0] + [leaving[rho[head[s]]] for s in range(1, n + 1)]
 
 
-def reference_diagram_of(fp: FillingPermutation) -> PairDiagram:
+def dart_diagram_of(fp: FillingPermutation) -> PairDiagram:
     """Extract the crossing diagram of a filling permutation.
 
     Points are labelled along the first curve; the rotation at each point
@@ -337,6 +337,49 @@ def reference_diagram_of(fp: FillingPermutation) -> PairDiagram:
     return PairDiagram(m, beta_seq, tuple(signs))
 
 
+# `diagram_of` before it built its diagram without PairDiagram's checks,
+# kept verbatim as its reference.
+def reference_diagram_of(fp: FillingPermutation) -> PairDiagram:
+    """Extract the crossing diagram of a filling permutation.
+
+    The points are labelled along the first curve: the head of alpha arc
+    k is point k.  If beta arc j ends there, the first step of its
+    quarter turn (`_quarter_turns`) makes the image x = s(2k-1) of alpha
+    arc k either 2j + 2m, at a +1 crossing, or 2(j mod m) + 2, the
+    inverse of the corner at beta arc j+1, at a -1 crossing.  One pass over the alpha
+    images reads beta_seq and signs back from x.  The one check is that
+    the diagram read off this way walks back to fp, ValueError otherwise.
+
+    A diagram read off fp is kept on it, once its round trip has passed,
+    and shares fp's padded image table as its successor table, which
+    the check has just found equal.  So a pair's diagram is read at
+    most once: a permutation made by `PairDiagram.to_filling_permutation`
+    or read before gives back its diagram without reading.
+    """
+    if fp._diagram is not None:
+        return fp._diagram
+    m = fp.ctx.i_min
+    half = 2 * m
+    s = fp.perm.images
+    ends = [0] * (m + 1)  # ends[j]: the point where beta arc j ends
+    signs = []
+    for k in range(1, m + 1):
+        x = s[2 * k - 2]
+        if x > half:
+            ends[(x - half) // 2] = k
+            signs.append(1)
+        else:
+            ends[(x // 2 - 2) % m + 1] = k
+            signs.append(-1)
+    d = PairDiagram(m, tuple(ends[1:]), tuple(signs))
+    succ = fp.perm.padded
+    if d._succ != succ:
+        raise ValueError("corner structure is not a transverse 4-valent pair")
+    object.__setattr__(d, "_succ", succ)
+    object.__setattr__(fp, "_diagram", d)
+    return d
+
+
 def all_diagrams(m, anchored=False):
     """Every diagram with m points; with the second curve's first arc
     ending at point 1 if anchored."""
@@ -363,7 +406,7 @@ def test_next_arc_matches_the_reference_dart_model():
 def test_diagram_of_matches_the_reference(g3_solutions, g4_solutions):
     assert len(g3_solutions) == 600
     for fp in [*g3_solutions, *g4_solutions[::8]]:
-        assert diagram_of(fp) == reference_diagram_of(fp)
+        assert diagram_of(fp) == dart_diagram_of(fp)
 
 
 def test_is_filling_pair_walks_one_face_to_the_face_count_answer():

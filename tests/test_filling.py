@@ -24,10 +24,11 @@ from fillperm.filling import (
     signed_ids,
     twisting_closure,
 )
+from fillperm.diagram import diagram_of
 from fillperm.enumeration import canonical_class_rep
 from fillperm.perms import Permutation, closure, from_cycles, identity
 from conftest import is_n_cycle
-from test_diagram import unvalidated
+from test_diagram import reference_diagram_of, unvalidated
 
 
 # The curve reversals as relabellings, oracles of the twisting tests.
@@ -505,6 +506,62 @@ def test_reconstruct_matches_the_reference(g3_solutions, g4_solutions):
     # the hard error, and both outcomes of each curve's check
     assert errors == {(ReconstructionError, "corner orbits are not 4-valent")}
     assert {a for a, _ in curves} == {b for _, b in curves} == {True, False}
+
+
+def reference_inputs(g3_solutions, g4_solutions):
+    """The pairs and the unvalidated fakes that
+    `test_reconstruct_matches_the_reference` builds, from the same seed
+    in the same order."""
+    rng = random.Random(2500)
+    pairs = [*g3_solutions, *rng.sample(g4_solutions, 2000)]
+    fakes = []
+    for g, solutions in ((2, []), (3, g3_solutions), (4, g4_solutions)):
+        ctx = GenusContext(g)
+        for _ in range(200):
+            fakes.append(unvalidated(g, rng.sample(range(1, ctx.n + 1), ctx.n)))
+        for fp in rng.sample(solutions, min(len(solutions), 200)):
+            images = list(fp.perm.images)
+            a, b = rng.sample(range(ctx.n), 2)
+            images[a], images[b] = images[b], images[a]
+            fakes.append(unvalidated(g, images))
+        sampled = sampled_perms(ctx, rng.sample(solutions, min(len(solutions), 100)),
+                                rng, 200)
+        fakes += [unvalidated(g, p.images) for p in sampled]
+    fakes.append(unvalidated(2, [3, 6, 5, 8, 12, 4, 11, 10, 9, 1, 7, 2]))
+    return pairs, fakes
+
+
+def read_outcome(read, fp):
+    """What read(fp) gives on a copy of fp that keeps no diagram: the
+    diagram's fields and hash, whether it shares the pair's table and
+    is kept on it, or the type and text of what read raised."""
+    copy = unvalidated(fp.ctx.g, fp.perm.images)
+    try:
+        d = read(copy)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (d.m, d.beta_seq, d.signs, hash(d),
+            d._succ is copy.perm.padded, copy._diagram is d)
+
+
+def test_diagram_of_matches_the_checked_read(g3_solutions, g4_solutions):
+    # the read that built its diagram through PairDiagram's checks, on
+    # the pairs and fakes of the reconstruct oracle above
+    pairs, fakes = reference_inputs(g3_solutions, g4_solutions)
+    assert len(pairs) == 2600
+    errors = set()
+    for fp in pairs + fakes:
+        got = read_outcome(diagram_of, fp)
+        assert got == read_outcome(reference_diagram_of, fp)
+        if got[0] is ValueError:
+            errors.add(got[1])
+        else:
+            assert got[-2:] == (True, True)
+    # every pair reads, and the fakes meet both refusals: a beta arc
+    # left unread, and a diagram that does not walk back to the pair
+    assert all(read_outcome(diagram_of, fp)[0] == fp.ctx.i_min for fp in pairs)
+    assert errors == {"beta_seq must visit each point exactly once",
+                      "corner structure is not a transverse 4-valent pair"}
 
 
 def test_twisting_closure_sizes():

@@ -593,20 +593,21 @@ def test_canonical_rep_is_the_least_of_every_conjugate(g4_solutions, g5_splices)
 
 def count_reads(monkeypatch):
     """Stand-ins that count each diagram `diagram_of` reads off a pair
-    (the `PairDiagram` it builds) and each call of `diagram_of` through
-    zpiece's module global, which the benchmark's tracer wraps."""
+    (the diagram its one constructor, `_trusted_diagram`, builds) and
+    each call of `diagram_of` through zpiece's module global, which the
+    benchmark's tracer wraps."""
     counts = {"reads": 0, "calls": 0}
-    diagram_class, read = fillperm.diagram.PairDiagram, fillperm.zpiece.diagram_of
+    build, read = fillperm.diagram._trusted_diagram, fillperm.zpiece.diagram_of
 
     def counted_diagram(*args):
         counts["reads"] += 1
-        return diagram_class(*args)
+        return build(*args)
 
     def counted_read(fp):
         counts["calls"] += 1
         return read(fp)
 
-    monkeypatch.setattr(fillperm.diagram, "PairDiagram", counted_diagram)
+    monkeypatch.setattr(fillperm.diagram, "_trusted_diagram", counted_diagram)
     monkeypatch.setattr(fillperm.zpiece, "diagram_of", counted_read)
     return counts
 

@@ -483,7 +483,7 @@ def search_leaves(m, want_faces):
 
 @pytest.mark.parametrize("m, cycles", [
     (m, c) for m in range(1, 6) for c in range(1, m + 3)])
-def test_orderly_yields_each_diagram_with_that_face_count(m, cycles):
+def test_grow_cycles_yields_each_diagram_with_that_face_count(m, cycles):
     """At every face count, also those that no searched genus asks for
     (the sphere's m + 2 and counts of the wrong parity, whose answer is
     empty), the orderly search over the crossings yields, once each, the

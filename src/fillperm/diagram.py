@@ -20,7 +20,12 @@ is its filling permutation.
 `_quarter_turns` is the one place where the quarter turn is written
 out: one call writes the successor table of a whole diagram, crossing
 by crossing, and `crossing_steps` reads the four steps of one crossing
-off it for the crossing-by-crossing pattern search.  `diagram_of` reads
+off it.  `_crossing_rows` lists those steps for every crossing an
+m-crossing diagram can have, and it is the library's one table of
+crossings: the enumeration's root stream and both of its searches, of
+the filling pairs and of the gluing patterns, read it.  At m = 2g - 1 a choice of a crossing at
+every point is a square root C of iota o tau, with C = iota o succ the
+quarter turn itself (see `enumeration`).  `diagram_of` reads
 a diagram back from the first step at each crossing, the image of each
 alpha arc.  A diagram builds its successor table once, on construction,
 and keeps it: the round trip of `diagram_of`, `faces`, `is_filling_pair`
@@ -82,6 +87,21 @@ def crossing_steps(m: int, j: int, p: int, sign: int
     steps: dict[int, int] = {}
     _quarter_turns(steps, m, j, (p,), {p - 1: sign})
     return tuple(steps.items())
+
+
+@lru_cache(maxsize=None)
+def _crossing_rows(m: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """The crossings of an m-crossing diagram, one row per beta arc.
+
+    Choice (p - 1, steps) of row j - 1 ends beta arc j at point p with
+    one sign, +1 first, and holds the four `crossing_steps` of that
+    crossing.  They write the steps from alpha arc p (2p - 1), from
+    beta arc j (2j) and from the inverses of alpha arc p + 1 and beta
+    arc j + 1.
+    """
+    return tuple(tuple((p - 1, crossing_steps(m, j, p, sign))
+                       for p in range(1, m + 1) for sign in (1, -1))
+                 for j in range(1, m + 1))
 
 
 @lru_cache(maxsize=None)

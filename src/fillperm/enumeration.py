@@ -1,13 +1,19 @@
 """Exhaustive generation of filling permutations via square roots.
 
-Every filling permutation factors as iota o C where C squares to the
-fixed-point-free involution iota o tau.  The involution splits into 2g-1
-all-odd and 2g-1 all-even transpositions; the admissible square roots are
-exactly the perfect matchings of odd transpositions with even ones, each
-matched pair interleaved into a 4-cycle in one of two ways: 2^(2g-1) *
-(2g-1)! candidates.  The solutions are the roots for which iota o C is
-an n-cycle; a depth-first search builds C one matched pair at a time and
-drops every prefix on which iota o C already closes a shorter cycle.
+Every filling permutation factors as s = iota o C where C squares to
+the fixed-point-free involution iota o tau.  Read on the directed arcs
+of a (2g-1)-crossing diagram (`diagram`), the involution pairs the two
+alpha heads at each point, alpha arc p with the inverse of alpha arc
+p + 1, and the two beta heads at the end of each beta arc: 2g-1 all-odd
+and 2g-1 all-even transpositions.  An admissible square root matches
+each odd transposition with an even one and interleaves the pair into
+a 4-cycle in one of two ways, which is exactly a crossing diagram: the
+beta arc that ends at each point and the sign of that crossing, with C
+the quarter turn at every crossing.  So the admissible roots are the
+2^(2g-1) * (2g-1)! diagrams of `diagram._crossing_rows`, and the
+solutions are those with one face, for which iota o C is an n-cycle; a
+depth-first search makes one crossing at a time and drops every prefix
+on which iota o C already closes a shorter cycle.
 Every search keeps only the roots whose first level sets s(1) = 2, one
 (4g-2)-th of the whole: the twisting elements that fix 1 act regularly
 on the values of s(1) and carry that shard onto each of the others.
@@ -28,13 +34,13 @@ from itertools import chain, permutations
 from math import factorial, lgamma, log
 from typing import Iterable, Iterator, Sequence
 
+from .diagram import _crossing_rows
 from .filling import (
     FillingPermutation,
     GenusContext,
     ReconstructionError,
     _trusted_conjugate,
     arc_tables,
-    canonical_perms,
     is_filling,
     relabeling_group,
     twisting_closure,
@@ -79,44 +85,8 @@ def check_guard(g: int, force: bool = False) -> None:
 
 
 # ----------------------------------------------------------------------
-# The base involution and its square roots
+# The square roots
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaseInvolution:
-    """iota o tau together with its parity-tagged transpositions."""
-
-    perm: Permutation
-    odd: tuple[tuple[int, int], ...]
-    even: tuple[tuple[int, int], ...]
-
-
-def base_involution(ctx: GenusContext) -> BaseInvolution:
-    """Compute iota o tau and split it into disjoint transpositions.
-
-    The product is (1,4g+1)(2,4g+2)...(4g-4,8g-4)(4g-3,4g-1)(4g-2,4g):
-    2g-1 transpositions of odd symbols and 2g-1 of even symbols.
-    """
-    cp = canonical_perms(ctx)
-    invol = cp.iota.compose(cp.tau)
-    odd: list[tuple[int, int]] = []
-    even: list[tuple[int, int]] = []
-    seen = set()
-    for j in range(1, ctx.n + 1):
-        if j in seen:
-            continue
-        k = invol(j)
-        if k == j:
-            raise AssertionError("iota o tau has a fixed point")
-        seen.update((j, k))
-        pair = (min(j, k), max(j, k))
-        (odd if j % 2 else even).append(pair)
-    odd.sort()
-    even.sort()
-    if len(odd) != ctx.i_min or len(even) != ctx.i_min:
-        raise AssertionError("unexpected transposition split")
-    return BaseInvolution(invol, tuple(odd), tuple(even))
 
 
 def root_count(g: int) -> int:
@@ -129,20 +99,22 @@ def _roots(ctx: GenusContext) -> Iterator[list[int]]:
 
     C[j] is the image of j (index 0 is unused).  One list is rewritten
     in place between yields, so a caller that keeps a root copies it.
-    Level i matches the i-th odd transposition with even transposition
-    evens[i] of the current matching and writes C[x] = iota(y) for each
-    arc x -> y of `_moves(ctx)` choice 2 evens[i] + bit i, with bit i
-    counted from the most significant bit.  Matchings come in
-    lexicographic order, so the stream is deterministic.
+    A root is a (2g-1)-crossing diagram, C = iota o succ: beta arc
+    evens[i] + 1 ends at point i + 1, with sign +1 if bit i is 0 and -1
+    if it is 1, bit i counted from the most significant bit, and C[x] =
+    iota(y) for each step x -> y of that crossing in `_crossing_rows`.
+    The visit orders evens come in lexicographic order, and the sign
+    words in increasing order within each, so the stream is
+    deterministic.
     """
-    moves = _moves(ctx)
-    iota = arc_tables(ctx.i_min)[0]
     m = ctx.i_min
+    rows = _crossing_rows(m)
+    iota = arc_tables(m)[0]
     C = [0] * (ctx.n + 1)
     for evens in permutations(range(m)):
         for bits in range(1 << m):
             for i in range(m):
-                for x, y in moves[i][2 * evens[i] + ((bits >> (m - 1 - i)) & 1)][1]:
+                for x, y in rows[evens[i]][2 * i + ((bits >> (m - 1 - i)) & 1)][1]:
                     C[x] = iota[y]
             yield C
 
@@ -153,28 +125,6 @@ def square_roots(ctx: GenusContext) -> Iterator[Permutation]:
         yield Permutation(C[1:])
 
 
-@lru_cache(maxsize=None)
-def _moves(ctx: GenusContext) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-    """moves[i][k]: the choices of level i of the solution search.
-
-    Choice k interleaves the i-th odd transposition (a,b) with even
-    transposition j = k // 2 as the 4-cycle (a,c,b,d) or (a,d,b,c) (k % 2
-    picks which); it is stored as j and the four arcs x -> iota(C(x)) of
-    sigma = iota o C that it writes, for x in {a,b,c,d}.
-    """
-    base = base_involution(ctx)
-    iota = arc_tables(ctx.i_min)[0]
-    moves = []
-    for a, b in base.odd:
-        row = []
-        for j, (c, d) in enumerate(base.even):
-            for c, d in ((c, d), (d, c)):
-                row.append((j, ((a, iota[c]), (c, iota[b]),
-                                (b, iota[d]), (d, iota[a]))))
-        moves.append(tuple(row))
-    return tuple(moves)
-
-
 def _iter_solution_images(
     ctx: GenusContext, prefix: Sequence[int] = ()
 ) -> Iterator[bytes]:
@@ -182,13 +132,13 @@ def _iter_solution_images(
     by the orderly search (`_orderly`) over `_listing_choices`, which
     admits no conjugate, so every solution is a leaf.
 
-    Each level interleaves the transposition of iota o tau at the least
-    open symbol with an unused one of the other parity and writes four
-    arcs of s = iota o C, and a prefix on which s closes a cycle shorter
-    than n is dropped with all of its extensions.  `prefix` fixes level
-    k to choice prefix[k]; the first level decides s(1), so the prefixes
-    (k,) for k < 2(2g-1), in order, list the same solutions as the
-    whole search.
+    Each level makes the crossing at the least open symbol with an
+    unused arc of the other curve and writes its four arcs of s = iota o
+    C, and a prefix on which s closes a cycle shorter than n is dropped
+    with all of its extensions.  `prefix` fixes level k to choice
+    prefix[k]; the first level decides s(1), so the prefixes (k,) for
+    k < 2(2g-1), in order, list the same solutions as the whole
+    search.
     """
     choices, first = _listing_choices(ctx)
     for _, table, _ in _orderly(choices, first, 1, prefix, ctx.i_min):
@@ -215,9 +165,15 @@ def _check_regular_on_evens(ctx: GenusContext, group: Iterable[Permutation]) -> 
 @lru_cache(maxsize=None)
 def _least_shard(ctx: GenusContext) -> int:
     """The first-level choice of the search that sets s(1) = 2, once the
-    twisting closure is checked to act regularly on the values of s(1)."""
+    twisting closure is checked to act regularly on the values of s(1).
+    The first level makes the crossing where alpha arc 1 ends, and its
+    choice 2j + k is entry k of row j of `_crossing_rows`, beta arc
+    j + 1 ending at point 1 with sign +1 or -1: the one whose steps hold
+    (1, 2)."""
     _check_regular_on_evens(ctx, twisting_closure(ctx))
-    return next(k for k, (_, arcs) in enumerate(_moves(ctx)[0]) if (1, 2) in arcs)
+    rows = _crossing_rows(ctx.i_min)
+    return next(2 * j + k for j, row in enumerate(rows) for k in (0, 1)
+                if (1, 2) in row[k][1])
 
 
 # ----------------------------------------------------------------------
@@ -297,21 +253,21 @@ _SPLIT_DEPTH = 3
 _POOL_GENUS = 5
 
 
-def _choice_table(n: int, moves: Sequence[Sequence[tuple[int, tuple]]],
-                  owners: Sequence[int], partners: Sequence[int], rows: tuple,
-                  start: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+def _choice_table(m: int, rows: tuple, start: int
+                  ) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """(choices, first): choices[x] lists the choices of the orderly
-    search (`_orderly`) at a node whose least open symbol is x, as (k,
-    p, arcs, joining), k being the choice's index in the list.
+    search (`_orderly`) over the 4m symbols of an m-crossing diagram at
+    a node whose least open symbol is x, as (k, p, arcs, joining), k
+    being the choice's index in the list.
 
-    moves[i] pairs owner i with each partner j in two orientations, as
-    (j, arcs) at 2j and 2j + 1: the four arcs a -> b of s that the
-    pairing writes, from owners[i], from partners[j] (of the other
-    parity) and from a greater symbol of each.  At owners[i] the choices
-    are moves[i] in order, at partners[j] the two orientations of
-    moves[i] for each i in turn; p is the other side's symbol, and a
-    choice is open exactly when p is.  The choices with p are first[p]
-    and first[p] + 1 in each list of the other side.
+    Each choice is a crossing of `_crossing_rows(m)`, beta arc j ending
+    at point q with one sign, and arcs are its four steps a -> b of s:
+    from beta arc j (symbol 2j), from alpha arc q (2q - 1) and from a
+    greater symbol of each curve.  At 2j the choices are row j - 1 in
+    order, at 2q - 1 the two signs of point q in each row in turn.  p
+    is the other curve's symbol, and a choice is open exactly when p
+    is; the choices with p are first[p] and first[p] + 1 in each list
+    of the other curve.
 
     joining lists the elements that the choice admits, those at
     `_admitting` row a, column b (rows) for each of its arcs a -> b, as
@@ -322,37 +278,26 @@ def _choice_table(n: int, moves: Sequence[Sequence[tuple[int, tuple]]],
         return k, p, arcs, tuple((t, inv, start) for a, b in arcs
                                  for _, _, t, inv in rows[a - 1][b])
 
-    choices: list[tuple] = [()] * (n + 1)
-    first = [0] * (n + 1)
-    for i, (row, x) in enumerate(zip(moves, owners)):
-        choices[x] = tuple(choice(k, partners[j], arcs) for k, (j, arcs) in enumerate(row))
-        first[x] = 2 * i
-    for j, x in enumerate(partners):
-        choices[x] = tuple(choice(2 * i + k, owner, row[2 * j + k][1])
-                           for i, (row, owner) in enumerate(zip(moves, owners))
-                           for k in (0, 1))
-        first[x] = 2 * j
+    crossings = _crossing_rows(m)
+    choices: list[tuple] = [()] * (4 * m + 1)
+    first = [0] * (4 * m + 1)
+    for j, row in enumerate(crossings):
+        choices[2 * j + 2] = tuple(choice(k, 2 * q + 1, arcs)
+                                   for k, (q, arcs) in enumerate(row))
+        first[2 * j + 2] = 2 * j
+    for q in range(m):
+        choices[2 * q + 1] = tuple(choice(2 * j + k, 2 * j + 2, row[2 * q + k][1])
+                                   for j, row in enumerate(crossings) for k in (0, 1))
+        first[2 * q + 1] = 2 * q
     return tuple(choices), tuple(first)
-
-
-def _filling_choices(ctx: GenusContext, rows: tuple
-                     ) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-    """The choice table (`_choice_table`) of the filling pairs with
-    admission table rows: `_moves` pairs the odd transpositions of iota
-    o tau with the even ones, each named by its lesser symbol, so the
-    choices at the symbols of the i-th odd transposition are the row
-    `_moves(ctx)[i]`.  The tie starts at position 2: s(1) = 2 at every
-    node of the shard."""
-    base = base_involution(ctx)
-    return _choice_table(ctx.n, _moves(ctx), [a for a, _ in base.odd],
-                         [c for c, _ in base.even], rows, 2)
 
 
 @lru_cache(maxsize=None)
 def _symbol_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """The choice table that counts and classifies: an element joins
-    when the choice writes s(t^-1(1)) = t^-1(2)."""
-    return _filling_choices(ctx, _admitting(ctx.i_min, 1, (2,)))
+    when the choice writes s(t^-1(1)) = t^-1(2).  The tie starts at
+    position 2: s(1) = 2 at every node of the shard."""
+    return _choice_table(ctx.i_min, _admitting(ctx.i_min, 1, (2,)), 2)
 
 
 @lru_cache(maxsize=None)
@@ -360,7 +305,7 @@ def _listing_choices(ctx: GenusContext) -> tuple[tuple[tuple, ...], tuple[int, .
     """The choice table that lists: every admission cell is empty, so no
     element ties and the search drops no node for its class."""
     n = ctx.n
-    return _filling_choices(ctx, (((),) * (n + 1),) * n)
+    return _choice_table(ctx.i_min, (((),) * (n + 1),) * n, 2)
 
 
 def _orderly(choices: Sequence[tuple], first: Sequence[int], cycles: int,
@@ -381,10 +326,10 @@ def _orderly(choices: Sequence[tuple], first: Sequence[int], cycles: int,
     knows the other as far[end]; each choice merges the paths on a copy
     of its level's far ends, whose entry 0, no symbol, counts the cycles
     closed.  A leaf has closed exactly `cycles`.  At the last level one
-    owner and one partner are open, so two choices are.  With one cycle
-    no copy is made there: the four arcs close one n-cycle exactly when
-    the path ends they leave, each sent to the far end of the path its
-    arc enters, form one 4-cycle.
+    alpha arc and one beta arc are open, so two choices are.  With one
+    cycle no copy is made there: the four arcs close one n-cycle exactly
+    when the path ends they leave, each sent to the far end of the path
+    its arc enters, form one 4-cycle.
 
     Each node also carries the elements t that s admits (`_admitting`)
     and that still tie with it, as (t, t^-1, y): the padded tables of t

@@ -47,7 +47,7 @@ from functools import lru_cache
 from operator import eq, itemgetter
 from typing import Sequence
 
-from .diagram import PairDiagram, crossing_steps
+from .diagram import PairDiagram
 from .enumeration import _admitting, _choice_table, _orderly
 from .filling import FillingPermutation, arc_tables, corner_orbits, signed_ids
 from .perms import table_orbits
@@ -282,31 +282,12 @@ def _cut(m: int, succ: Sequence[int]) -> GluingPattern:
 
 
 @lru_cache(maxsize=None)
-def _crossing_rows(m: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-    """The crossings of an m-crossing diagram, one row per beta arc.
-
-    Choice (p - 1, steps) of row j - 1 ends beta arc j at point p with
-    one sign and holds the four `crossing_steps` of that crossing, the
-    sign -1 first.  They write the steps from alpha arc p (2p - 1), from
-    beta arc j (2j) and from the inverses of alpha arc p + 1 and beta
-    arc j + 1, so the rows pair the beta arcs with the alpha arcs as
-    `enumeration._moves` pairs the odd transpositions with the even.
-    """
-    return tuple(tuple((p - 1, crossing_steps(m, j, p, sign))
-                       for p in range(1, m + 1) for sign in (-1, 1))
-                 for j in range(1, m + 1))
-
-
-@lru_cache(maxsize=None)
 def _crossing_choices(m: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-    """The choice table (`_choice_table`) of the m-crossing diagrams:
-    `_crossing_rows` pairs beta arc j, symbol 2j, with alpha arc p,
-    symbol 2p - 1.  An element joins when the choice writes the step
-    from t^-1(2) to t^-1(3) or t^-1(2m + 1), so that beta arc 1 of the
-    relabelled diagram ends at point 1, and the tie starts at position
-    1."""
-    return _choice_table(4 * m, _crossing_rows(m), range(2, 2 * m + 1, 2),
-                         range(1, 2 * m, 2), _admitting(m, 2, (3, 2 * m + 1)), 1)
+    """The choice table (`_choice_table`) of the m-crossing diagrams.
+    An element joins when the choice writes the step from t^-1(2) to
+    t^-1(3) or t^-1(2m + 1), so that beta arc 1 of the relabelled
+    diagram ends at point 1, and the tie starts at position 1."""
+    return _choice_table(m, _admitting(m, 2, (3, 2 * m + 1)), 1)
 
 
 @lru_cache(maxsize=None)
@@ -315,10 +296,11 @@ def _search_all(genus: int, intersections: int) -> tuple[GluingPattern, ...]:
 
     The diagrams are face-successor tables with want_faces faces and no
     bigon, found by the orderly search (`enumeration._orderly`) over
-    `_crossing_choices`, the search that counts the filling pairs.  Its
-    first level writes the step from alpha arc 1 and is fixed to the two
-    signs of beta arc 1 ending at point 1, so entry 2 of every leaf is 3
-    or 2m + 1.  Relabelling a pattern conjugates its table, and the
+    `_crossing_choices`, the search that counts the filling pairs over
+    the same crossings (`diagram._crossing_rows`).  Its first level makes
+    the crossing where alpha arc 1 ends and is fixed to the two signs of
+    beta arc 1 ending at point 1, so entry 2 of every leaf is 3 or
+    2m + 1.  Relabelling a pattern conjugates its table, and the
     search admits exactly the conjugates that are leaves, so it yields
     each class's least leaf and no other.  Each is cut by `_cut`, so the
     pattern carries its polygon table, and the patterns come in the

@@ -17,7 +17,6 @@ import pytest
 from fillperm.cli import main as cli_main
 from fillperm.enumeration import (
     _roots,
-    base_involution,
     count_classes,
     count_Lg,
     enumerate_filling,
@@ -46,7 +45,7 @@ from fillperm.hyperbolic import (
 from fillperm.perms import Permutation, identity
 from fillperm.zpiece import LSequence, build_from_sequence, detect_zpieces, splice
 from conftest import is_n_cycle
-from test_enumeration import excluded_root_count
+from test_enumeration import excluded_root_count, involution_split
 from test_hyperbolic import edge_length_oracle, polygon_area, polygon_area_coefficient
 
 JOBS = min(8, os.cpu_count() or 1)
@@ -55,7 +54,7 @@ JOBS = min(8, os.cpu_count() or 1)
 # A test oracle: no library code needs the verified root count.
 def count_roots_verified(ctx: GenusContext) -> int:
     """Generate every admissible root, assert C*C = iota o tau, and count."""
-    invol = (0,) + base_involution(ctx).perm.images
+    invol = (0,) + involution_split(ctx)[0].images
     symbols = range(1, ctx.n + 1)
     count = 0
     for C in _roots(ctx):

@@ -11,6 +11,7 @@ import pytest
 
 from fillperm import enumeration, filling
 from fillperm.cli import main
+from fillperm.diagram import PairDiagram, _crossing_rows
 from fillperm.enumeration import (
     _SPLIT_DEPTH,
     MAX_ENUMERATED_GENUS,
@@ -24,7 +25,6 @@ from fillperm.enumeration import (
     _relabeller,
     _roots,
     _symbol_choices,
-    base_involution,
     bounds_report,
     canonical_class_rep,
     check_guard,
@@ -62,28 +62,44 @@ def excluded_root_count(g: int) -> int:
     return 2 ** (2 * g - 2) * (2 * g - 1) * factorial(2 * g - 3)
 
 
-def test_base_involution_matches_displayed_pairs():
-    bi1 = base_involution(GenusContext(1))
-    assert bi1.perm == from_cycles([(1, 3), (2, 4)], 4)
-    assert bi1.odd == ((1, 3),) and bi1.even == ((2, 4),)
+def involution_split(ctx):
+    """iota o tau, read off `canonical_perms`, and its cycles through odd
+    symbols and through even ones, each from its least symbol, sorted."""
+    cp = canonical_perms(ctx)
+    invol = cp.iota.compose(cp.tau)
+    cycles = invol.cycles()
+    return invol, [c for c in cycles if c[0] % 2], [c for c in cycles if c[0] % 2 == 0]
 
-    bi2 = base_involution(GenusContext(2))
-    assert bi2.perm == from_cycles(
+
+def test_base_involution_matches_displayed_pairs():
+    invol1, odd1, even1 = involution_split(GenusContext(1))
+    assert invol1 == from_cycles([(1, 3), (2, 4)], 4)
+    assert odd1 == [(1, 3)] and even1 == [(2, 4)]
+
+    invol2, _, _ = involution_split(GenusContext(2))
+    assert invol2 == from_cycles(
         [(1, 9), (2, 10), (3, 11), (4, 12), (5, 7), (6, 8)], 12
     )
 
-    bi3 = base_involution(GenusContext(3))
-    assert len(bi3.odd) == 5 and len(bi3.even) == 5
+    _, odd3, even3 = involution_split(GenusContext(3))
+    assert len(odd3) == 5 and len(even3) == 5
     # the general shape: (i, i+4g) for i <= 4g-4 plus the two end pairs
-    assert bi3.odd == ((1, 13), (3, 15), (5, 17), (7, 19), (9, 11))
-    assert bi3.even == ((2, 14), (4, 16), (6, 18), (8, 20), (10, 12))
+    assert odd3 == [(1, 13), (3, 15), (5, 17), (7, 19), (9, 11)]
+    assert even3 == [(2, 14), (4, 16), (6, 18), (8, 20), (10, 12)]
 
 
 def test_base_involution_is_iota_tau():
+    # a fixed-point-free involution of 2g-1 transpositions per parity,
+    # named by their lesser symbols 1..4g-2: alpha arc p (2p - 1) and
+    # beta arc j (2j) of a (2g-1)-crossing diagram, as the rows of
+    # `_crossing_rows` name them
     for g in (1, 2, 3, 4):
         ctx = GenusContext(g)
-        cp = canonical_perms(ctx)
-        assert base_involution(ctx).perm == cp.iota.compose(cp.tau)
+        invol, odd, even = involution_split(ctx)
+        assert invol.compose(invol) == Permutation(range(1, ctx.n + 1))
+        assert all(len(c) == 2 and (c[1] - c[0]) % 2 == 0 for c in odd + even)
+        assert [c[0] for c in odd] == list(range(1, 4 * g - 2, 2))
+        assert [c[0] for c in even] == list(range(2, 4 * g - 1, 2))
 
 
 @pytest.mark.parametrize("g,count", [(1, 2), (2, 48), (3, 3840)])
@@ -97,7 +113,7 @@ def test_square_root_count(g, count):
 def test_square_roots_square_to_the_involution():
     for g in (1, 2, 3):
         ctx = GenusContext(g)
-        invol = base_involution(ctx).perm
+        invol = involution_split(ctx)[0]
         for c in square_roots(ctx):
             assert c.compose(c) == invol
 
@@ -114,14 +130,64 @@ def test_pairings_are_perfect_odd_even_matchings():
     # every root is a product of 4-cycles (a,c,b,d), each interleaving
     # one odd transposition (a,b) with one even transposition (c,d)
     ctx = GenusContext(2)
-    base = base_involution(ctx)
+    _, odd, even = involution_split(ctx)
     for root in square_roots(ctx):
         cycles = root.cycles()
         assert all(len(cyc) == 4 for cyc in cycles)
         assert all((cyc[0] - cyc[1]) % 2 for cyc in cycles)
         pairs = [tuple(sorted(cyc[i::2])) for cyc in cycles for i in (0, 1)]
-        assert sorted(p for p in pairs if p[0] % 2) == list(base.odd)
-        assert sorted(p for p in pairs if p[0] % 2 == 0) == list(base.even)
+        assert sorted(p for p in pairs if p[0] % 2) == odd
+        assert sorted(p for p in pairs if p[0] % 2 == 0) == even
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_square_roots_are_the_crossing_diagrams(g):
+    # C = iota o succ for the successor table of each of the m! 2^m
+    # diagrams with m = 2g - 1 crossings, each root once
+    ctx = GenusContext(g)
+    m = ctx.i_min
+    iota = canonical_perms(ctx).iota
+    diagrams = [iota.compose(Permutation(PairDiagram(m, beta_seq, signs)._succ[1:]))
+                for beta_seq in permutations(range(1, m + 1))
+                for signs in product((1, -1), repeat=m)]
+    roots = list(square_roots(ctx))
+    assert len(roots) == len(set(roots)) == len(set(diagrams)) == root_count(g)
+    assert set(roots) == set(diagrams)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_each_crossing_interleaves_one_pair_of_transpositions(g):
+    # every crossing of `_crossing_rows` writes one 4-cycle (a, c, b, d)
+    # of C = iota o s, with (a, b) an odd transposition of iota o tau and
+    # (c, d) an even one; each odd one, even one and image c of a, the
+    # orientation, comes once
+    ctx = GenusContext(g)
+    invol, odd, even = involution_split(ctx)
+    iota = canonical_perms(ctx).iota
+    seen = []
+    for row in _crossing_rows(ctx.i_min):
+        for _, steps in row:
+            C = {x: iota(y) for x, y in steps}
+            a = min(x for x in C if x % 2)
+            cycle = [a, C[a], C[C[a]], C[C[C[a]]]]
+            assert C[cycle[-1]] == a and sorted(cycle) == sorted(C)
+            assert all(C[C[x]] == invol(x) for x in cycle)
+            seen.append((tuple(sorted(cycle[::2])), tuple(sorted(cycle[1::2])), cycle[1]))
+    assert len(seen) == len(set(seen)) == 2 * ctx.i_min ** 2
+    assert set(seen) == {(o, e, c) for o in odd for e in even for c in e}
+
+
+def test_root_streams_keep_their_order():
+    # sha1 over the image bytes of each root, in stream order
+    def digest(roots):
+        h = hashlib.sha1()
+        for root in roots:
+            h.update(bytes(root.images))
+        return h.hexdigest()
+
+    assert digest(square_roots(GenusContext(2))) == "8c6576c5941a22b4eec5238c4456f87885e75cd0"
+    assert digest(square_roots(GenusContext(3))) == "d4eab86061361eaf42c92eaba4a9d75c5e1f1933"
+    assert digest(excluded_roots(GenusContext(3))) == "15d1378bc5bf6bcee3c2b743e730bd67e2883498"
 
 
 def test_enumerate_g1(g1_solutions):
@@ -696,17 +762,17 @@ def constructed_exclusion_family(ctx):
     are matched freely.
     """
     g = ctx.g
-    base = base_involution(ctx)
+    _, odd, even = involution_split(ctx)
     iota = canonical_perms(ctx).iota
     first, anchor = (1, 4 * g + 1), (4 * g - 3, 4 * g - 1)
-    free_odd = [t for t in base.odd if t not in (first, anchor)]
+    free_odd = [t for t in odd if t not in (first, anchor)]
     family = set()
-    for ev in base.even:
+    for ev in even:
         for k, j in (ev, ev[::-1]):
             kp = iota(k)
-            ev2 = next(t for t in base.even if kp in t)
+            ev2 = next(t for t in even if kp in t)
             fixed = [(1, k, first[1], j), (kp, anchor[1], sum(ev2) - kp, anchor[0])]
-            free_even = [t for t in base.even if t not in (ev, ev2)]
+            free_even = [t for t in even if t not in (ev, ev2)]
             for match in permutations(free_even):
                 for flips in product((False, True), repeat=len(free_odd)):
                     free = [(a, d, b, c) if flip else (a, c, b, d)

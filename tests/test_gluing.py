@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fillperm import enumeration, gluing
-from fillperm.diagram import PairDiagram, diagram_of
+from fillperm.diagram import PairDiagram, _crossing_rows, diagram_of
 from fillperm.enumeration import (
     _choice_table,
     _count_and_classify,
-    _moves,
     _orderly,
     count_classes,
     enumerate_filling,
@@ -25,7 +24,6 @@ from fillperm.gluing import (
     GluingPattern,
     _check,
     _crossing_choices,
-    _crossing_rows,
     _search_all,
     euler_genus,
     from_filling,
@@ -457,8 +455,8 @@ def least_reference_tables(m, want_faces):
 
 def orderly_tables(m, want_faces):
     """The leaf tables of the orderly search over `_crossing_choices`,
-    padded at 0, sorted: first beta arc 1 ends at point 1 with sign -1,
-    then with +1, as `_search_all` runs it."""
+    padded at 0, sorted: first beta arc 1 ends at point 1 with sign +1,
+    then with -1, as `_search_all` runs it."""
     choices, first = _crossing_choices(m)
     return sorted([*nxt[:-1]] for k in (0, 1)
                   for _, nxt, _ in _orderly(choices, first, want_faces, (k,), m))
@@ -488,21 +486,24 @@ def test_grow_cycles_yields_each_diagram_with_that_face_count(m, cycles):
     (the sphere's m + 2 and counts of the wrong parity, whose answer is
     empty), the orderly search over the crossings yields, once each, the
     anchored diagrams with `cycles` faces and no bigon that the
-    streaming least-member test keeps.  With one face and an admission
-    table whose cells are all empty, as listing runs it, the same search
-    yields every such diagram once."""
+    streaming least-member test keeps."""
     tables = orderly_tables(m, cycles)
     assert tables == least_reference_tables(m, cycles)
     if (cycles - m) % 2 or (m, cycles) == (3, 1):  # genus 2 has no minimal pair
         assert tables == []
-    if cycles == 1:
-        n = 4 * m
-        choices, first = _choice_table(n, _crossing_rows(m), range(2, 2 * m + 1, 2),
-                                       range(1, 2 * m, 2), (((),) * (n + 1),) * n, 1)
-        listed = [tuple(nxt[:-1]) for k in (0, 1)
-                  for _, nxt, _ in _orderly(choices, first, 1, (k,), m)]
-        assert len(listed) == len(set(listed))
-        assert set(listed) == set(map(tuple, reference_tables(m, 1)))
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_listing_table_yields_every_one_face_diagram(m):
+    """With an admission table whose cells are all empty, as listing runs
+    it, the orderly search over the crossings yields every anchored
+    diagram with one face once."""
+    n = 4 * m
+    choices, first = _choice_table(m, (((),) * (n + 1),) * n, 1)
+    listed = [tuple(nxt[:-1]) for k in (0, 1)
+              for _, nxt, _ in _orderly(choices, first, 1, (k,), m)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(map(tuple, reference_tables(m, 1)))
 
 
 def test_both_class_searches_run_through_the_orderly_search(monkeypatch):
@@ -528,7 +529,7 @@ def test_no_search_row_writes_an_arc_within_one_parity():
     """Every arc that a row of either search writes changes parity, so
     no row writes a fixed point x -> x: `_orderly` needs that to read a
     closed 2-cycle off its table."""
-    searches = [*(_moves(GenusContext(g)) for g in range(1, 7)),
+    searches = [*(_crossing_rows(2 * g - 1) for g in range(1, 7)),
                 *(_crossing_rows(m) for m in range(1, 10))]
     arcs = [arc for rows in searches for row in rows
             for _, choice in row for arc in choice]

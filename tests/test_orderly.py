@@ -14,28 +14,28 @@ from typing import Iterable
 
 import pytest
 
+from fillperm.diagram import _crossing_rows
 from fillperm.enumeration import (
     _SPLIT_DEPTH,
     _admitting,
     _least_shard,
-    _moves,
     _orderly,
     _symbol_choices,
-    base_involution,
 )
 from fillperm.filling import GenusContext
 
 
 def reference_choices(ctx):
-    """choices[x]: (p, arcs) for each choice at least open symbol x."""
-    base = base_involution(ctx)
-    moves = _moves(ctx)
+    """choices[x]: (p, arcs) for each choice at least open symbol x: at
+    beta arc j, symbol 2j, the crossings of its row of `_crossing_rows`,
+    and at alpha arc p, symbol 2p - 1, its column, read row by row."""
+    rows = _crossing_rows(ctx.i_min)
     choices = [()] * (ctx.n + 1)
-    for row, (a, b) in zip(moves, base.odd):
-        choices[a] = choices[b] = tuple((base.even[j][0], arcs) for j, arcs in row)
-    for j, (c, d) in enumerate(base.even):
-        choices[c] = choices[d] = tuple(
-            (a, row[2 * j + k][1]) for row, (a, _) in zip(moves, base.odd) for k in (0, 1))
+    for j, row in enumerate(rows):
+        choices[2 * j + 2] = tuple((2 * p + 1, arcs) for p, arcs in row)
+    for p in range(ctx.i_min):
+        choices[2 * p + 1] = tuple(
+            (2 * j + 2, row[2 * p + k][1]) for j, row in enumerate(rows) for k in (0, 1))
     return tuple(choices)
 
 
